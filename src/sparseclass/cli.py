@@ -388,7 +388,6 @@ def _add_common_fit_flags(sub):
     sub.add_argument("--binarize", action="store_true")
     sub.add_argument("--max-thresholds", dest="max_thresholds", type=_int_or_all, default=None)
     sub.add_argument("--candidate-limit", dest="candidate_limit", type=_int_or_all, default=None)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--data", required=True)
     sub.add_argument("--out", default=None)
 

@@ -14,6 +14,15 @@ LOSSES = ("logistic", "exponential")
 # to bound floating-point drift.
 MARGIN_REFRESH_EVERY = 256
 
+# Coordinate sweeps screen a run of at least this many zero coordinates with
+# one matrix-vector product; shorter runs stay in the per-coordinate loop.
+# A screen costs 10-15 us of numpy overhead, a loop visit 1.5-4 us.  Time
+# saved per run of r zeros by screening it, from in-process A/B runs of
+# ``cd_sweep`` (n = 300 and 1000, one BLAS thread): logistic r=4 -3.5 us,
+# r=6 +1.7, r=8 +7, r=16 +21 to +31, r=32 +40 to +76; exponential r=4
+# -4.5 us, r=6 -1.7, r=8 +3.5, r=16 +21, r=32 +55.
+SCREEN_MIN_RUN = 8
+
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
@@ -41,6 +50,8 @@ class DesignMatrix:
     def __post_init__(self):
         if self.x.ndim != 2:
             raise DataError("feature matrix must be two-dimensional")
+        if not np.all(np.isfinite(self.x)):
+            raise DataError("feature matrix has non-finite values (nan or inf)")
         n, p = self.x.shape
         if self.y.shape != (n,):
             raise DataError(f"label vector has shape {self.y.shape}, expected ({n},)")
@@ -195,6 +206,74 @@ class ModelState:
     def scores(self, data: DesignMatrix) -> np.ndarray:
         """Raw decision scores f_i = w . x_i + intercept."""
         return data.y * self.margins
+
+
+def sweep_visits(coords, w: np.ndarray, support_size: int, screen):
+    """The coordinates of ``coords`` that a sweep must update one at a time.
+
+    A sweep visits ``coords`` in order; a zero coefficient that stays zero
+    changes nothing, so visiting only the coordinates yielded here, in the
+    order yielded, makes the same decisions.  Each run of at least
+    ``SCREEN_MIN_RUN`` positions whose coefficients are zero when the sweep
+    starts is screened: ``screen(cols)`` gets columns of the run (a slice
+    when ``coords`` is a contiguous range, else an index array) and returns
+    a mask, True where a coordinate may leave zero under the current state.
+    The first flagged coordinate, or the first one no longer zero, is
+    yielded, and screening resumes right after it once the caller has
+    updated it.  All coordinates outside such runs are yielded.
+
+    ``coords`` itself is returned when it has no such run, and without a
+    run search when it has fewer than ``SCREEN_MIN_RUN`` coordinates
+    beyond ``support_size``, as in a sweep over the support alone.
+    """
+    m = len(coords)
+    if m - support_size < SCREEN_MIN_RUN:
+        return coords
+    if isinstance(coords, range) and coords.step == 1:
+        idx = None
+        nonzero = np.flatnonzero(w[coords.start:coords.stop]).tolist()
+    else:
+        idx = np.asarray(coords, dtype=np.intp)
+        nonzero = np.flatnonzero(w[idx]).tolist()
+    bounds = [-1, *nonzero, m]
+    runs = [(a + 1, b) for a, b in zip(bounds, bounds[1:]) if b - a > SCREEN_MIN_RUN]
+    if not runs:
+        return coords
+    return _screened_visits(coords, idx, runs, w, screen)
+
+
+def _screened_visits(coords, idx, runs, w, screen):
+    pos = 0
+    for a, b in runs:
+        yield from coords[pos:a]
+        quiet, span = SCREEN_MIN_RUN, b - a
+        while a < b:
+            if quiet < SCREEN_MIN_RUN:
+                # Right after an update, visit one by one until
+                # SCREEN_MIN_RUN coordinates in a row stay zero: where many
+                # enter, a screen would find the next one too soon to pay.
+                j = coords[a]
+                yield j
+                a += 1
+                quiet = quiet + 1 if w[j] == 0.0 else 0
+                continue
+            stop = min(a + span, b)
+            cols = slice(coords.start + a, coords.start + stop) if idx is None else idx[a:stop]
+            # A coordinate listed twice in ``coords`` may have left zero
+            # since the sweep started.
+            flagged = screen(cols) | (w[cols] != 0.0)
+            k = int(flagged.argmax())
+            if flagged[k]:
+                yield coords[a + k]
+                a += k + 1
+                quiet, span = 0, 2 * SCREEN_MIN_RUN
+            else:
+                # Screens after an update start short and double while they
+                # find nothing, so a run is not screened again in full
+                # after every coordinate that enters it.
+                a, span = stop, 2 * span
+        pos = b
+    yield from coords[pos:]
 
 
 def log1p_exp_neg_sum(margins) -> float:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import DataError, DesignMatrix
+from .core import DataError, DesignMatrix, sweep_visits
 
 # Weighted fractions are kept this far from {0, 1} so perfectly separating
 # columns get a large finite coefficient instead of an infinite one.
@@ -229,13 +229,32 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
     The dominant case, a zero coefficient that stays zero, is decided with a
     single dot product against the current weights; everything else defers
     to ``exp_coordinate_update``.
+
+    The decisions are those of the cyclic order.  Runs of zero coordinates
+    are screened with one product ``Z[:, run].T @ c`` against the current
+    weights (``core.sweep_visits``); every coordinate the screen flags,
+    and every support coordinate, takes the scalar update below.  Only the
+    summation order of the screening products differs from the loop, so
+    a zero coordinate can be decided differently only when its test lies
+    within rounding of its threshold.
+    Runs shorter than ``core.SCREEN_MIN_RUN`` (8) stay in the loop: a
+    screen costs about as much as six loop visits (measurements at the
+    constant).
     """
     z_all = data.signed
     max_move = 0.0
     c = state.c
     H = state.H
     lo, hi = zero_interval(H, lam0)
-    for j in coords:
+
+    def screen(cols):
+        # The zero test below.  Rounding can put d a hair outside [0, 1],
+        # where the scalar test clips it; such a column is flagged and the
+        # scalar test decides.
+        d = 0.5 * (H - z_all[:, cols].T @ c) / H
+        return ~((lo <= d) & (d <= hi))
+
+    for j in sweep_visits(coords, state.w, len(state.support), screen):
         if state.w[j] == 0.0:
             dot = float(c @ z_all[:, j])
             d = 0.5 * (H - dot) / H

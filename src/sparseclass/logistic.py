@@ -10,7 +10,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .core import ConfigError, DesignMatrix, HyperParams, ModelState, log1p_exp_neg_sum
+from .core import (
+    ConfigError,
+    DesignMatrix,
+    HyperParams,
+    ModelState,
+    log1p_exp_neg_sum,
+    sweep_visits,
+)
 
 # Two quadratic minorants with nearly equal curvature-adjusted slopes have no
 # usable intersection; below this denominator we fall back to the one-point
@@ -274,11 +281,33 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
     Equivalent to calling ``threshold_step`` coordinate by coordinate, with
     the sigmoid vector reused between steps that change nothing.  Returns
     the largest coefficient move.
+
+    The decisions are those of the cyclic order.  Runs of zero coordinates
+    are screened with one product ``Z[:, run].T @ q`` against the current
+    sigmoid vector (``core.sweep_visits``); every coordinate the screen flags,
+    and every support coordinate, takes the scalar step below.  Only the
+    summation order of the screening products differs from the loop, so
+    a zero coordinate can be decided differently only when its test lies
+    within rounding of its threshold.
+    Runs shorter than ``core.SCREEN_MIN_RUN`` (8) stay in the loop: a
+    screen costs about as much as six loop visits (measurements at the
+    constant).
     """
     z = data.signed
     q = expit(-state.margins)
     max_move = 0.0
-    for j in coords:
+
+    def screen(cols):
+        # The scalar step below with w_j = 0.  Inert columns (L = 0) have a
+        # zero gradient; dividing by 1 instead keeps them at zero.
+        L = lip[cols]
+        L = np.where(L > 0.0, L, 1.0)
+        c = (z[:, cols].T @ q) / L
+        if lam0 > 0.0:
+            return ~(c * c < 2.0 * lam0 / L)
+        return c != 0.0
+
+    for j in sweep_visits(coords, state.w, len(state.support), screen):
         L = lip[j]
         if L <= 0.0:
             continue

@@ -228,11 +228,12 @@ def try_add_quad(state_without_j: ModelState, data: DesignMatrix, hp: HyperParam
 # --- delete-or-swap ----------------------------------------------------------
 
 def _candidate_order(grads: np.ndarray, forbidden: set[int], limit: int | None) -> list[int]:
+    """Features outside ``forbidden`` by descending gradient magnitude (ties by
+    index), the first ``limit`` of them when a limit is set."""
     order = np.argsort(-np.abs(grads), kind="stable")
-    out = [int(j) for j in order if int(j) not in forbidden]
-    if limit is not None:
-        out = out[:limit]
-    return out
+    allowed = np.ones(grads.shape[0], dtype=bool)
+    allowed[list(forbidden)] = False
+    return order[allowed[order]][:limit].tolist()
 
 
 def _try_delete_or_swap_logistic(state, data, hp, j, cut, stats) -> SwapOutcome:

@@ -146,6 +146,13 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_non_finite_features_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x2,y\n1.0,nan,1\ninf,2.0,0\n0.5,1.5,1\n")
+        code, _, err = _run(capsys, ["fit", "--data", str(bad)])
+        assert code == 2
+        assert "non-finite" in err
+
     def test_missing_label_column_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,x2\n1.0,2.0\n")
@@ -248,6 +255,17 @@ class TestBenchCommand:
         quad_prunes = sum(int(r["cut_prunes"]) for r in rows if r["cut"] == "quad")
         lin_prunes = sum(int(r["cut_prunes"]) for r in rows if r["cut"] == "lin")
         assert quad_prunes >= lin_prunes
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", [
+        ["fit"], ["path", "--lambda0-grid", "1"], ["bench", "--lambda0-grid", "1"]])
+    def test_seed_only_on_synth(self, command):
+        from sparseclass.cli import build_parser
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(command + ["--data", "d.csv", "--seed", "1"])
+        assert parser.parse_args(["synth", "--out", "x.csv", "--seed", "1"]).seed == 1
 
 
 class TestSynthCommand:

@@ -31,6 +31,11 @@ class TestDesignMatrix:
         with pytest.raises(sc.DataError):
             sc.DesignMatrix.from_arrays([[1.0, 2.0]], [1.0], ["a", "a"])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_features(self, bad):
+        with pytest.raises(sc.DataError, match="non-finite"):
+            sc.DesignMatrix.from_arrays([[1.0, 2.0], [bad, 0.5]], [1, -1])
+
     def test_binary_flag_detection(self):
         d1 = sc.DesignMatrix.from_arrays([[1.0, -1.0], [-1.0, 1.0]], [1, -1])
         d2 = sc.DesignMatrix.from_arrays([[1.0, 0.5], [-1.0, 1.0]], [1, -1])

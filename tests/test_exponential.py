@@ -211,3 +211,40 @@ class TestWeightMaintenance:
         # stationarity of H in the intercept direction
         deriv = -float(state.c @ data.y)
         assert abs(deriv) < 1e-9 * state.H
+
+
+class TestSweep:
+    @pytest.mark.parametrize("coords", ["range", "permuted"])
+    def test_wide_sweep_matches_single_updates(self, coords, monkeypatch):
+        rng = np.random.default_rng(41)
+        n, p = 120, 320
+        x = rng.choice([-1.0, 1.0], size=(n, p))
+        y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-2.0 * (x[:, 150] - x[:, 260]))),
+                     1.0, -1.0)
+        data = sc.DesignMatrix.from_arrays(x, y)
+        state = sc.ExpState.zeros(data)
+        for j in (40, 41, 200, 319):
+            state.set_coefficient(data, j, float(rng.standard_normal() * 0.5))
+        expeng.refit_intercept(state, data)
+        coords = range(p) if coords == "range" else rng.permutation(p)[:280].tolist()
+        lam0 = 6.0
+
+        ref = state.copy()
+        ref_move = 0.0
+        for j in coords:
+            old = float(ref.w[j])
+            ref_move = max(ref_move, abs(expeng.exp_coordinate_update(ref, data, j, lam0) - old))
+        entered = ref.support - state.support
+        assert entered
+
+        screens = []
+        visits = expeng.sweep_visits
+        monkeypatch.setattr(expeng, "sweep_visits", lambda c, w, k, screen: visits(
+            c, w, k, lambda cols: screens.append(cols) or screen(cols)))
+        swept = state.copy()
+        move = expeng.cd_sweep(swept, data, lam0, coords)
+        assert screens  # the batched path ran
+        assert swept.support == ref.support
+        np.testing.assert_allclose(swept.w, ref.w, rtol=0, atol=1e-12)
+        assert swept.H == pytest.approx(ref.H, rel=1e-12)
+        assert move == pytest.approx(ref_move, rel=0, abs=1e-12)

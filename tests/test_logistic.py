@@ -322,6 +322,65 @@ class TestSweepAndIntercept:
         logeng.cd_sweep(swept, data, hp.lambda0, hp.lambda2, lip, range(data.p))
         np.testing.assert_allclose(swept.w, ref.w, rtol=0, atol=1e-12)
 
+    # Wide instances whose zero runs reach the screened path of the sweep:
+    # (lambda0, lambda2, support, inert columns, coords).  The planted signal
+    # sits at columns 150 and 260, inside long zero runs.
+    WIDE_CASES = {
+        "enters_mid_run": (3.0, 1e-3, (40, 200, 290), (), None),
+        "inert_column_in_run": (3.0, 0.0, (40, 200, 290), (120, 121), None),
+        "lambda0_zero": (0.0, 1e-3, (40, 200, 290), (), None),
+        "non_contiguous_list": (3.0, 1e-3, (40, 200, 290), (), "permuted"),
+        "repeated_coords": (3.0, 1e-3, (40, 200, 290), (), "twice"),
+        "adjacent_support": (3.0, 1e-3, (100, 101, 102, 103, 318, 319), (), None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WIDE_CASES))
+    @pytest.mark.filterwarnings("error")
+    def test_wide_sweep_matches_single_steps(self, case, monkeypatch):
+        lam0, lam2, support, inert, order = self.WIDE_CASES[case]
+        rng = np.random.default_rng(20)
+        n, p = 80, 320
+        x = rng.standard_normal((n, p))
+        x[:, list(inert)] = 0.0
+        y = np.where(rng.random(n) < expit(2.0 * (x[:, 150] - x[:, 260])), 1.0, -1.0)
+        data = sc.DesignMatrix.from_arrays(x, y)
+        state = sc.ModelState.zeros(data)
+        for j in support:
+            state.set_coefficient(data, j, float(rng.standard_normal() * 0.5))
+        coords = {None: range(p),
+                  "permuted": rng.permutation(p)[:280].tolist(),
+                  "twice": list(range(p)) * 2}[order]
+        assert len(coords) - len(support) >= sc.core.SCREEN_MIN_RUN
+
+        hp = sc.HyperParams(lambda0=lam0, lambda2=lam2)
+        lip = logeng.lipschitz_all(data, lam2)
+        ref = state.copy()
+        ref_move = 0.0
+        entered_mid_run = False
+        for pos, j in enumerate(coords):
+            if lip[j] <= 0.0:
+                continue
+            old = float(ref.w[j])
+            new = sc.threshold_step(ref, data, j, hp)
+            ref.set_coefficient(data, j, new)
+            ref_move = max(ref_move, abs(new - old))
+            window = [float(state.w[i]) for i in coords[max(pos - 4, 0):pos]]
+            entered_mid_run |= old == 0.0 and new != 0.0 and window == [0.0] * 4
+        assert entered_mid_run
+
+        screens = []
+        visits = logeng.sweep_visits
+        monkeypatch.setattr(logeng, "sweep_visits", lambda c, w, k, screen: visits(
+            c, w, k, lambda cols: screens.append(cols) or screen(cols)))
+        swept = state.copy()
+        move = logeng.cd_sweep(swept, data, lam0, lam2, lip, coords)
+        assert screens  # the batched path ran
+        assert swept.support == ref.support
+        np.testing.assert_allclose(swept.w, ref.w, rtol=0, atol=1e-12)
+        assert move == pytest.approx(ref_move, rel=0, abs=1e-12)
+        for j in inert:
+            assert swept.w[j] == 0.0
+
     def test_intercept_refit_reaches_stationarity(self):
         rng = np.random.default_rng(12)
         data, state = _instance(rng, n=50, p=4)

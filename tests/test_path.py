@@ -49,12 +49,20 @@ class TestWarmStart:
             assert move <= 1e-10
 
     def test_exponential_fixed_point_certificate(self):
-        for seed in range(3):
+        from sparseclass import exponential as expeng
+        # p=300 leaves zero runs long enough for the screened sweep.  It
+        # needs more rows and a stronger penalty than p=8: at n=80 the wide
+        # instances are separable and the warm start can end at its sweep
+        # cap, short of a fixed point.
+        cases = [(80, 8, 0.5, seed) for seed in range(3)]
+        cases += [(200, 300, 8.0, seed) for seed in range(3)]
+        for n, p, lam0, seed in cases:
             rng = np.random.default_rng(50 + seed)
-            data = _data(rng, n=80, p=8, binary=True)
-            hp = sc.HyperParams(lambda0=0.5, loss="exponential")
+            data = _data(rng, n=n, p=p, binary=True)
+            hp = sc.HyperParams(lambda0=lam0, loss="exponential")
             state = sc.warm_start(data, hp)
-            from sparseclass import exponential as expeng
+            k = len(state.support)
+            assert p == 8 or (p - k) / (k + 1) >= sc.core.SCREEN_MIN_RUN
             extra = state.copy()
             move = expeng.cd_sweep(extra, data, hp.lambda0, range(data.p))
             assert move <= 1e-10

@@ -48,6 +48,24 @@ class TestFailureQueue:
         assert sorted(q.ordered(support)) == sorted(support)
 
 
+class TestCandidateOrder:
+    @pytest.mark.parametrize("limit", [None, 1, 7, 500])
+    def test_matches_list_filter_with_ties(self, limit):
+        from sparseclass.swap import _candidate_order
+        rng = np.random.default_rng(3)
+        # Few distinct magnitudes of both signs, so most features tie.
+        grads = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=300)
+        forbidden = {int(j) for j in rng.choice(300, size=40, replace=False)}
+        order = np.argsort(-np.abs(grads), kind="stable")
+        expected = [int(j) for j in order if int(j) not in forbidden]
+        if limit is not None:
+            expected = expected[:limit]
+        got = _candidate_order(grads, forbidden, limit)
+        assert got == expected
+        assert all(type(j) is int for j in got)
+        assert _candidate_order(grads, set(), limit) == [int(j) for j in order][:limit]
+
+
 class TestDeletion:
     def test_zero_column_deleted_at_equal_loss(self):
         rng = np.random.default_rng(1)
