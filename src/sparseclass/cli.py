@@ -221,6 +221,8 @@ def cmd_fit(args) -> int:
         "train_auc": train_auc,
         "swap_evals": stats.swap_evals,
         "cut_prunes": stats.cut_prunes,
+        "candidates": stats.candidates,
+        "line_searches": stats.line_searches,
     }))
     return EXIT_OK
 
@@ -260,6 +262,8 @@ def _read_predict_data(path: str) -> dict[str, np.ndarray]:
         raise DataError(f"{path}: malformed numeric data ({exc})") from exc
     if raw.size == 0 or raw.shape[1] != len(header):
         raise DataError(f"{path}: row width does not match header")
+    if not np.isfinite(raw).all():
+        raise DataError(f"{path}: non-finite values (nan or inf)")
     return {name: raw[:, i] for i, name in enumerate(header)}
 
 

@@ -112,6 +112,76 @@ class CoordinateProbe:
         return value, slope
 
 
+class BlockProbe:
+    """``CoordinateProbe`` for k coordinates at once.
+
+    Row b of ``u`` is the signed column of coordinate b.  Every row shares
+    the base margins, ``lam2`` and ``base_sq``, so one pass evaluates all
+    k restrictions, each at its own point, with one exponential over the
+    k x n block.  Passes reuse the probe's buffers; their results are
+    fresh arrays.
+    """
+
+    __slots__ = ("base_margins", "u", "lam2", "base_sq", "_m", "_e", "_neg")
+
+    def __init__(self, base_margins, u, lam2=0.0, base_sq=0.0):
+        self.base_margins = base_margins
+        self.u = u
+        self.lam2 = lam2
+        self.base_sq = base_sq
+        self._m = self._e = self._neg = None
+
+    def take(self, rows) -> "BlockProbe":
+        """The probe restricted to ``rows`` (itself when that is every row).
+        It reuses the leading rows of this probe's buffers, so only one of
+        the two may be evaluated from then on."""
+        k = len(rows)
+        if k == self.u.shape[0]:
+            return self
+        out = BlockProbe(self.base_margins, self.u[rows], self.lam2, self.base_sq)
+        if self._m is not None:
+            out._m = self._m[:k]
+        if self._e is not None:
+            out._e, out._neg = self._e[:k], self._neg[:k]
+        return out
+
+    def _margins(self, t):
+        if self._m is None:
+            self._m = np.empty_like(self.u)
+        m = np.multiply(self.u, t[:, None], out=self._m)
+        m += self.base_margins
+        return m
+
+    def slopes(self, t):
+        m = self._margins(t)
+        # sigmoid(-m) as 1 / (1 + e^m): numpy's exp is about 4x faster than
+        # expit, and e^m overflowing to inf gives the right limit 0.
+        with np.errstate(over="ignore"):
+            q = np.exp(m, out=m)
+        q += 1.0
+        np.reciprocal(q, out=q)
+        return -np.einsum("ij,ij->i", self.u, q) + 2.0 * self.lam2 * t
+
+    def evaluate(self, t):
+        """Values and slopes at ``t`` from one shared exponential pass."""
+        if self._e is None:
+            self._e = np.empty_like(self.u)
+            self._neg = np.empty(self.u.shape, dtype=bool)
+        m = self._margins(t)
+        neg = np.less(m, 0.0, out=self._neg)
+        e = np.exp(np.negative(np.abs(m, out=self._e), out=self._e), out=self._e)
+        # value terms max(-m, 0) + log1p(e), accumulated in the margin buffer
+        np.negative(m, out=m)
+        np.maximum(m, 0.0, out=m)
+        m += np.log1p(e)
+        values = m.sum(axis=1) + self.lam2 * (t * t + self.base_sq)
+        # sigmoid(-m): e / (1 + e) where m >= 0, 1 / (1 + e) where m < 0
+        np.add(e, 1.0, out=m)
+        np.copyto(e, 1.0, where=neg)
+        q = np.divide(e, m, out=e)
+        return values, -np.einsum("ij,ij->i", self.u, q) + 2.0 * self.lam2 * t
+
+
 def coordinate_probe(state: ModelState, data: DesignMatrix, j: int, lam2: float = 0.0) -> CoordinateProbe:
     """Probe for coordinate j of ``state`` with that coordinate zeroed out.
 
@@ -154,10 +224,13 @@ def find_new_coefficient(state: ModelState, data: DesignMatrix, j: int, hp: Hype
 
 # --- lower bounds for the 1-D minimum ------------------------------------
 
+# The bounds below take scalars or arrays (element by element), so one
+# formula serves the public one-point helpers and the block screening.
+
 def _lin_cut_val(f1, a1, x1, f2, a2, x2):
-    if a1 == a2:
-        return f1
-    return (a1 * f2 - a2 * f1 + a1 * a2 * (x1 - x2)) / (a1 - a2)
+    same = a1 == a2
+    denom = np.where(same, 1.0, a1 - a2)
+    return np.where(same, f1, (a1 * f2 - a2 * f1 + a1 * a2 * (x1 - x2)) / denom)
 
 
 def _quad_cut_one_val(f1, a1, lam2):
@@ -172,9 +245,9 @@ def _quad_cut_two_val(f1, a1, x1, f2, a2, x2, lam2):
     # falls on its own side of the crossing, so each branch is minimized
     # over its side.
     denom = a1 - a2 - 2.0 * lam2 * (x1 - x2)
-    if abs(denom) <= DEGENERATE_DENOM:
-        return max(_quad_cut_one_val(f1, a1, lam2), _quad_cut_one_val(f2, a2, lam2))
-    xhat = (-f1 + f2 + a1 * x1 - a2 * x2 - lam2 * (x1 * x1 - x2 * x2)) / denom
+    degenerate = np.abs(denom) <= DEGENERATE_DENOM
+    xhat = (-f1 + f2 + a1 * x1 - a2 * x2 - lam2 * (x1 * x1 - x2 * x2)) / np.where(
+        degenerate, 1.0, denom)
 
     def p1(x):
         return f1 + a1 * (x - x1) + lam2 * (x - x1) ** 2
@@ -184,9 +257,14 @@ def _quad_cut_two_val(f1, a1, x1, f2, a2, x2, lam2):
 
     v1 = x1 - a1 / (2.0 * lam2)
     v2 = x2 - a2 / (2.0 * lam2)
-    if denom < 0.0:  # p1 is the max left of xhat, p2 right of it
-        return min(p1(min(v1, xhat)), p2(max(v2, xhat)))
-    return min(p2(min(v2, xhat)), p1(max(v1, xhat)))
+    # denom < 0: p1 is the max left of xhat, p2 right of it
+    left = np.minimum(p1(np.minimum(v1, xhat)), p2(np.maximum(v2, xhat)))
+    right = np.minimum(p2(np.minimum(v2, xhat)), p1(np.maximum(v1, xhat)))
+    return np.where(
+        degenerate,
+        np.maximum(_quad_cut_one_val(f1, a1, lam2), _quad_cut_one_val(f2, a2, lam2)),
+        np.where(denom < 0.0, left, right),
+    )
 
 
 def lin_cut(x1: float, x2: float, probe) -> float:
@@ -202,7 +280,7 @@ def lin_cut(x1: float, x2: float, probe) -> float:
         raise ValueError("tangent slopes must not share a sign")
     if a1 == a2:
         return probe.value_at(x1)
-    return _lin_cut_val(probe.value_at(x1), a1, x1, probe.value_at(x2), a2, x2)
+    return float(_lin_cut_val(probe.value_at(x1), a1, x1, probe.value_at(x2), a2, x2))
 
 
 def quad_cut_one(x1: float, probe, lam2: float) -> float:
@@ -231,7 +309,7 @@ def quad_cut_two(x1: float, x2: float, probe, lam2: float) -> float:
         raise ValueError("tangent slopes must not share a sign")
     f1 = probe.value_at(x1)
     f2 = probe.value_at(x2)
-    return _quad_cut_two_val(f1, a1, x1, f2, a2, x2, lam2)
+    return float(_quad_cut_two_val(f1, a1, x1, f2, a2, x2, lam2))
 
 
 # --- intercept ------------------------------------------------------------

@@ -58,6 +58,8 @@ class PathEntry:
     wall_ms: float
     swap_evals: int
     cut_prunes: int
+    candidates: int
+    line_searches: int
     error: str | None = None
 
 
@@ -125,6 +127,8 @@ def fit_path(data: DesignMatrix, spec: PathSpec, ordering: str = "dynamic",
                         wall_ms=wall_ms,
                         swap_evals=stats.swap_evals,
                         cut_prunes=stats.cut_prunes,
+                        candidates=stats.candidates,
+                        line_searches=stats.line_searches,
                     )
                 )
                 prev = state
@@ -141,6 +145,8 @@ def fit_path(data: DesignMatrix, spec: PathSpec, ordering: str = "dynamic",
                         wall_ms=wall_ms,
                         swap_evals=stats.swap_evals,
                         cut_prunes=stats.cut_prunes,
+                        candidates=stats.candidates,
+                        line_searches=stats.line_searches,
                         error=f"lambda0={lam0}, lambda2={lam2}: {exc}",
                     )
                 )

@@ -4,7 +4,9 @@ The outer loop walks the support in failure-count order; each visit tries to
 drop the feature outright, then to replace it with the most promising
 out-of-support feature.  Candidate evaluations are screened with tangent
 lower bounds (logistic loss) or resolved analytically (exponential loss), so
-most candidates are dismissed without a line search.
+most candidates are dismissed without a line search.  Logistic candidates
+share one base state per visit and are screened in blocks (``screen_block``),
+with the decisions and counts of a one-by-one scan in gradient order.
 """
 
 from __future__ import annotations
@@ -32,10 +34,18 @@ REOPT_MAX_SWEEPS = 100
 
 @dataclass
 class FitStats:
-    """Work counters for one fit."""
+    """Work counters for one fit.
+
+    The logistic swap search counts as a sequential scan of each visit's
+    candidates would, up to and including the accepted one: ``candidates``
+    evaluated (inert zero columns are skipped, not counted),
+    ``cut_prunes`` among them dismissed by a cut and ``line_searches`` run.
+    """
 
     swap_evals: int = 0
     cut_prunes: int = 0
+    candidates: int = 0
+    line_searches: int = 0
 
 
 @dataclass
@@ -114,97 +124,119 @@ def reoptimize(state, data: DesignMatrix, hp: HyperParams) -> None:
 
 # --- candidate evaluation ---------------------------------------------------
 
-def _line_search_accept(probe, hp: HyperParams, threshold: float) -> TryAddResult:
-    w_hat = logeng.iterate_threshold(probe, 0.0, hp.max_inner_iter)
-    if probe.value_at(w_hat) < threshold:
-        return TryAddResult(True, w_hat, False)
-    return TryAddResult(False, 0.0, False)
+# Candidates of one swap visit are evaluated in blocks of at most
+# BLOCK_ELEMENTS // n, so each of the evaluator's few k x n float64 buffers
+# stays within 1 MB.  At n = 300 a block holds 436 candidates.
+BLOCK_ELEMENTS = 1 << 17
 
 
-_PRUNED = TryAddResult(False, 0.0, True)
-_REJECTED = TryAddResult(False, 0.0, False)
+@dataclass(frozen=True)
+class BlockResult:
+    """Per-candidate outcomes of ``screen_block``, in block order."""
+
+    accepted: np.ndarray
+    coefficient: np.ndarray
+    pruned: np.ndarray
+    searched: np.ndarray
 
 
-def _try_add_lin(probe, s0: float, loss_best: float, hp: HyperParams) -> TryAddResult:
-    """Candidate screening with tangent-line bounds (no ridge needed).
+def screen_block(probe, s0, lip, f0: float, threshold: float, quad: bool,
+                 iterations: int) -> BlockResult:
+    """Screen k candidates against one shared base state, as the sequential
+    scan screens each one.
 
-    Brackets the 1-D optimum with one or two aggressive steps beyond the
-    surrogate step, prunes when the tangent-intersection bound cannot beat
-    the incumbent loss, and otherwise falls through to the line search.
+    ``probe`` is a ``logistic.BlockProbe`` over the candidates' columns;
+    ``s0`` and ``lip`` hold their slopes at zero and curvature bounds
+    (positive wherever the slope is not zero), ``f0`` the base loss.  A
+    candidate is accepted when its line-search loss is below ``threshold``.
+
+    Each candidate brackets its 1-D optimum with steps of t = -s0/L: the
+    slope at 2t tells whether the optimum lies before 2t (then 1.5t and t
+    or 2t are probed) or beyond it (then 3t is probed).  A tangent-line
+    bound (``quad`` False) or strong-convexity bound (``quad`` True, needs
+    ``probe.lam2 > 0``) on the two bracket points prunes the candidate when
+    it cannot beat ``threshold``; quadratic cuts also test the one-point
+    bound at every probed point.  A candidate with zero slope has no
+    descent direction and is rejected unscreened.  The survivors run
+    ``iterations`` surrogate steps from zero (``logistic.iterate_threshold``).
+    All k candidates take each step together, one pass per step, and the
+    masks below track which branch each candidate is on.
     """
-    threshold = loss_best - hp.objective_tol
-    if s0 == 0.0:
-        return _REJECTED  # no descent direction
-    L = probe.lipschitz
-    t_step = -s0 / L
-    a, b = t_step, 2.0 * t_step
-    sb = probe.slope_at(b)
-    if s0 * sb < 0.0:
-        c = 0.5 * (a + b)
-        sc = probe.slope_at(c)
-        if s0 * sc < 0.0:
-            b, sb = c, sc
-            sa = probe.slope_at(a)
-        else:
-            a, sa = c, sc
-        bound = logeng._lin_cut_val(probe.value_at(a), sa, a, probe.value_at(b), sb, b)
-        if bound >= threshold:
-            return _PRUNED
-        return _line_search_accept(probe, hp, threshold)
-    a, b = 2.0 * t_step, 3.0 * t_step
-    sa = sb  # slope at 2*t_step is already known
-    sb = probe.slope_at(b)
-    if s0 * sb < 0.0:
-        bound = logeng._lin_cut_val(probe.value_at(a), sa, a, probe.value_at(b), sb, b)
-        if bound >= threshold:
-            return _PRUNED
-        return _line_search_accept(probe, hp, threshold)
-    # Minimum is far out; decide by the line search alone.
-    return _line_search_accept(probe, hp, threshold)
-
-
-def _try_add_quad(probe, s0: float, loss_best: float, hp: HyperParams) -> TryAddResult:
-    """Candidate screening with strong-convexity bounds (requires a ridge)."""
-    threshold = loss_best - hp.objective_tol
+    k = s0.shape[0]
     lam2 = probe.lam2
-    if logeng._quad_cut_one_val(probe.f0, s0, lam2) >= threshold:
-        return _PRUNED
-    if s0 == 0.0:
-        return _REJECTED
-    L = probe.lipschitz
-    t_step = -s0 / L
-    a, b = t_step, 2.0 * t_step
-    sb = probe.slope_at(b)
-    if s0 * sb < 0.0:
-        c = 0.5 * (a + b)
-        fc, sc = probe.eval_at(c)
-        if logeng._quad_cut_one_val(fc, sc, lam2) >= threshold:
-            return _PRUNED
-        if s0 * sc < 0.0:
-            b, fb, sb = c, fc, sc
-            fa, sa = probe.eval_at(a)
-        else:
-            a, fa, sa = c, fc, sc
-            fb = probe.value_at(b)
-        bound = logeng._quad_cut_two_val(fa, sa, a, fb, sb, b, lam2)
-        if bound >= threshold:
-            return _PRUNED
-        return _line_search_accept(probe, hp, threshold)
-    a, b = 2.0 * t_step, 3.0 * t_step
-    fa, sa = probe.value_at(a), sb  # slope at 2*t_step is already known
-    if logeng._quad_cut_one_val(fa, sa, lam2) >= threshold:
-        return _PRUNED
-    sb = probe.slope_at(b)
-    if s0 * sb < 0.0:
-        fb = probe.value_at(b)
-        bound = logeng._quad_cut_two_val(fa, sa, a, fb, sb, b, lam2)
-        if bound >= threshold:
-            return _PRUNED
-        return _line_search_accept(probe, hp, threshold)
-    fb = probe.value_at(b)
-    if logeng._quad_cut_one_val(fb, sb, lam2) >= threshold:
-        return _PRUNED
-    return _line_search_accept(probe, hp, threshold)
+    pruned = np.zeros(k, dtype=bool)
+    if quad:
+        pruned = logeng._quad_cut_one_val(f0, s0, lam2) >= threshold
+    live = ~pruned & (s0 != 0.0)
+    t = np.divide(-s0, lip, out=np.zeros(k), where=live)
+
+    # ``probe`` covers the candidates ``rows``; it narrows as they drop out.
+    rows = np.flatnonzero(live)
+    probe = probe.take(rows)
+
+    # pass 1: the slope at 2t tells whether the optimum lies before 2t
+    s2 = np.zeros(k)
+    s2[rows] = probe.slopes(2.0 * t[rows])
+    near = live & (s0 * s2 < 0.0)
+
+    # pass 2: value and slope at 1.5t (near), the value at 2t (far)
+    x_mid = np.where(near, 1.5 * t, 2.0 * t)
+    f_mid, s_mid = np.zeros(k), s2.copy()
+    f_mid[rows], s_mid_rows = probe.evaluate(x_mid[rows])
+    s_mid[near] = s_mid_rows[near[rows]]
+    if quad:
+        pruned |= live & (logeng._quad_cut_one_val(f_mid, s_mid, lam2) >= threshold)
+        live &= ~pruned
+    keep = np.flatnonzero(live[rows])
+    rows, probe = rows[keep], probe.take(keep)
+
+    # pass 3: the other bracket end, t (inner), 2t (near) or 3t (far)
+    inner = live & near & (s0 * s_mid < 0.0)
+    x3 = np.where(inner, t, np.where(near, 2.0 * t, 3.0 * t))
+    f3, s3 = np.zeros(k), np.zeros(k)
+    f3[rows], s3[rows] = probe.evaluate(x3[rows])
+
+    # bracket (a, b): inner (t, 1.5t), near (1.5t, 2t), far (2t, 3t)
+    a = np.where(inner, x3, x_mid)
+    fa = np.where(inner, f3, f_mid)
+    sa = np.where(inner, s3, s_mid)
+    b = np.where(inner, x_mid, x3)
+    fb = np.where(inner, f_mid, f3)
+    sb = np.where(inner, s_mid, np.where(near, s2, s3))
+    straddle = live & (near | (s0 * s3 < 0.0))
+    if quad:
+        bound = np.where(straddle, logeng._quad_cut_two_val(fa, sa, a, fb, sb, b, lam2),
+                         logeng._quad_cut_one_val(f3, s3, lam2))
+    else:
+        bound = np.where(straddle, logeng._lin_cut_val(fa, sa, a, fb, sb, b), -np.inf)
+    pruned |= live & (bound >= threshold)
+    searched = live & ~pruned
+
+    # line search: the first step from zero uses the known slope s0
+    keep = np.flatnonzero(searched[rows])
+    rows, probe = rows[keep], probe.take(keep)
+    w = t[rows]
+    L = lip[rows]
+    for _ in range(iterations - 1):
+        w = w - probe.slopes(w) / L
+    coefficient = np.zeros(k)
+    coefficient[rows] = w
+    accepted = np.zeros(k, dtype=bool)
+    accepted[rows] = probe.evaluate(w)[0] < threshold
+    return BlockResult(accepted, coefficient, pruned, searched)
+
+
+def _try_add(state, data: DesignMatrix, hp: HyperParams, j2: int, loss_best: float,
+             quad: bool) -> TryAddResult:
+    """``screen_block`` on the single candidate ``j2``."""
+    cp = logeng.coordinate_probe(state, data, j2, hp.lambda2)
+    probe = logeng.BlockProbe(cp.base_margins, cp.u[None, :], cp.lam2, cp.base_sq)
+    f0, s0 = probe.evaluate(np.zeros(1))
+    res = screen_block(probe, s0, np.array([cp.lipschitz]), float(f0[0]),
+                       loss_best - hp.objective_tol, quad, hp.max_inner_iter)
+    accepted = bool(res.accepted[0])
+    return TryAddResult(accepted, float(res.coefficient[0]) if accepted else 0.0,
+                        bool(res.pruned[0]))
 
 
 def try_add_lincut(state_without_j: ModelState, data: DesignMatrix, hp: HyperParams,
@@ -212,8 +244,7 @@ def try_add_lincut(state_without_j: ModelState, data: DesignMatrix, hp: HyperPar
     """Evaluate adding feature ``j2`` to a state it is absent from, screening
     with tangent-line bounds.  Accepts when the post-line-search loss beats
     ``loss_best`` by more than the objective tolerance."""
-    probe = logeng.coordinate_probe(state_without_j, data, j2, hp.lambda2)
-    return _try_add_lin(probe, probe.slope_at(0.0), loss_best, hp)
+    return _try_add(state_without_j, data, hp, j2, loss_best, quad=False)
 
 
 def try_add_quad(state_without_j: ModelState, data: DesignMatrix, hp: HyperParams,
@@ -221,8 +252,7 @@ def try_add_quad(state_without_j: ModelState, data: DesignMatrix, hp: HyperParam
     """Evaluate adding feature ``j2``, screening with strong-convexity bounds."""
     if hp.lambda2 <= 0.0:
         raise ConfigError("quadratic cuts require lambda2 > 0")
-    probe = logeng.coordinate_probe(state_without_j, data, j2, hp.lambda2)
-    return _try_add_quad(probe, probe.slope_at(0.0), loss_best, hp)
+    return _try_add(state_without_j, data, hp, j2, loss_best, quad=True)
 
 
 # --- delete-or-swap ----------------------------------------------------------
@@ -247,33 +277,32 @@ def _try_delete_or_swap_logistic(state, data, hp, j, cut, stats) -> SwapOutcome:
         return SwapOutcome("deleted", j, None, trial)
 
     q = expit(-trial.margins)
-    grads = -(data.signed.T @ q)
-    forbidden = set(state.support)
-    candidates = _candidate_order(grads, forbidden, hp.candidate_limit)
+    grads = -(data.signed.T @ q)  # ridge part is zero off-support
     lip = logeng.lipschitz_all(data, lam2)
+    candidates = np.array(_candidate_order(grads, set(state.support), hp.candidate_limit),
+                          dtype=np.intp)
+    candidates = candidates[lip[candidates] > 0.0]  # inert columns are no candidates
     base_sq = float(trial.w @ trial.w)
-    use_quad = cut == "quad"
-    for j2 in candidates:
-        if lip[j2] <= 0.0:
-            continue
-        probe = logeng.CoordinateProbe(
-            trial.margins,
-            data.signed[:, j2],
-            lam2=lam2,
-            base_sq=base_sq,
-            lipschitz=float(lip[j2]),
-            f0=dropped_loss,
-            j=j2,
-        )
-        s0 = float(grads[j2])  # ridge part is zero off-support
-        if use_quad:
-            res = _try_add_quad(probe, s0, loss_best, hp)
-        else:
-            res = _try_add_lin(probe, s0, loss_best, hp)
-        if res.cut_pruned and stats is not None:
-            stats.cut_prunes += 1
-        if res.accepted:
-            trial.set_coefficient(data, j2, res.coefficient)
+    threshold = loss_best - hp.objective_tol
+    width = max(1, BLOCK_ELEMENTS // data.n)
+    for start in range(0, candidates.size, width):
+        block = candidates[start:start + width]
+        # The block's columns are copied once; screen_block holds the only
+        # reference, so they are freed as soon as candidates drop out.
+        res = screen_block(logeng.BlockProbe(trial.margins, data.signed.T[block], lam2, base_sq),
+                           grads[block], lip[block], dropped_loss, threshold,
+                           cut == "quad", hp.max_inner_iter)
+        hits = np.flatnonzero(res.accepted)
+        # Count as the sequential scan does: up to and including the first
+        # acceptance.
+        seen = int(hits[0]) + 1 if hits.size else block.size
+        if stats is not None:
+            stats.candidates += seen
+            stats.cut_prunes += int(res.pruned[:seen].sum())
+            stats.line_searches += int(res.searched[:seen].sum())
+        if hits.size:
+            j2 = int(block[hits[0]])
+            trial.set_coefficient(data, j2, float(res.coefficient[hits[0]]))
             reoptimize(trial, data, hp)
             return SwapOutcome("swapped", j, j2, trial)
     return SwapOutcome("no_change", None, None, state)

@@ -2,12 +2,16 @@
 
 Everything here is deliberately written from first principles (dense grids,
 pairwise counting, full Newton solves) and shares no code with the package
-paths under test.
+paths under test.  The one exception is ``reference_swap_visit``: it drives
+the package's scalar ``CoordinateProbe`` and ``iterate_threshold``, which the
+swap search itself no longer calls, and the package's cut formulas, which
+the grid-minimum tests check on their own.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 from scipy.special import expit
@@ -197,3 +201,109 @@ def random_logistic_instance(rng, n, p, k=3, scale=1.2, binary=False):
     if np.all(y == y[0]):  # force both classes
         y[0] = -y[0]
     return x, y, set(int(i) for i in idx)
+
+
+# --- sequential scalar swap visit ---------------------------------------------
+
+def scalar_try_add(probe, s0, threshold, hp, quad):
+    """One candidate screened alone: (step, branch, accepted, coefficient).
+    ``step`` is "pruned", "rejected" or "searched"; ``branch`` names where
+    the screening decided.  Brackets the 1-D optimum with steps of
+    t = -s0/L, bounds the reachable loss from tangent lines or quadratic
+    minorants, and runs the line search when the bound cannot prune."""
+    from sparseclass import logistic as logeng
+
+    lam2 = probe.lam2
+
+    def one(f, s):
+        return quad and logeng._quad_cut_one_val(f, s, lam2) >= threshold
+
+    def two(fa, sa, a, fb, sb, b):
+        if quad:
+            return logeng._quad_cut_two_val(fa, sa, a, fb, sb, b, lam2)
+        return logeng._lin_cut_val(fa, sa, a, fb, sb, b)
+
+    def decide(branch, prune):
+        if prune:
+            return "pruned", branch, False, 0.0
+        w_hat = logeng.iterate_threshold(probe, 0.0, hp.max_inner_iter)
+        if probe.value_at(w_hat) < threshold:
+            return "searched", branch, True, w_hat
+        return "searched", branch, False, 0.0
+
+    if one(probe.f0, s0):
+        return decide("zero", True)
+    if s0 == 0.0:
+        return "rejected", "zero", False, 0.0
+    t_step = -s0 / probe.lipschitz
+    a, b = t_step, 2.0 * t_step
+    sb = probe.slope_at(b)
+    if s0 * sb < 0.0:  # the optimum lies before 2t
+        c = 0.5 * (a + b)
+        fc, sc = probe.eval_at(c)
+        if one(fc, sc):
+            return decide("near", True)
+        if s0 * sc < 0.0:
+            b, fb, sb = c, fc, sc
+            fa, sa = probe.eval_at(a)
+            branch = "near-inner"
+        else:
+            a, fa, sa = c, fc, sc
+            fb = probe.value_at(b)
+            branch = "near-outer"
+        return decide(branch, two(fa, sa, a, fb, sb, b) >= threshold)
+    a, b = 2.0 * t_step, 3.0 * t_step
+    fa, sa = probe.value_at(a), sb
+    if one(fa, sa):
+        return decide("far", True)
+    sb = probe.slope_at(b)
+    fb = probe.value_at(b)
+    if s0 * sb < 0.0:
+        return decide("far-straddle", two(fa, sa, a, fb, sb, b) >= threshold)
+    return decide("far-open", one(fb, sb))
+
+
+def reference_swap_visit(state, data, hp, j, cut):
+    """A logistic delete-or-swap visit of feature ``j`` as a sequential scan,
+    one ``CoordinateProbe`` per candidate (``cut`` is "lin" or "quad").
+
+    Returns kind, removed, added, the added coefficient before the support
+    is reoptimized, and the counters of the scan up to and including the
+    accepted candidate: candidates (inert zero columns skipped), cut_prunes
+    and line_searches.  ``branches`` tallies (branch, step) pairs of the
+    screening over those candidates.
+    """
+    from sparseclass import logistic as logeng
+
+    lam2 = hp.lambda2
+    loss_best = logeng.CoordinateProbe(state.margins, state.margins, lam2,
+                                       float(state.w @ state.w)).value_at(0.0)
+    trial = state.copy()
+    trial.set_coefficient(data, j, 0.0)
+    base_sq = float(trial.w @ trial.w)
+    dropped = logeng.CoordinateProbe(trial.margins, trial.margins, lam2, base_sq).value_at(0.0)
+    out = {"kind": "no_change", "removed": None, "added": None, "coefficient": None,
+           "candidates": 0, "cut_prunes": 0, "line_searches": 0, "branches": Counter()}
+    if dropped <= loss_best:
+        out.update(kind="deleted", removed=j)
+        return out
+    grads = -(data.signed.T @ expit(-trial.margins))
+    order = [int(c) for c in np.argsort(-np.abs(grads), kind="stable") if c not in state.support]
+    lip = 0.25 * data.column_sq_sums + 2.0 * lam2
+    threshold = loss_best - hp.objective_tol
+    for j2 in order[:hp.candidate_limit]:
+        if lip[j2] <= 0.0:
+            continue
+        probe = logeng.CoordinateProbe(trial.margins, data.signed[:, j2], lam2=lam2,
+                                       base_sq=base_sq, lipschitz=float(lip[j2]),
+                                       f0=dropped, j=j2)
+        step, branch, accepted, w_hat = scalar_try_add(probe, float(grads[j2]), threshold,
+                                                        hp, cut == "quad")
+        out["branches"][branch, step] += 1
+        out["candidates"] += 1
+        out["cut_prunes"] += step == "pruned"
+        out["line_searches"] += step == "searched"
+        if accepted:
+            out.update(kind="swapped", removed=j, added=j2, coefficient=w_hat)
+            return out
+    return out

@@ -63,6 +63,22 @@ class TestFitPredict:
                                    atol=1e-12)
         assert set(np.unique(labels)) <= {-1.0, 1.0}
 
+    def test_fit_json_reports_swap_counters(self, tmp_path, capsys):
+        from sparseclass.cli import read_csv
+        rng = np.random.default_rng(12)
+        data_path = tmp_path / "train.csv"
+        _write_dataset(data_path, rng, n=150, p=12)
+        code, out, _ = _run(capsys, ["fit", "--data", str(data_path),
+                                     "--lambda0", "0.3", "--lambda2", "0.001"])
+        assert code == 0
+        summary = json.loads(out)
+        stats = sc.FitStats()
+        sc.fit_one(read_csv(str(data_path)), sc.HyperParams(lambda0=0.3, lambda2=1e-3),
+                   stats=stats)
+        for key in ("swap_evals", "cut_prunes", "candidates", "line_searches"):
+            assert summary[key] == getattr(stats, key), key
+        assert summary["candidates"] > 0
+
     def test_huge_penalty_gives_intercept_only_model(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         data_path = tmp_path / "train.csv"
@@ -187,6 +203,30 @@ class TestExitCodes:
         code, _, _ = _run(capsys, ["predict", "--model", str(model_path),
                                    "--data", str(other)])
         assert code == 2
+
+
+    @pytest.mark.parametrize("kind", ["linear", "scorecard"])
+    def test_predict_non_finite_input_exits_2(self, tmp_path, capsys, kind):
+        rng = np.random.default_rng(9)
+        data_path = tmp_path / "train.csv"
+        _write_dataset(data_path, rng, n=200, p=4)
+        model_path = tmp_path / "model.json"
+        argv = ["fit", "--data", str(data_path), "--out", str(model_path)]
+        if kind == "linear":
+            argv += ["--lambda0", "0.2"]
+        else:
+            argv += ["--loss", "exponential", "--lambda0", "2", "--binarize",
+                     "--max-thresholds", "12"]
+        code, _, _ = _run(capsys, argv)
+        assert code == 0
+        assert json.loads(model_path.read_text())["kind"] == kind
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x2,x3,x4\n0.5,1.5,-0.5,0.25\nnan,inf,-inf,nan\n")
+        code, out, err = _run(capsys, ["predict", "--model", str(model_path),
+                                       "--data", str(bad)])
+        assert code == 2
+        assert "non-finite" in err
+        assert out == ""
 
 
 class TestPathCommand:

@@ -113,6 +113,18 @@ class TestFitPath:
             assert e.wall_ms > 0.0
             assert np.isfinite(e.objective)
 
+    def test_entries_carry_fit_stats(self):
+        rng = np.random.default_rng(4)
+        data = _data(rng)
+        hp = sc.HyperParams(lambda0=0.3, lambda2=1e-3)
+        stats = sc.FitStats()
+        sc.fit_one(data, hp, stats=stats)
+        entry = sc.fit_path(data, sc.PathSpec(lambda0_grid=(0.3,), lambda2_grid=(1e-3,))).entries[0]
+        got = (entry.swap_evals, entry.cut_prunes, entry.candidates, entry.line_searches)
+        assert got == (stats.swap_evals, stats.cut_prunes, stats.candidates, stats.line_searches)
+        assert stats.candidates > 0
+        assert stats.cut_prunes + stats.line_searches <= stats.candidates
+
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(3)
         data = _data(rng)

@@ -1,13 +1,16 @@
 """Delete-or-swap search tests."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 import sparseclass as sc
 from sparseclass import logistic as logeng
+from sparseclass import swap
 from sparseclass.swap import reoptimize
-from oracles import grid_minimize, logistic_curve
+from oracles import grid_minimize, logistic_curve, reference_swap_visit, scalar_try_add
 
 
 def _planted(rng, n=120, p=8, idx=(1, 4), scale=1.4):
@@ -244,6 +247,143 @@ class TestTryAdd:
                 assert res.coefficient == pytest.approx(w_hat, abs=1e-6)
             hits[res.accepted] += 1
         assert hits[True] > 0 and hits[False] > 0
+
+
+def _wide_instance(scale, n=150, p=240):
+    """A stand-in for the signal in column 0, plus the signal itself in
+    column 7 scaled by ``scale``: the smaller the scale, the smaller its
+    gradient and the later the scan reaches it, while its line search
+    reaches the same loss.  Column 9 is its negated copy and column 20 a
+    copy of column 30 (ties in gradient magnitude), column 50 is zero (inert
+    at lambda2 = 0), and column 60 has slope exactly 0 at every state:
+    rows 0 and 1 are equal, so their margins are, and it is +1 and -1 on
+    them and 0 elsewhere in the signed design."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((n, p))
+    base = rng.standard_normal(n)
+    x[:, 0] = base + 0.8 * rng.standard_normal(n)
+    y = np.where(rng.random(n) < expit(1.8 * base + x[:, 1]), 1.0, -1.0)
+    x[:, 7] = scale * base
+    x[:, 9] = -x[:, 7]
+    x[:, 20] = x[:, 30]
+    x[:, 50] = 0.0
+    x[1], y[1] = x[0], y[0]
+    x[:, 60] = 0.0
+    x[0, 60], x[1, 60] = y[0], -y[1]
+    return sc.DesignMatrix.from_arrays(x, y)
+
+
+class TestBlockEvaluation:
+    # Small ridges leave most 1-D optima beyond twice the surrogate step;
+    # ridges of 1 and 5 bring them nearer, onto the other bracket branches.
+    CONFIGS = [(0.0, "lin"), (1e-3, "lin"), (1e-3, "quad"), (1.0, "quad"),
+               (5.0, "lin"), (5.0, "quad")]
+
+    def test_matches_sequential_scalar_scan(self, monkeypatch):
+        """Every visit decides and counts as the scalar scan of
+        ``oracles.reference_swap_visit``, whole visits in one block or
+        spread over blocks of 16, with and without a candidate limit."""
+        seen = {"mid_block": 0, "later_block": 0, "full_scan": 0, "rejected_searches": 0}
+        branches = Counter()
+        for lam2, cut in self.CONFIGS:
+            for scale in (0.3, 0.2):
+                data = _wide_instance(scale)
+                for limit in (None, 40):
+                    hp = sc.HyperParams(lambda0=0.1, lambda2=lam2, candidate_limit=limit)
+                    # Weak support features make the settled state's visits
+                    # scan every candidate, with line searches that fail.
+                    start = _restricted_fit(data, [0, 1, 2, *range(100, 112)], hp)
+                    settled = sc.fit_swap_1opt(start, data, hp, cut=cut)
+                    for state in (start, settled):
+                        assert data.signed[:, 60] @ expit(-state.margins) == 0.0
+                        for j in sorted(state.support)[:4]:
+                            ref = reference_swap_visit(state, data, hp, j, cut)
+                            self._check_visit(state, data, hp, j, cut, ref, monkeypatch)
+                            branches += ref["branches"]
+                            accepted_at = ref["candidates"]
+                            if ref["kind"] == "swapped":
+                                seen["mid_block"] += 1 < accepted_at < 16
+                                seen["later_block"] += accepted_at > 16
+                            elif ref["kind"] == "no_change" and limit is None:
+                                seen["full_scan"] += 1
+                            seen["rejected_searches"] += (ref["line_searches"]
+                                                          - (ref["kind"] == "swapped"))
+        assert all(seen.values()), seen
+        expected = {("zero", "pruned"), ("zero", "rejected"), ("near", "pruned"),
+                    ("far", "pruned")}
+        expected |= {(branch, step) for branch in ("near-inner", "near-outer",
+                                                   "far-straddle", "far-open")
+                     for step in ("pruned", "searched")}
+        assert expected <= set(branches), expected - set(branches)
+
+    @pytest.mark.parametrize("lam2,cut", CONFIGS)
+    def test_every_block_candidate_matches_scalar_screening(self, lam2, cut):
+        """All candidates of a block, also those after an acceptance, are
+        pruned, rejected or line-searched as ``oracles.scalar_try_add``
+        screens them alone."""
+        data = _wide_instance(0.2)
+        hp = sc.HyperParams(lambda0=0.1, lambda2=lam2)
+        start = _restricted_fit(data, [0, 1, 2, *range(100, 112)], hp)
+        settled = sc.fit_swap_1opt(start, data, hp, cut=cut)
+        lip = logeng.lipschitz_all(data, lam2)
+        for state in (start, settled):
+            loss_best = sc.smooth_logistic_loss(state, data, lam2)
+            threshold = loss_best - hp.objective_tol
+            for j in sorted(state.support)[:2]:
+                trial = state.copy()
+                trial.set_coefficient(data, j, 0.0)
+                f0 = sc.smooth_logistic_loss(trial, data, lam2)
+                base_sq = float(trial.w @ trial.w)
+                grads = -(data.signed.T @ expit(-trial.margins))
+                cands = np.array([c for c in range(data.p)
+                                  if c not in state.support and lip[c] > 0.0])
+                probe = logeng.BlockProbe(trial.margins, data.signed.T[cands], lam2, base_sq)
+                res = swap.screen_block(probe, grads[cands], lip[cands], f0, threshold,
+                                        cut == "quad", hp.max_inner_iter)
+                for i, c in enumerate(cands):
+                    scalar = logeng.CoordinateProbe(trial.margins, data.signed[:, c], lam2=lam2,
+                                                    base_sq=base_sq, lipschitz=float(lip[c]),
+                                                    f0=f0)
+                    step, _, accepted, w_hat = scalar_try_add(scalar, float(grads[c]),
+                                                              threshold, hp, cut == "quad")
+                    got = ("pruned" if res.pruned[i]
+                           else "searched" if res.searched[i] else "rejected")
+                    assert (got, bool(res.accepted[i])) == (step, accepted), c
+                    if accepted:
+                        assert res.coefficient[i] == pytest.approx(w_hat, abs=1e-10)
+
+    def _check_visit(self, state, data, hp, j, cut, ref, monkeypatch):
+        for width in (None, 16):
+            if width is not None:
+                monkeypatch.setattr(swap, "BLOCK_ELEMENTS", width * data.n)
+            got = self._visit(state, data, hp, j, cut, monkeypatch)
+            monkeypatch.undo()
+            assert got["kind"] == ref["kind"]
+            assert got["removed"] == ref["removed"]
+            assert got["added"] == ref["added"]
+            for key in ("cut_prunes", "candidates", "line_searches"):
+                assert got[key] == ref[key], key
+            if ref["kind"] == "swapped":
+                assert got["coefficient"] == pytest.approx(ref["coefficient"], abs=1e-10)
+
+    @staticmethod
+    def _visit(state, data, hp, j, cut, monkeypatch):
+        """``try_delete_or_swap`` with its counters and the added coefficient
+        as the evaluator set it, before the support is reoptimized."""
+        added = {}
+        real = swap.reoptimize
+
+        def record(trial, data, hp):
+            added.setdefault("w", trial.w.copy())
+            real(trial, data, hp)
+
+        monkeypatch.setattr(swap, "reoptimize", record)
+        stats = sc.FitStats()
+        out = sc.try_delete_or_swap(state, data, hp, j, cut=cut, stats=stats)
+        return {"kind": out.kind, "removed": out.removed, "added": out.added,
+                "coefficient": added["w"][out.added] if out.kind == "swapped" else None,
+                "cut_prunes": stats.cut_prunes, "candidates": stats.candidates,
+                "line_searches": stats.line_searches}
 
 
 class TestFitSwap1Opt:
