@@ -21,12 +21,9 @@ from .core import (
     DesignMatrix,
     HyperParams,
     ModelState,
-    exponential_objective,
-    logistic_objective,
     objective,
     predict_probability,
     probability_from_scores,
-    smooth_exponential_loss,
     smooth_logistic_loss,
     smooth_loss,
 )
@@ -39,6 +36,7 @@ from .exponential import (
 )
 from .logistic import (
     CoordinateProbe,
+    TryAddResult,
     coordinate_probe,
     find_new_coefficient,
     grad_j,
@@ -47,19 +45,12 @@ from .logistic import (
     quad_cut_one,
     quad_cut_two,
     threshold_step,
+    try_add_lincut,
+    try_add_quad,
 )
 from .metrics import SupportComparison, accuracy, auc, recovery_f1
 from .path import PathEntry, PathResult, PathSpec, fit_one, fit_path, warm_start
-from .swap import (
-    FailureQueue,
-    FitStats,
-    SwapOutcome,
-    TryAddResult,
-    fit_swap_1opt,
-    try_add_lincut,
-    try_add_quad,
-    try_delete_or_swap,
-)
+from .swap import FailureQueue, FitStats, SwapOutcome, fit_swap_1opt, try_delete_or_swap
 from .synth import SynthSpec, gen_classification, planted_support
 
 __all__ = [
@@ -90,7 +81,6 @@ __all__ = [
     "d_minus",
     "exp_coordinate_update",
     "exp_line_search",
-    "exponential_objective",
     "export_scorecard",
     "find_new_coefficient",
     "fit_one",
@@ -100,7 +90,6 @@ __all__ = [
     "grad_j",
     "lin_cut",
     "lipschitz_j",
-    "logistic_objective",
     "objective",
     "planted_support",
     "predict_probability",
@@ -108,7 +97,6 @@ __all__ = [
     "quad_cut_one",
     "quad_cut_two",
     "recovery_f1",
-    "smooth_exponential_loss",
     "smooth_logistic_loss",
     "smooth_loss",
     "threshold_step",

@@ -10,12 +10,13 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .binarize import Scorecard, binarize, dumps_17g, export_scorecard
 from .core import (
+    LOSSES,
     ConfigError,
     DataError,
     DesignMatrix,
@@ -25,7 +26,7 @@ from .core import (
 )
 from .metrics import accuracy, auc
 from .path import PathSpec, fit_one, fit_path
-from .swap import FitStats, resolve_cut
+from .swap import CUTS, ORDERINGS, FitStats, resolve_cut
 from .synth import SynthSpec, gen_classification
 
 EXIT_OK = 0
@@ -46,26 +47,31 @@ def _fmt(x: float) -> str:
 
 # --- CSV / model file handling ---------------------------------------------
 
-def read_csv(path: str) -> DesignMatrix:
-    """Read a dataset: header row, a label column named ``y`` with values in
-    {-1, 1} or {0, 1}, all other columns numeric features."""
+def _read_table(path: str) -> tuple[list[str], np.ndarray]:
+    """The header names and the numeric rows of a CSV file."""
     try:
         with open(path, newline="") as fh:
             header = next(csv.reader(fh), None)
-            if not header:
-                raise DataError(f"{path}: empty file")
-            header = [h.strip() for h in header]
-            raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+            raw = np.loadtxt(fh, delimiter=",", ndmin=2) if header else None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"{path}: malformed numeric data ({exc})") from exc
-    if LABEL_COLUMN not in header:
-        raise DataError(f"{path}: no {LABEL_COLUMN!r} column")
+    if not header:
+        raise DataError(f"{path}: empty file")
     if raw.size == 0:
         raise DataError(f"{path}: no data rows")
     if raw.shape[1] != len(header):
         raise DataError(f"{path}: row width does not match header")
+    return [h.strip() for h in header], raw
+
+
+def read_csv(path: str) -> DesignMatrix:
+    """Read a dataset: header row, a label column named ``y`` with values in
+    {-1, 1} or {0, 1}, all other columns numeric features."""
+    header, raw = _read_table(path)
+    if LABEL_COLUMN not in header:
+        raise DataError(f"{path}: no {LABEL_COLUMN!r} column")
     y_idx = header.index(LABEL_COLUMN)
     feat_idx = [i for i in range(len(header)) if i != y_idx]
     names = [header[i] for i in feat_idx]
@@ -146,8 +152,14 @@ def load_model(path: str):
     raise DataError(f"{path}: unknown model kind {kind!r}")
 
 
-def _feature_dict(data: DesignMatrix) -> dict[str, np.ndarray]:
-    return {name: data.column(j) for j, name in enumerate(data.feature_names)}
+def _emit(lines: list[str], out: str | None) -> None:
+    """Write CSV lines to the file ``out``, or to stdout without one."""
+    text = "\n".join(lines) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _check_finite(*values) -> None:
@@ -171,15 +183,6 @@ def _prepare_training_data(args) -> tuple[DesignMatrix, object | None]:
     return data, tmap
 
 
-def _hp(args, lambda0=None, lambda2=None) -> HyperParams:
-    return HyperParams(
-        lambda0=args.lambda0 if lambda0 is None else lambda0,
-        lambda2=args.lambda2 if lambda2 is None else lambda2,
-        loss=args.loss,
-        candidate_limit=args.candidate_limit,
-    )
-
-
 def _train_metrics(state, data: DesignMatrix) -> tuple[float, float | None]:
     scores = state.scores(data)
     acc = accuracy(scores, data.y)
@@ -192,9 +195,9 @@ def _train_metrics(state, data: DesignMatrix) -> tuple[float, float | None]:
 
 def cmd_fit(args) -> int:
     data, tmap = _prepare_training_data(args)
-    hp = _hp(args)
-    if hp.loss == "logistic":
-        resolve_cut(args.cut, hp)  # reject bad cut/ridge combinations up front
+    hp = HyperParams(lambda0=args.lambda0, lambda2=args.lambda2, loss=args.loss,
+                     candidate_limit=args.candidate_limit)
+    resolve_cut(args.cut, hp)  # reject bad cut/ridge combinations up front
     stats = FitStats()
     t0 = time.perf_counter()
     state = fit_one(data, hp, ordering=args.ordering, cut=args.cut, stats=stats)
@@ -219,10 +222,7 @@ def cmd_fit(args) -> int:
         "wall_ms": wall_ms,
         "train_accuracy": acc,
         "train_auc": train_auc,
-        "swap_evals": stats.swap_evals,
-        "cut_prunes": stats.cut_prunes,
-        "candidates": stats.candidates,
-        "line_searches": stats.line_searches,
+        **asdict(stats),
     }))
     return EXIT_OK
 
@@ -237,31 +237,14 @@ def cmd_predict(args) -> int:
     lines = ["score,probability,label"]
     for s, pr, lb in zip(scores, probs, labels):
         lines.append(f"{_fmt(s)},{_fmt(pr)},{int(lb)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(lines, args.out)
     return EXIT_OK
 
 
 def _read_predict_data(path: str) -> dict[str, np.ndarray]:
     """Prediction input: header plus numeric columns; a label column is
     allowed and ignored."""
-    try:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh), None)
-            if not header:
-                raise DataError(f"{path}: empty file")
-            header = [h.strip() for h in header]
-            raw = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed numeric data ({exc})") from exc
-    if raw.size == 0 or raw.shape[1] != len(header):
-        raise DataError(f"{path}: row width does not match header")
+    header, raw = _read_table(path)
     if not np.isfinite(raw).all():
         raise DataError(f"{path}: non-finite values (nan or inf)")
     return {name: raw[:, i] for i, name in enumerate(header)}
@@ -305,16 +288,9 @@ def cmd_path(args) -> int:
         loss=args.loss,
         base=HyperParams(loss=args.loss, candidate_limit=args.candidate_limit),
     )
-    if args.loss == "logistic":
-        resolve_cut(args.cut, spec.hyperparams(lam0_grid[0], max(lam2_grid)))
+    resolve_cut(args.cut, spec.hyperparams(lam0_grid[0], max(lam2_grid)))
     result = fit_path(data, spec, ordering=args.ordering, cut=args.cut)
-    rows = _path_rows(data, result)
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(_path_rows(data, result), args.out)
     return EXIT_OK
 
 
@@ -346,12 +322,7 @@ def cmd_bench(args) -> int:
     if data.binary:
         for ordering in ("sequential", "dynamic"):
             run_cell("exponential", "auto", ordering, 0.0)
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(rows, args.out)
     return EXIT_OK
 
 
@@ -385,15 +356,20 @@ def _int_or_all(text: str):
 
 
 def _add_common_fit_flags(sub):
-    sub.add_argument("--loss", choices=("logistic", "exponential"), default="logistic")
     sub.add_argument("--lambda2", type=float, default=0.0)
-    sub.add_argument("--cut", choices=("lin", "quad", "auto"), default="auto")
-    sub.add_argument("--ordering", choices=("dynamic", "sequential"), default="dynamic")
     sub.add_argument("--binarize", action="store_true")
     sub.add_argument("--max-thresholds", dest="max_thresholds", type=_int_or_all, default=None)
     sub.add_argument("--candidate-limit", dest="candidate_limit", type=_int_or_all, default=None)
     sub.add_argument("--data", required=True)
     sub.add_argument("--out", default=None)
+
+
+def _add_solver_flags(sub):
+    """Flags of ``fit`` and ``path``; ``bench`` runs every combination."""
+    _add_common_fit_flags(sub)
+    sub.add_argument("--loss", choices=LOSSES, default="logistic")
+    sub.add_argument("--cut", choices=CUTS, default="auto")
+    sub.add_argument("--ordering", choices=ORDERINGS, default="dynamic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     fit = subs.add_parser("fit", help="fit one model and write it out")
-    _add_common_fit_flags(fit)
+    _add_solver_flags(fit)
     fit.add_argument("--lambda0", type=float, default=1.0)
     fit.set_defaults(func=cmd_fit)
 
@@ -417,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred.set_defaults(func=cmd_predict)
 
     pth = subs.add_parser("path", help="fit a grid of penalties with warm starts")
-    _add_common_fit_flags(pth)
+    _add_solver_flags(pth)
     pth.add_argument("--lambda0-grid", dest="lambda0_grid", required=True)
     pth.add_argument("--lambda2-grid", dest="lambda2_grid", default="0")
     pth.set_defaults(func=cmd_path)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from importlib import import_module
 
 import numpy as np
 from scipy.special import expit
@@ -290,49 +291,48 @@ def smooth_logistic_loss(state, data: DesignMatrix, lam2: float = 0.0) -> float:
     return val
 
 
-def smooth_exponential_loss(state, data: DesignMatrix) -> float:
-    """Sum of exp(-margin), taken from the weight cache when one exists."""
-    cached = getattr(state, "H", None)
-    if cached is not None:
-        return float(cached)
-    return float(np.exp(-state.margins).sum())
-
-
 def smooth_loss(state, data: DesignMatrix, hp: HyperParams) -> float:
-    if hp.loss == "exponential":
-        return smooth_exponential_loss(state, data)
-    return smooth_logistic_loss(state, data, hp.lambda2)
-
-
-def logistic_objective(state, data: DesignMatrix, hp: HyperParams) -> float:
-    """Penalized objective: logistic loss + ridge + lambda0 * |support|."""
-    if hp.loss != "logistic":
-        raise ConfigError("logistic_objective called with a non-logistic configuration")
-    return smooth_logistic_loss(state, data, hp.lambda2) + hp.lambda0 * len(state.support)
-
-def exponential_objective(state, data: DesignMatrix, hp: HyperParams) -> float:
-    """Penalized objective: exponential loss + lambda0 * |support|."""
-    if hp.loss != "exponential":
-        raise ConfigError("exponential_objective called with a non-exponential configuration")
-    if not data.binary:
-        raise DataError("the exponential loss requires a -1/+1 feature matrix")
-    return smooth_exponential_loss(state, data) + hp.lambda0 * len(state.support)
+    return engine(hp.loss).smooth_loss(state, data, hp)
 
 
 def objective(state, data: DesignMatrix, hp: HyperParams) -> float:
-    if hp.loss == "exponential":
-        return exponential_objective(state, data, hp)
-    return logistic_objective(state, data, hp)
+    """Penalized objective: smooth loss (ridge included) + lambda0 * |support|."""
+    return smooth_loss(state, data, hp) + hp.lambda0 * len(state.support)
+
+
+def engine(loss: str):
+    """The engine module of ``loss``: ``sparseclass.logistic`` or
+    ``sparseclass.exponential``.  This is the one place where a loss name
+    chooses code.
+
+    Every engine defines ``new_state(data)``, ``smooth_loss(state, data,
+    hp)``, ``sweep(state, data, hp, lam0, coords)`` (one coordinate pass,
+    returning the largest move), ``refit_intercept(state, data)`` (returning
+    the shift) and ``find_swap(trial, data, hp, forbidden, f0, threshold,
+    cut, stats)`` (the first acceptable replacement feature and its
+    coefficient, or None).
+    """
+    if loss not in LOSSES:
+        raise ConfigError(f"unknown loss {loss!r}")
+    return import_module(f".{loss}", __package__)
+
+
+def _candidate_order(grads: np.ndarray, forbidden: set[int], limit: int | None) -> list[int]:
+    """Features outside ``forbidden`` by descending gradient magnitude (ties by
+    index), the first ``limit`` of them when a limit is set."""
+    order = np.argsort(-np.abs(grads), kind="stable")
+    allowed = np.ones(grads.shape[0], dtype=bool)
+    allowed[list(forbidden)] = False
+    return order[allowed[order]][:limit].tolist()
 
 
 def probability_from_scores(scores, loss: str):
     """Class-1 probability for raw scores: sigmoid(f), or sigmoid(2f) under
     the exponential loss."""
-    if loss == "exponential":
-        return expit(2.0 * np.asarray(scores, dtype=np.float64))
-    if loss == "logistic":
-        return expit(np.asarray(scores, dtype=np.float64))
-    raise ConfigError(f"unknown loss {loss!r}")
+    if loss not in LOSSES:
+        raise ConfigError(f"unknown loss {loss!r}")
+    scale = 2.0 if loss == "exponential" else 1.0
+    return expit(scale * np.asarray(scores, dtype=np.float64))
 
 
 def predict_probability(state, x, loss: str) -> float:

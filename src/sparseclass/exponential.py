@@ -3,6 +3,8 @@
 On a -1/+1 feature matrix every 1-D line search has a closed form, and the
 per-observation weights exp(-margin) can be maintained multiplicatively, so
 no surrogate bounds or cut pruning are needed.
+
+The engine functions (see ``core.engine``) are at the end of the module.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import DataError, DesignMatrix, sweep_visits
+from .core import DataError, DesignMatrix, HyperParams, _candidate_order, sweep_visits
 
 # Weighted fractions are kept this far from {0, 1} so perfectly separating
 # columns get a large finite coefficient instead of an infinite one.
@@ -275,3 +277,32 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
             if move > max_move:
                 max_move = move
     return max_move
+
+
+# --- engine -----------------------------------------------------------------
+
+def new_state(data: DesignMatrix) -> ExpState:
+    return ExpState.zeros(data)
+
+
+def smooth_loss(state: ExpState, data: DesignMatrix, hp: HyperParams) -> float:
+    """Sum of exp(-margin), read from the weight cache."""
+    return state.H
+
+
+def sweep(state: ExpState, data: DesignMatrix, hp: HyperParams, lam0: float, coords) -> float:
+    return cd_sweep(state, data, lam0, coords)
+
+
+def find_swap(trial: ExpState, data: DesignMatrix, hp: HyperParams, forbidden: set[int],
+              f0: float, threshold: float, cut: str, stats) -> tuple[int, float] | None:
+    """The first feature outside ``forbidden``, by gradient magnitude, whose
+    closed-form coefficient brings the loss ``f0`` of ``trial`` below
+    ``threshold``.  Needs no cut; ``stats`` is not counted."""
+    dots = data.signed.T @ trial.c  # -gradient of the loss at the trial state
+    for j2 in _candidate_order(dots, forbidden, hp.candidate_limit):
+        d = min(max(0.5 * (f0 - float(dots[j2])) / f0, 0.0), 1.0)
+        x = analytic_coefficient(d)
+        if updated_loss(f0, d, x) < threshold:
+            return j2, x
+    return None

@@ -1,11 +1,14 @@
 """Coordinate machinery for the logistic loss.
 
 Gradients, curvature bounds, the surrogate thresholding step, the iterated
-line search, and the tangent-based lower bounds used to rule features out
-without running a line search.
+line search, the tangent-based lower bounds used to rule features out
+without running a line search, and the block screening of swap candidates.
+The engine functions (see ``core.engine``) are at the end of the module.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -15,7 +18,9 @@ from .core import (
     DesignMatrix,
     HyperParams,
     ModelState,
+    _candidate_order,
     log1p_exp_neg_sum,
+    smooth_logistic_loss,
     sweep_visits,
 )
 
@@ -315,9 +320,10 @@ def quad_cut_two(x1: float, x2: float, probe, lam2: float) -> float:
 # --- intercept ------------------------------------------------------------
 
 _INTERCEPT_SPAN = 40.0
+_INTERCEPT_MAX_ITER = 60
 
 
-def refit_intercept(state: ModelState, data: DesignMatrix, max_iter: int = 60) -> float:
+def refit_intercept(state: ModelState, data: DesignMatrix) -> float:
     """Exact 1-D minimization of the logistic loss over the intercept.
 
     Newton steps on the derivative, safeguarded by a shrinking sign bracket
@@ -331,7 +337,7 @@ def refit_intercept(state: ModelState, data: DesignMatrix, max_iter: int = 60) -
     m = state.margins
     lo, hi = -_INTERCEPT_SPAN, _INTERCEPT_SPAN
     delta = 0.0
-    for _ in range(max_iter):
+    for _ in range(_INTERCEPT_MAX_ITER):
         q = expit(-(m + delta * y))
         g = -float(y @ q)
         if g > 0.0:
@@ -400,3 +406,192 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
             if move > max_move:
                 max_move = move
     return max_move
+
+
+# --- swap candidates --------------------------------------------------------
+
+@dataclass(frozen=True)
+class TryAddResult:
+    accepted: bool
+    coefficient: float
+    cut_pruned: bool
+
+
+# Candidates of one swap visit are evaluated in blocks of at most
+# BLOCK_ELEMENTS // n, so each of the evaluator's few k x n float64 buffers
+# stays within 1 MB.  At n = 300 a block holds 436 candidates.
+BLOCK_ELEMENTS = 1 << 17
+
+
+@dataclass(frozen=True)
+class BlockResult:
+    """Per-candidate outcomes of ``screen_block``, in block order."""
+
+    accepted: np.ndarray
+    coefficient: np.ndarray
+    pruned: np.ndarray
+    searched: np.ndarray
+
+
+def screen_block(probe, s0, lip, f0: float, threshold: float, quad: bool,
+                 iterations: int) -> BlockResult:
+    """Screen k candidates against one shared base state, as the sequential
+    scan screens each one.
+
+    ``probe`` is a ``BlockProbe`` over the candidates' columns;
+    ``s0`` and ``lip`` hold their slopes at zero and curvature bounds
+    (positive wherever the slope is not zero), ``f0`` the base loss.  A
+    candidate is accepted when its line-search loss is below ``threshold``.
+
+    Each candidate brackets its 1-D optimum with steps of t = -s0/L: the
+    slope at 2t tells whether the optimum lies before 2t (then 1.5t and t
+    or 2t are probed) or beyond it (then 3t is probed).  A tangent-line
+    bound (``quad`` False) or strong-convexity bound (``quad`` True, needs
+    ``probe.lam2 > 0``) on the two bracket points prunes the candidate when
+    it cannot beat ``threshold``; quadratic cuts also test the one-point
+    bound at every probed point.  A candidate with zero slope has no
+    descent direction and is rejected unscreened.  The survivors run
+    ``iterations`` surrogate steps from zero (``iterate_threshold``).
+    All k candidates take each step together, one pass per step, and the
+    masks below track which branch each candidate is on.
+    """
+    k = s0.shape[0]
+    lam2 = probe.lam2
+    pruned = np.zeros(k, dtype=bool)
+    if quad:
+        pruned = _quad_cut_one_val(f0, s0, lam2) >= threshold
+    live = ~pruned & (s0 != 0.0)
+    t = np.divide(-s0, lip, out=np.zeros(k), where=live)
+
+    # ``probe`` covers the candidates ``rows``; it narrows as they drop out.
+    rows = np.flatnonzero(live)
+    probe = probe.take(rows)
+
+    # pass 1: the slope at 2t tells whether the optimum lies before 2t
+    s2 = np.zeros(k)
+    s2[rows] = probe.slopes(2.0 * t[rows])
+    near = live & (s0 * s2 < 0.0)
+
+    # pass 2: value and slope at 1.5t (near), the value at 2t (far)
+    x_mid = np.where(near, 1.5 * t, 2.0 * t)
+    f_mid, s_mid = np.zeros(k), s2.copy()
+    f_mid[rows], s_mid_rows = probe.evaluate(x_mid[rows])
+    s_mid[near] = s_mid_rows[near[rows]]
+    if quad:
+        pruned |= live & (_quad_cut_one_val(f_mid, s_mid, lam2) >= threshold)
+        live &= ~pruned
+    keep = np.flatnonzero(live[rows])
+    rows, probe = rows[keep], probe.take(keep)
+
+    # pass 3: the other bracket end, t (inner), 2t (near) or 3t (far)
+    inner = live & near & (s0 * s_mid < 0.0)
+    x3 = np.where(inner, t, np.where(near, 2.0 * t, 3.0 * t))
+    f3, s3 = np.zeros(k), np.zeros(k)
+    f3[rows], s3[rows] = probe.evaluate(x3[rows])
+
+    # bracket (a, b): inner (t, 1.5t), near (1.5t, 2t), far (2t, 3t)
+    a = np.where(inner, x3, x_mid)
+    fa = np.where(inner, f3, f_mid)
+    sa = np.where(inner, s3, s_mid)
+    b = np.where(inner, x_mid, x3)
+    fb = np.where(inner, f_mid, f3)
+    sb = np.where(inner, s_mid, np.where(near, s2, s3))
+    straddle = live & (near | (s0 * s3 < 0.0))
+    if quad:
+        bound = np.where(straddle, _quad_cut_two_val(fa, sa, a, fb, sb, b, lam2),
+                         _quad_cut_one_val(f3, s3, lam2))
+    else:
+        bound = np.where(straddle, _lin_cut_val(fa, sa, a, fb, sb, b), -np.inf)
+    pruned |= live & (bound >= threshold)
+    searched = live & ~pruned
+
+    # line search: the first step from zero uses the known slope s0
+    keep = np.flatnonzero(searched[rows])
+    rows, probe = rows[keep], probe.take(keep)
+    w = t[rows]
+    L = lip[rows]
+    for _ in range(iterations - 1):
+        w = w - probe.slopes(w) / L
+    coefficient = np.zeros(k)
+    coefficient[rows] = w
+    accepted = np.zeros(k, dtype=bool)
+    accepted[rows] = probe.evaluate(w)[0] < threshold
+    return BlockResult(accepted, coefficient, pruned, searched)
+
+
+def _try_add(state, data: DesignMatrix, hp: HyperParams, j2: int, loss_best: float,
+             quad: bool) -> TryAddResult:
+    """``screen_block`` on the single candidate ``j2``."""
+    cp = coordinate_probe(state, data, j2, hp.lambda2)
+    probe = BlockProbe(cp.base_margins, cp.u[None, :], cp.lam2, cp.base_sq)
+    f0, s0 = probe.evaluate(np.zeros(1))
+    res = screen_block(probe, s0, np.array([cp.lipschitz]), float(f0[0]),
+                       loss_best - hp.objective_tol, quad, hp.max_inner_iter)
+    accepted = bool(res.accepted[0])
+    return TryAddResult(accepted, float(res.coefficient[0]) if accepted else 0.0,
+                        bool(res.pruned[0]))
+
+
+def try_add_lincut(state_without_j: ModelState, data: DesignMatrix, hp: HyperParams,
+                   j2: int, loss_best: float) -> TryAddResult:
+    """Evaluate adding feature ``j2`` to a state it is absent from, screening
+    with tangent-line bounds.  Accepts when the post-line-search loss beats
+    ``loss_best`` by more than the objective tolerance."""
+    return _try_add(state_without_j, data, hp, j2, loss_best, quad=False)
+
+
+def try_add_quad(state_without_j: ModelState, data: DesignMatrix, hp: HyperParams,
+                 j2: int, loss_best: float) -> TryAddResult:
+    """Evaluate adding feature ``j2``, screening with strong-convexity bounds."""
+    if hp.lambda2 <= 0.0:
+        raise ConfigError("quadratic cuts require lambda2 > 0")
+    return _try_add(state_without_j, data, hp, j2, loss_best, quad=True)
+
+
+# --- engine -----------------------------------------------------------------
+
+def new_state(data: DesignMatrix) -> ModelState:
+    return ModelState.zeros(data)
+
+
+def smooth_loss(state: ModelState, data: DesignMatrix, hp: HyperParams) -> float:
+    return smooth_logistic_loss(state, data, hp.lambda2)
+
+
+def sweep(state: ModelState, data: DesignMatrix, hp: HyperParams, lam0: float, coords) -> float:
+    return cd_sweep(state, data, lam0, hp.lambda2, lipschitz_all(data, hp.lambda2), coords)
+
+
+def find_swap(trial: ModelState, data: DesignMatrix, hp: HyperParams, forbidden: set[int],
+              f0: float, threshold: float, cut: str, stats) -> tuple[int, float] | None:
+    """The first feature outside ``forbidden``, by gradient magnitude, whose
+    line search brings the loss ``f0`` of ``trial`` below ``threshold``,
+    with its coefficient; candidates are screened in blocks by
+    ``screen_block`` with the resolved ``cut``, and counted in ``stats`` as
+    a one-by-one scan would count them."""
+    lam2 = hp.lambda2
+    grads = -(data.signed.T @ expit(-trial.margins))  # ridge part is zero off-support
+    lip = lipschitz_all(data, lam2)
+    candidates = np.array(_candidate_order(grads, forbidden, hp.candidate_limit),
+                          dtype=np.intp)
+    candidates = candidates[lip[candidates] > 0.0]  # inert columns are no candidates
+    base_sq = float(trial.w @ trial.w)
+    width = max(1, BLOCK_ELEMENTS // data.n)
+    for start in range(0, candidates.size, width):
+        block = candidates[start:start + width]
+        # The block's columns are copied once; screen_block holds the only
+        # reference, so they are freed as soon as candidates drop out.
+        res = screen_block(BlockProbe(trial.margins, data.signed.T[block], lam2, base_sq),
+                           grads[block], lip[block], f0, threshold,
+                           cut == "quad", hp.max_inner_iter)
+        hits = np.flatnonzero(res.accepted)
+        # Count as the sequential scan does: up to and including the first
+        # acceptance.
+        seen = int(hits[0]) + 1 if hits.size else block.size
+        if stats is not None:
+            stats.candidates += seen
+            stats.cut_prunes += int(res.pruned[:seen].sum())
+            stats.line_searches += int(res.searched[:seen].sum())
+        if hits.size:
+            return int(block[hits[0]]), float(res.coefficient[hits[0]])
+    return None

@@ -7,14 +7,11 @@ they alter every curvature constant.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
-from . import exponential as expeng
-from . import logistic as logeng
-from .core import ConfigError, DesignMatrix, HyperParams, smooth_loss, objective
-from .exponential import ExpState
-from .core import ModelState
+from .core import ConfigError, DesignMatrix, HyperParams, engine, objective, smooth_loss
 from .swap import FitStats, fit_swap_1opt
 
 WARM_START_MAX_SWEEPS = 500
@@ -38,10 +35,8 @@ class PathSpec:
             raise ConfigError("lambda0 grid values must be positive")
         if any(b >= a for a, b in zip(self.lambda0_grid, self.lambda0_grid[1:])):
             raise ConfigError("lambda0_grid must be strictly descending")
-        if any(v < 0 for v in self.lambda2_grid):
-            raise ConfigError("lambda2 grid values must be nonnegative")
-        if self.loss == "exponential" and any(v != 0 for v in self.lambda2_grid):
-            raise ConfigError("the exponential loss does not take a ridge penalty")
+        for lam2 in self.lambda2_grid:
+            self.hyperparams(self.lambda0_grid[0], lam2)
 
     def hyperparams(self, lam0: float, lam2: float) -> HyperParams:
         return replace(self.base, lambda0=lam0, lambda2=lam2, loss=self.loss)
@@ -60,6 +55,7 @@ class PathEntry:
     cut_prunes: int
     candidates: int
     line_searches: int
+    cap_hits: int
     error: str | None = None
 
 
@@ -68,37 +64,33 @@ class PathResult:
     entries: list[PathEntry]
 
 
-def warm_start(data: DesignMatrix, hp: HyperParams, init=None):
+def warm_start(data: DesignMatrix, hp: HyperParams, init=None,
+               stats: FitStats | None = None):
     """Cyclic thresholding sweeps (sparsity penalty active) until no
     coefficient moves, starting from ``init`` or from zero.
 
-    The returned state cannot be improved by any single thresholding step;
-    the intercept is refit each sweep and never penalized.
+    The returned state cannot be improved by any single thresholding step,
+    unless the sweep cap was hit first (counted in ``stats.cap_hits``); the
+    intercept is refit each sweep and never penalized.
     """
-    if hp.loss == "exponential":
-        state = ExpState.zeros(data) if init is None else init.copy()
-        expeng.refit_intercept(state, data)
-        for _ in range(WARM_START_MAX_SWEEPS):
-            move = expeng.cd_sweep(state, data, hp.lambda0, range(data.p))
-            shift = expeng.refit_intercept(state, data)
-            if move <= SWEEP_STABLE_TOL and abs(shift) <= SWEEP_STABLE_TOL:
-                break
-        return state
-    state = ModelState.zeros(data) if init is None else init.copy()
-    lip = logeng.lipschitz_all(data, hp.lambda2)
-    logeng.refit_intercept(state, data)
+    eng = engine(hp.loss)
+    state = eng.new_state(data) if init is None else init.copy()
+    eng.refit_intercept(state, data)
     for _ in range(WARM_START_MAX_SWEEPS):
-        move = logeng.cd_sweep(state, data, hp.lambda0, hp.lambda2, lip, range(data.p))
-        shift = logeng.refit_intercept(state, data)
+        move = eng.sweep(state, data, hp, hp.lambda0, range(data.p))
+        shift = eng.refit_intercept(state, data)
         if move <= SWEEP_STABLE_TOL and abs(shift) <= SWEEP_STABLE_TOL:
             break
+    else:
+        if stats is not None:
+            stats.cap_hits += 1
     return state
 
 
 def fit_one(data: DesignMatrix, hp: HyperParams, ordering: str = "dynamic",
             cut: str = "auto", init=None, stats: FitStats | None = None):
     """Warm start then swap search; the standard single fit."""
-    state = warm_start(data, hp, init=init)
+    state = warm_start(data, hp, init=init, stats=stats)
     return fit_swap_1opt(state, data, hp, ordering=ordering, cut=cut, stats=stats)
 
 
@@ -116,38 +108,21 @@ def fit_path(data: DesignMatrix, spec: PathSpec, ordering: str = "dynamic",
             try:
                 state = fit_one(data, hp, ordering=ordering, cut=cut, init=prev, stats=stats)
                 wall_ms = (time.perf_counter() - t0) * 1000.0
-                entries.append(
-                    PathEntry(
-                        lambda0=lam0,
-                        lambda2=lam2,
-                        state=state,
-                        support_size=len(state.support),
-                        objective=objective(state, data, hp),
-                        smooth_loss=smooth_loss(state, data, hp),
-                        wall_ms=wall_ms,
-                        swap_evals=stats.swap_evals,
-                        cut_prunes=stats.cut_prunes,
-                        candidates=stats.candidates,
-                        line_searches=stats.line_searches,
-                    )
-                )
+                obj, loss, error = objective(state, data, hp), smooth_loss(state, data, hp), None
                 prev = state
             except Exception as exc:  # keep the grid going, record the failure
                 wall_ms = (time.perf_counter() - t0) * 1000.0
-                entries.append(
-                    PathEntry(
-                        lambda0=lam0,
-                        lambda2=lam2,
-                        state=None,
-                        support_size=0,
-                        objective=float("nan"),
-                        smooth_loss=float("nan"),
-                        wall_ms=wall_ms,
-                        swap_evals=stats.swap_evals,
-                        cut_prunes=stats.cut_prunes,
-                        candidates=stats.candidates,
-                        line_searches=stats.line_searches,
-                        error=f"lambda0={lam0}, lambda2={lam2}: {exc}",
-                    )
-                )
+                state, obj, loss = None, math.nan, math.nan
+                error = f"lambda0={lam0}, lambda2={lam2}: {exc}"
+            entries.append(PathEntry(
+                lambda0=lam0,
+                lambda2=lam2,
+                state=state,
+                support_size=0 if state is None else len(state.support),
+                objective=obj,
+                smooth_loss=loss,
+                wall_ms=wall_ms,
+                error=error,
+                **asdict(stats),
+            ))
     return PathResult(entries)

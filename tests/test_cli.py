@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sparseclass as sc
-from sparseclass.cli import main
+from sparseclass.cli import LinearModel, main
 
 
 def _write_dataset(path, rng, n=120, p=5, idx=(1, 3), scale=1.4, binary=False,
@@ -75,7 +75,7 @@ class TestFitPredict:
         stats = sc.FitStats()
         sc.fit_one(read_csv(str(data_path)), sc.HyperParams(lambda0=0.3, lambda2=1e-3),
                    stats=stats)
-        for key in ("swap_evals", "cut_prunes", "candidates", "line_searches"):
+        for key in ("swap_evals", "cut_prunes", "candidates", "line_searches", "cap_hits"):
             assert summary[key] == getattr(stats, key), key
         assert summary["candidates"] > 0
 
@@ -182,6 +182,29 @@ class TestExitCodes:
         code, _, _ = _run(capsys, ["fit", "--loss", "exponential",
                                    "--lambda0", "1", "--data", str(data_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("command", [["fit", "--lambda0", "1"],
+                                         ["path", "--lambda0-grid", "2,1"]])
+    def test_exponential_quad_cut_exits_3(self, tmp_path, capsys, command):
+        # The exponential loss takes no ridge, so quadratic cuts never apply.
+        rng = np.random.default_rng(7)
+        data_path = tmp_path / "train.csv"
+        _write_dataset(data_path, rng, binary=True)
+        code, out, _ = _run(capsys, command + ["--loss", "exponential", "--cut", "quad",
+                                               "--data", str(data_path)])
+        assert code == 3
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_empty_file_message(self, tmp_path, capsys, command):
+        empty = tmp_path / "x.csv"
+        empty.write_text("")
+        model_path = tmp_path / "model.json"
+        model_path.write_text(LinearModel("logistic", 1.0, 0.0, 0.0, ()).to_json())
+        argv = ["--model", str(model_path)] if command == "predict" else []
+        code, _, err = _run(capsys, [command, *argv, "--data", str(empty)])
+        assert code == 2
+        assert err == f"error: {empty}: empty file\n"
 
     def test_quad_cut_without_ridge_exits_3(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
@@ -306,6 +329,18 @@ class TestFlags:
         with pytest.raises(SystemExit):
             parser.parse_args(command + ["--data", "d.csv", "--seed", "1"])
         assert parser.parse_args(["synth", "--out", "x.csv", "--seed", "1"]).seed == 1
+
+    @pytest.mark.parametrize("flag", [["--loss", "exponential"], ["--cut", "quad"],
+                                      ["--ordering", "sequential"]])
+    def test_solver_flags_not_on_bench(self, flag):
+        # bench runs every loss, cut and ordering; fit and path take one.
+        from sparseclass.cli import build_parser
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["bench", "--lambda0-grid", "1", "--data", "d.csv", *flag])
+        for command in (["fit"], ["path", "--lambda0-grid", "1"]):
+            args = parser.parse_args(command + ["--data", "d.csv", *flag])
+            assert getattr(args, flag[0][2:]) == flag[1]
 
 
 class TestSynthCommand:

@@ -9,8 +9,8 @@ import sparseclass as sc
 from oracles import direct_exponential_objective, direct_logistic_objective
 
 
-def _random_state(data, rng, k=2):
-    state = sc.ModelState.zeros(data)
+def _random_state(data, rng, k=2, cls=sc.ModelState):
+    state = cls.zeros(data)
     idx = rng.choice(data.p, size=k, replace=False)
     for j in idx:
         state.set_coefficient(data, int(j), float(rng.standard_normal()))
@@ -58,14 +58,14 @@ class TestLogisticObjective:
                                            [1, -1, 1, -1])
         hp = sc.HyperParams(lambda0=0.0, lambda2=0.0)
         state = sc.ModelState.zeros(data)
-        assert sc.logistic_objective(state, data, hp) == pytest.approx(4 * math.log(2), rel=1e-12)
+        assert sc.objective(state, data, hp) == pytest.approx(4 * math.log(2), rel=1e-12)
 
     def test_penalty_only_with_no_observations(self):
         data = sc.DesignMatrix.from_arrays(np.empty((0, 2)), np.empty(0))
         hp = sc.HyperParams(lambda0=5.0, lambda2=0.0)
         state = sc.ModelState.zeros(data)
         state.set_coefficient(data, 1, 1.0)
-        assert sc.logistic_objective(state, data, hp) == 5.0
+        assert sc.objective(state, data, hp) == 5.0
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(7)
@@ -75,14 +75,14 @@ class TestLogisticObjective:
         state = _random_state(data, rng)
         expected = direct_logistic_objective(data.x, data.y, state.w,
                                              state.intercept, hp.lambda0, hp.lambda2)
-        assert sc.logistic_objective(state, data, hp) == pytest.approx(expected, rel=1e-12)
+        assert sc.objective(state, data, hp) == pytest.approx(expected, rel=1e-12)
 
     def test_overflow_safe_for_large_margins(self):
         data = sc.DesignMatrix.from_arrays([[1.0], [1.0]], [1, -1])
         state = sc.ModelState.zeros(data)
         state.set_coefficient(data, 0, 500.0)
         hp = sc.HyperParams(lambda0=0.0, lambda2=0.0)
-        val = sc.logistic_objective(state, data, hp)
+        val = sc.objective(state, data, hp)
         assert np.isfinite(val) and val == pytest.approx(500.0, rel=1e-9)
 
 
@@ -90,14 +90,14 @@ class TestExponentialObjective:
     def test_zero_state(self):
         data = sc.DesignMatrix.from_arrays([[1.0], [-1.0], [1.0]], [1, 1, -1])
         hp = sc.HyperParams(lambda0=0.0, loss="exponential")
-        state = sc.ModelState.zeros(data)
-        assert sc.exponential_objective(state, data, hp) == pytest.approx(3.0, rel=1e-12)
+        state = sc.ExpState.zeros(data)
+        assert sc.objective(state, data, hp) == pytest.approx(3.0, rel=1e-12)
 
     def test_penalty_with_empty_support(self):
         data = sc.DesignMatrix.from_arrays([[1.0], [-1.0], [1.0]], [1, 1, -1])
         hp = sc.HyperParams(lambda0=2.0, loss="exponential")
-        state = sc.ModelState.zeros(data)
-        assert sc.exponential_objective(state, data, hp) == 3.0
+        state = sc.ExpState.zeros(data)
+        assert sc.objective(state, data, hp) == 3.0
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(3)
@@ -105,10 +105,10 @@ class TestExponentialObjective:
         y = np.where(rng.random(16) < 0.5, 1.0, -1.0)
         data = sc.DesignMatrix.from_arrays(x, y)
         hp = sc.HyperParams(lambda0=0.4, loss="exponential")
-        state = _random_state(data, rng)
+        state = _random_state(data, rng, cls=sc.ExpState)
         expected = direct_exponential_objective(data.x, data.y, state.w,
                                                 state.intercept, hp.lambda0)
-        assert sc.exponential_objective(state, data, hp) == pytest.approx(expected, rel=1e-12)
+        assert sc.objective(state, data, hp) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_nonbinary_design(self):
         rng = np.random.default_rng(0)
@@ -116,7 +116,7 @@ class TestExponentialObjective:
                                            [1, -1, 1, -1, 1])
         hp = sc.HyperParams(lambda0=0.0, loss="exponential")
         with pytest.raises(sc.DataError):
-            sc.exponential_objective(sc.ModelState.zeros(data), data, hp)
+            sc.objective(sc.ExpState.zeros(data), data, hp)
 
 
 class TestPredictProbability:
@@ -157,9 +157,9 @@ class TestStateMaintenance:
         for _ in range(500):
             j = int(rng.integers(data.p))
             state.set_coefficient(data, j, float(rng.standard_normal()))
-        before = sc.logistic_objective(state, data, hp)
+        before = sc.objective(state, data, hp)
         state.refresh(data)
-        after = sc.logistic_objective(state, data, hp)
+        after = sc.objective(state, data, hp)
         assert after == pytest.approx(before, rel=1e-9)
 
     def test_support_bookkeeping_exact(self):
@@ -183,6 +183,31 @@ class TestStateMaintenance:
             state.set_intercept(data, float(rng.standard_normal()))
         exact = data.y * (data.x @ state.w + state.intercept)
         np.testing.assert_allclose(state.margins, exact, rtol=1e-9, atol=1e-12)
+
+
+class TestEngines:
+    FUNCTIONS = {
+        "new_state": ["data"],
+        "smooth_loss": ["state", "data", "hp"],
+        "sweep": ["state", "data", "hp", "lam0", "coords"],
+        "refit_intercept": ["state", "data"],
+        "find_swap": ["trial", "data", "hp", "forbidden", "f0", "threshold", "cut", "stats"],
+    }
+
+    def test_engines_define_the_same_functions(self):
+        import inspect
+        from sparseclass import exponential, logistic
+        for name, params in self.FUNCTIONS.items():
+            for module in (logistic, exponential):
+                got = list(inspect.signature(getattr(module, name)).parameters)
+                assert got == params, (module.__name__, name)
+
+    def test_lookup_by_loss_name(self):
+        from sparseclass import core, exponential, logistic
+        assert core.engine("logistic") is logistic
+        assert core.engine("exponential") is exponential
+        with pytest.raises(sc.ConfigError):
+            core.engine("hinge")
 
 
 class TestHyperParams:

@@ -139,11 +139,11 @@ class TestCoordinateUpdate:
         data = _binary_data(rng, n=30, p=6)
         hp = sc.HyperParams(lambda0=0.8, loss="exponential")
         state = _random_exp_state(data, rng, k=3)
-        prev = sc.exponential_objective(state, data, hp)
+        prev = sc.objective(state, data, hp)
         for _ in range(200):
             j = int(rng.integers(data.p))
             sc.exp_coordinate_update(state, data, j, hp.lambda0)
-            cur = sc.exponential_objective(state, data, hp)
+            cur = sc.objective(state, data, hp)
             assert cur <= prev + 1e-9
             prev = cur
 

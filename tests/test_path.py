@@ -7,6 +7,7 @@ from scipy.special import expit
 import sparseclass as sc
 from sparseclass import path as pathmod
 from sparseclass import logistic as logeng
+from sparseclass.swap import reoptimize
 
 
 def _data(rng, n=100, p=8, idx=(1, 5), scale=1.5, binary=False):
@@ -36,6 +37,27 @@ class TestWarmStart:
         hp = sc.HyperParams(lambda0=0.0, lambda2=0.0)
         state = sc.warm_start(data, hp)  # must terminate
         assert state.w[0] > 1.0
+
+    def test_cap_hits_counted(self):
+        # The separable instance above: neither the warm start nor the
+        # reoptimization of its support meets its stop test.
+        x = np.array([[1.0], [2.0], [-1.0], [-2.0]])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        data = sc.DesignMatrix.from_arrays(x, y)
+        hp = sc.HyperParams(lambda0=0.0, lambda2=0.0)
+        stats = sc.FitStats()
+        state = sc.warm_start(data, hp, stats=stats)
+        assert stats.cap_hits == 1
+        reoptimize(state, data, hp, stats)
+        assert stats.cap_hits == 2
+
+    def test_converging_fit_hits_no_cap(self):
+        rng = np.random.default_rng(0)
+        data = _data(rng, n=120, p=10, idx=(2, 7))
+        stats = sc.FitStats()
+        sc.fit_one(data, sc.HyperParams(lambda0=0.2, lambda2=1e-3), stats=stats)
+        assert stats.swap_evals > 0
+        assert stats.cap_hits == 0
 
     def test_surrogate_fixed_point_certificate(self):
         for seed in range(5):
@@ -83,6 +105,10 @@ class TestPathSpec:
         with pytest.raises(sc.ConfigError):
             sc.PathSpec(lambda0_grid=(1.0,), lambda2_grid=(0.1,), loss="exponential")
 
+    def test_unknown_loss_rejected_at_construction(self):
+        with pytest.raises(sc.ConfigError):
+            sc.PathSpec(lambda0_grid=(1.0,), loss="hinge")
+
 
 class TestFitPath:
     def test_single_point_equals_direct_composition(self):
@@ -120,8 +146,10 @@ class TestFitPath:
         stats = sc.FitStats()
         sc.fit_one(data, hp, stats=stats)
         entry = sc.fit_path(data, sc.PathSpec(lambda0_grid=(0.3,), lambda2_grid=(1e-3,))).entries[0]
-        got = (entry.swap_evals, entry.cut_prunes, entry.candidates, entry.line_searches)
-        assert got == (stats.swap_evals, stats.cut_prunes, stats.candidates, stats.line_searches)
+        got = (entry.swap_evals, entry.cut_prunes, entry.candidates, entry.line_searches,
+               entry.cap_hits)
+        assert got == (stats.swap_evals, stats.cut_prunes, stats.candidates, stats.line_searches,
+                       stats.cap_hits)
         assert stats.candidates > 0
         assert stats.cut_prunes + stats.line_searches <= stats.candidates
 
@@ -140,10 +168,10 @@ class TestFitPath:
         data = _data(rng)
         real = pathmod.warm_start
 
-        def flaky(data_, hp, init=None):
+        def flaky(data_, hp, init=None, stats=None):
             if hp.lambda0 == 1.0:
                 raise RuntimeError("boom")
-            return real(data_, hp, init=init)
+            return real(data_, hp, init=init, stats=stats)
 
         monkeypatch.setattr(pathmod, "warm_start", flaky)
         spec = sc.PathSpec(lambda0_grid=(2.0, 1.0, 0.5), lambda2_grid=(1e-3,))

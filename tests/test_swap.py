@@ -54,7 +54,7 @@ class TestFailureQueue:
 class TestCandidateOrder:
     @pytest.mark.parametrize("limit", [None, 1, 7, 500])
     def test_matches_list_filter_with_ties(self, limit):
-        from sparseclass.swap import _candidate_order
+        from sparseclass.core import _candidate_order
         rng = np.random.default_rng(3)
         # Few distinct magnitudes of both signs, so most features tie.
         grads = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=300)
@@ -338,7 +338,7 @@ class TestBlockEvaluation:
                 cands = np.array([c for c in range(data.p)
                                   if c not in state.support and lip[c] > 0.0])
                 probe = logeng.BlockProbe(trial.margins, data.signed.T[cands], lam2, base_sq)
-                res = swap.screen_block(probe, grads[cands], lip[cands], f0, threshold,
+                res = logeng.screen_block(probe, grads[cands], lip[cands], f0, threshold,
                                         cut == "quad", hp.max_inner_iter)
                 for i, c in enumerate(cands):
                     scalar = logeng.CoordinateProbe(trial.margins, data.signed[:, c], lam2=lam2,
@@ -355,7 +355,7 @@ class TestBlockEvaluation:
     def _check_visit(self, state, data, hp, j, cut, ref, monkeypatch):
         for width in (None, 16):
             if width is not None:
-                monkeypatch.setattr(swap, "BLOCK_ELEMENTS", width * data.n)
+                monkeypatch.setattr(logeng, "BLOCK_ELEMENTS", width * data.n)
             got = self._visit(state, data, hp, j, cut, monkeypatch)
             monkeypatch.undo()
             assert got["kind"] == ref["kind"]
@@ -373,9 +373,9 @@ class TestBlockEvaluation:
         added = {}
         real = swap.reoptimize
 
-        def record(trial, data, hp):
+        def record(trial, data, hp, stats=None):
             added.setdefault("w", trial.w.copy())
-            real(trial, data, hp)
+            real(trial, data, hp, stats)
 
         monkeypatch.setattr(swap, "reoptimize", record)
         stats = sc.FitStats()
