@@ -135,7 +135,12 @@ class LinearModel:
         )
 
 
+MODEL_KINDS = {"scorecard": Scorecard, "linear": LinearModel}
+
+
 def load_model(path: str):
+    """Read a model file; a missing or malformed field or an unknown loss
+    is an input error."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -144,12 +149,20 @@ def load_model(path: str):
         raise DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid model text ({exc})") from exc
-    kind = obj.get("kind")
-    if kind == "scorecard":
-        return Scorecard.from_json(text)
-    if kind == "linear":
-        return LinearModel.from_json(text)
-    raise DataError(f"{path}: unknown model kind {kind!r}")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in MODEL_KINDS:
+        raise DataError(f"{path}: unknown model kind {kind!r}")
+    try:
+        model = MODEL_KINDS[kind].from_json(text)
+    except DataError:
+        raise
+    except KeyError as exc:
+        raise DataError(f"{path}: model file has no {exc.args[0]!r} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed model file ({exc})") from exc
+    if model.loss not in LOSSES:
+        raise DataError(f"{path}: unknown loss {model.loss!r}")
+    return model
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -260,8 +273,18 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(sorted(set(vals), reverse=True))
 
 
+# Work counters of ``FitStats`` that the path and bench CSVs carry after
+# their original columns.
+COUNTER_COLUMNS = ("candidates", "line_searches", "cap_hits")
+
+
+def _counters(e) -> str:
+    return ",".join(str(getattr(e, name)) for name in COUNTER_COLUMNS)
+
+
 def _path_rows(data: DesignMatrix, result) -> list[str]:
-    rows = ["lambda0,lambda2,support_size,objective,train_auc,wall_ms,swap_evals,cut_prunes,error"]
+    rows = ["lambda0,lambda2,support_size,objective,train_auc,wall_ms,swap_evals,cut_prunes,error,"
+            + ",".join(COUNTER_COLUMNS)]
     for e in result.entries:
         if e.error is None:
             try:
@@ -270,11 +293,12 @@ def _path_rows(data: DesignMatrix, result) -> list[str]:
                 train_auc = ""
             rows.append(
                 f"{_fmt(e.lambda0)},{_fmt(e.lambda2)},{e.support_size},{_fmt(e.objective)},"
-                f"{train_auc},{_fmt(e.wall_ms)},{e.swap_evals},{e.cut_prunes},"
+                f"{train_auc},{_fmt(e.wall_ms)},{e.swap_evals},{e.cut_prunes},,{_counters(e)}"
             )
         else:
             err = e.error.replace(",", ";")
-            rows.append(f"{_fmt(e.lambda0)},{_fmt(e.lambda2)},,,,{_fmt(e.wall_ms)},{e.swap_evals},{e.cut_prunes},{err}")
+            rows.append(f"{_fmt(e.lambda0)},{_fmt(e.lambda2)},,,,{_fmt(e.wall_ms)},{e.swap_evals},"
+                        f"{e.cut_prunes},{err},{_counters(e)}")
     return rows
 
 
@@ -302,7 +326,8 @@ def cmd_bench(args) -> int:
         data, _ = binarize(data, direction="<=", encoding="-1/+1",
                            max_thresholds=args.max_thresholds)
     lam0_grid = _parse_grid(args.lambda0_grid)
-    rows = ["loss,cut,ordering,lambda0,lambda2,objective,support_size,wall_ms,swap_evals,cut_prunes"]
+    rows = ["loss,cut,ordering,lambda0,lambda2,objective,support_size,wall_ms,swap_evals,cut_prunes,"
+            + ",".join(COUNTER_COLUMNS)]
 
     def run_cell(loss, cut, ordering, lam2):
         base = HyperParams(loss=loss, candidate_limit=args.candidate_limit)
@@ -312,7 +337,7 @@ def cmd_bench(args) -> int:
             obj = "" if e.error else _fmt(e.objective)
             rows.append(
                 f"{loss},{cut},{ordering},{_fmt(e.lambda0)},{_fmt(e.lambda2)},{obj},"
-                f"{e.support_size},{_fmt(e.wall_ms)},{e.swap_evals},{e.cut_prunes}"
+                f"{e.support_size},{_fmt(e.wall_ms)},{e.swap_evals},{e.cut_prunes},{_counters(e)}"
             )
 
     cuts = ["lin", "quad"] if args.lambda2 > 0.0 else ["lin"]

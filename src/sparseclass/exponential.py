@@ -13,7 +13,15 @@ import math
 
 import numpy as np
 
-from .core import DataError, DesignMatrix, HyperParams, _candidate_order, sweep_visits
+from .core import (
+    EPS,
+    DataError,
+    DesignMatrix,
+    HyperParams,
+    _candidate_order,
+    sweep_visits,
+    zero_certificate,
+)
 
 # Weighted fractions are kept this far from {0, 1} so perfectly separating
 # columns get a large finite coefficient instead of an infinite one.
@@ -30,17 +38,27 @@ class ExpState:
     as boosting does; every ``WEIGHT_REFRESH_EVERY`` updates the cache is
     rebuilt exactly from the (sparse) coefficients.  Single-owner during a
     fit.
+
+    ``ref`` is the state's screening reference (a ``core.ScreenRef`` or
+    None) and ``drift`` bounds how far the weights have moved since it was
+    taken, in 1-norm: a coefficient or intercept move delta rescales every
+    weight by at most e^|delta|, which moves them by at most
+    H * expm1(|delta|); a refresh adds the 1-norm of its correction.
+    ``_lost`` is as for ``core.ModelState``.
     """
 
-    __slots__ = ("w", "support", "intercept", "c", "H", "_updates")
+    __slots__ = ("w", "support", "intercept", "c", "H", "_updates", "ref", "drift", "_lost")
 
-    def __init__(self, w, support, intercept, c, H, _updates=0):
+    def __init__(self, w, support, intercept, c, H, _updates=0, ref=None, drift=0.0, _lost=0):
         self.w = w
         self.support = support
         self.intercept = intercept
         self.c = c
         self.H = H
         self._updates = _updates
+        self.ref = ref
+        self.drift = drift
+        self._lost = _lost
 
     @classmethod
     def zeros(cls, data: DesignMatrix) -> "ExpState":
@@ -63,6 +81,9 @@ class ExpState:
             c=self.c.copy(),
             H=self.H,
             _updates=self._updates,
+            ref=self.ref,
+            drift=self.drift,
+            _lost=self._lost,
         )
 
     def set_coefficient(self, data: DesignMatrix, j: int, value: float) -> None:
@@ -72,6 +93,8 @@ class ExpState:
             return
         z = data.signed[:, j]
         self.c *= np.where(z > 0.0, math.exp(-delta), math.exp(delta))
+        if self.ref is not None:
+            self.drift += self.H * math.expm1(abs(delta))
         self.w[j] = value
         if value == 0.0:
             self.support.discard(j)
@@ -85,6 +108,8 @@ class ExpState:
         if delta == 0.0:
             return
         self.c *= np.where(data.y > 0.0, math.exp(-delta), math.exp(delta))
+        if self.ref is not None:
+            self.drift += self.H * math.expm1(abs(delta))
         self.intercept = value
         self._bump(data)
 
@@ -97,7 +122,10 @@ class ExpState:
 
     def refresh(self, data: DesignMatrix) -> None:
         """Rebuild the weights exactly from the coefficients."""
-        self.c = np.exp(-(data.y * self.scores(data)))
+        c = np.exp(-(data.y * self.scores(data)))
+        if self.ref is not None:
+            self.drift += float(np.abs(c - self.c).sum())
+        self.c = c
         self.H = float(self.c.sum())
 
     def scores(self, data: DesignMatrix) -> np.ndarray:
@@ -225,6 +253,45 @@ def refit_intercept(state: ExpState, data: DesignMatrix) -> float:
     return delta
 
 
+def _certificate(state: ExpState, data: DesignMatrix, lam0: float):
+    """The reference product, per-column caps and level of the exponential
+    zero certificate (``core.zero_certificate``).
+
+    A zero coordinate stays zero while its -1 fraction lies in the zero
+    interval, that is while |z_j . c| <= thr(H) = sqrt(lam0 * (2H - lam0))
+    (no coordinate leaves zero when lam0 >= 2H; the certificate then
+    certifies nothing and the screen decides).  With z_j in {-1, +1},
+    |z_j . c - z_j . c_ref| <= ||c - c_ref||_1 <= drift.  The caps are
+    thr(H) - g_j for H at the sweep's first screen, and the level adds to
+    the drift what thr has lost since then, as H moves, and rounding: at
+    most eps * H' per unit below for the two products behind a test (2n),
+    the weight sum (n), the scalar test (16) and each weight update since
+    the reference (4 each), where H' = H + 2 * drift bounds the weight sum
+    since the reference.  The threshold is shaved by a relative 1e-9.
+    """
+    def thr(H):
+        return math.sqrt(max(lam0 * (2.0 * H - lam0), 0.0)) * (1.0 - 1e-9)
+
+    thr0 = 0.0
+    base = 3 * data.n + 16
+
+    def take():
+        return np.abs(data.signed.T @ state.c)
+
+    def slack(ref):
+        nonlocal thr0
+        thr0 = thr(state.H)
+        return thr0 - ref.g
+
+    def level():
+        drift = state.drift
+        updates = state._updates - state.ref.updates
+        rounding = EPS * (state.H + 2.0 * drift) * (base + 4 * updates)
+        return drift * (1.0 + 1e-9) + rounding + (thr0 - thr(state.H))
+
+    return take, slack, level
+
+
 def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
     """One pass of analytical coordinate updates; returns the largest move.
 
@@ -241,7 +308,9 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
     within rounding of its threshold.
     Runs shorter than ``core.SCREEN_MIN_RUN`` (8) stay in the loop: a
     screen costs about as much as six loop visits (measurements at the
-    constant).
+    constant).  With ``lam0 > 0`` a run whose every column provably stays
+    zero under the state's screening reference and drift bound is skipped
+    without a product (``_certificate``, ``core.zero_certificate``).
     """
     z_all = data.signed
     max_move = 0.0
@@ -255,6 +324,9 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
         # scalar test decides.
         d = 0.5 * (H - z_all[:, cols].T @ c) / H
         return ~((lo <= d) & (d <= hi))
+
+    if lam0 > 0.0:
+        screen = zero_certificate(state, data, screen, *_certificate(state, data, lam0))
 
     for j in sweep_visits(coords, state.w, len(state.support), screen):
         if state.w[j] == 0.0:

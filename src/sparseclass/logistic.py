@@ -8,12 +8,14 @@ The engine functions (see ``core.engine``) are at the end of the module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .core import (
+    EPS,
     ConfigError,
     DesignMatrix,
     HyperParams,
@@ -22,6 +24,7 @@ from .core import (
     log1p_exp_neg_sum,
     smooth_logistic_loss,
     sweep_visits,
+    zero_certificate,
 )
 
 # Two quadratic minorants with nearly equal curvature-adjusted slopes have no
@@ -358,6 +361,45 @@ def refit_intercept(state: ModelState, data: DesignMatrix) -> float:
 
 # --- sweeps ---------------------------------------------------------------
 
+def _certificate(state: ModelState, data: DesignMatrix, lam0: float, lip: np.ndarray):
+    """The reference product, per-column caps and level of the logistic
+    zero certificate (``core.zero_certificate``).
+
+    A zero coordinate stays zero while |z_j . q| < sqrt(2 * lam0 * L_j),
+    and |z_j . q - z_j . q_ref| <= ||z_j|| * ||q - q_ref||, so column j
+    is certified while ||q - q_ref|| stays below its cap
+    (threshold - g_j) / ||z_j||; zero columns never move and get an
+    infinite cap.  The sigmoid is 1/4-Lipschitz, so the level is the margin
+    drift over 4, plus rounding: at most eps * sqrt(n) per unit below for
+    the two products behind a test (2n), the two sigmoid vectors (4), the
+    intercept moves (counted in the drift) and each margin update since the
+    reference.  The threshold is shaved and the drift grown by a relative
+    1e-9 against their own rounding.
+    """
+    sqrt_n = math.sqrt(data.n)
+    base = 2 * data.n + 8
+
+    def take():
+        return np.abs(data.signed.T @ expit(-state.margins))
+
+    def slack(ref):
+        # Consecutive sweeps at one penalty reuse the caps (``ref.memo``).
+        memo = ref.memo
+        if memo is None or memo[0] != lam0 or not np.array_equal(memo[1], lip):
+            thr = np.sqrt(2.0 * lam0 * lip) * (1.0 - 1e-9)
+            norms = np.sqrt(data.column_sq_sums)
+            caps = np.divide(thr - ref.g, norms, out=np.full(ref.g.shape, np.inf),
+                             where=norms > 0.0)
+            memo = ref.memo = (lam0, lip, caps)
+        return memo[2]
+
+    def level():
+        rounding = EPS * sqrt_n * (base + state._updates - state.ref.updates)
+        return 0.25 * state.drift * (1.0 + 1e-9) + rounding
+
+    return take, slack, level
+
+
 def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
              lip: np.ndarray, coords) -> float:
     """One pass of surrogate-threshold steps over ``coords``.
@@ -375,7 +417,9 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
     within rounding of its threshold.
     Runs shorter than ``core.SCREEN_MIN_RUN`` (8) stay in the loop: a
     screen costs about as much as six loop visits (measurements at the
-    constant).
+    constant).  With ``lam0 > 0`` a run whose every column provably stays
+    zero under the state's screening reference and drift bound is skipped
+    without a product (``_certificate``, ``core.zero_certificate``).
     """
     z = data.signed
     q = expit(-state.margins)
@@ -390,6 +434,9 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
         if lam0 > 0.0:
             return ~(c * c < 2.0 * lam0 / L)
         return c != 0.0
+
+    if lam0 > 0.0:
+        screen = zero_certificate(state, data, screen, *_certificate(state, data, lam0, lip))
 
     for j in sweep_visits(coords, state.w, len(state.support), screen):
         L = lip[j]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sparseclass as sc
-from sparseclass.cli import LinearModel, main
+from sparseclass.cli import LinearModel, main, read_csv
 
 
 def _write_dataset(path, rng, n=120, p=5, idx=(1, 3), scale=1.4, binary=False,
@@ -251,6 +251,48 @@ class TestExitCodes:
         assert "non-finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("kind,field", [("linear", "lambda2"), ("scorecard", "terms")])
+    def test_model_missing_field_exits_2(self, tmp_path, capsys, kind, field):
+        model = {"kind": kind, "loss": "logistic", "lambda0": 1.0, "lambda2": 0.0,
+                 "intercept": 0.0, "terms": []}
+        del model[field]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        data_path = tmp_path / "x.csv"
+        data_path.write_text("x1\n0.5\n")
+        code, out, err = _run(capsys, ["predict", "--model", str(model_path),
+                                       "--data", str(data_path)])
+        assert code == 2
+        assert err == f"error: {model_path}: model file has no {field!r} field\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("kind,field,value", [("linear", "terms", 5),
+                                                  ("scorecard", "intercept", "abc")])
+    def test_model_malformed_field_exits_2(self, tmp_path, capsys, kind, field, value):
+        model = {"kind": kind, "loss": "logistic", "lambda0": 1.0, "lambda2": 0.0,
+                 "intercept": 0.0, "terms": [], field: value}
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        data_path = tmp_path / "x.csv"
+        data_path.write_text("x1\n0.5\n")
+        code, out, err = _run(capsys, ["predict", "--model", str(model_path),
+                                       "--data", str(data_path)])
+        assert code == 2
+        assert err.startswith(f"error: {model_path}: malformed model file (")
+        assert out == ""
+
+    def test_model_unknown_loss_exits_2(self, tmp_path, capsys):
+        # the loss comes from the model file, so it is an input error
+        model_path = tmp_path / "model.json"
+        model_path.write_text(LinearModel("hinge", 1.0, 0.0, 0.0, ()).to_json())
+        data_path = tmp_path / "x.csv"
+        data_path.write_text("x1\n0.5\n")
+        code, out, err = _run(capsys, ["predict", "--model", str(model_path),
+                                       "--data", str(data_path)])
+        assert code == 2
+        assert err == f"error: {model_path}: unknown loss 'hinge'\n"
+        assert out == ""
+
 
 class TestPathCommand:
     def test_reference_grid_row_count(self, tmp_path, capsys):
@@ -268,7 +310,49 @@ class TestPathCommand:
         assert len(lines) == 1 + 16
         header = lines[0].split(",")
         assert header == ["lambda0", "lambda2", "support_size", "objective",
-                          "train_auc", "wall_ms", "swap_evals", "cut_prunes", "error"]
+                          "train_auc", "wall_ms", "swap_evals", "cut_prunes", "error",
+                          "candidates", "line_searches", "cap_hits"]
+
+    def test_rows_carry_fit_counters(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        data_path = tmp_path / "train.csv"
+        _write_dataset(data_path, rng, n=100, p=6)
+        out_path = tmp_path / "path.csv"
+        code, _, _ = _run(capsys, [
+            "path", "--data", str(data_path), "--out", str(out_path),
+            "--lambda0-grid", "0.5,2", "--lambda2-grid", "0.001",
+        ])
+        assert code == 0
+        lines = out_path.read_text().strip().splitlines()
+        rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+        data = read_csv(str(data_path))
+        spec = sc.PathSpec(lambda0_grid=(2.0, 0.5), lambda2_grid=(0.001,))
+        for row, entry in zip(rows, sc.fit_path(data, spec).entries):
+            for name in ("swap_evals", "cut_prunes", "candidates", "line_searches", "cap_hits"):
+                assert int(row[name]) == getattr(entry, name)
+        assert sum(int(r["candidates"]) for r in rows) > 0
+
+    def test_error_rows_carry_fit_counters(self, tmp_path, capsys, monkeypatch):
+        from sparseclass import cli, path
+
+        def failing(data, hp, stats=None, **kwargs):
+            stats.cap_hits += 1
+            raise FloatingPointError("boom")
+
+        monkeypatch.setattr(path, "fit_one", failing)
+        rng = np.random.default_rng(13)
+        data_path = tmp_path / "train.csv"
+        _write_dataset(data_path, rng, n=60, p=4)
+        out_path = tmp_path / "path.csv"
+        code, _, _ = _run(capsys, ["path", "--data", str(data_path), "--out", str(out_path),
+                                   "--lambda0-grid", "1"])
+        assert code == 0
+        header, row = out_path.read_text().strip().splitlines()
+        row = dict(zip(header.split(","), row.split(",")))
+        assert row["objective"] == ""
+        assert row["error"].endswith("boom")
+        assert (row["candidates"], row["line_searches"], row["cap_hits"]) == ("0", "0", "1")
+        assert cli.COUNTER_COLUMNS == ("candidates", "line_searches", "cap_hits")
 
     def test_single_point_matches_fit(self, tmp_path, capsys):
         rng = np.random.default_rng(10)
@@ -318,6 +402,24 @@ class TestBenchCommand:
         quad_prunes = sum(int(r["cut_prunes"]) for r in rows if r["cut"] == "quad")
         lin_prunes = sum(int(r["cut_prunes"]) for r in rows if r["cut"] == "lin")
         assert quad_prunes >= lin_prunes
+
+    def test_rows_carry_fit_counters(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
+        data_path = tmp_path / "train.csv"
+        _write_dataset(data_path, rng, n=100, p=5)
+        out_path = tmp_path / "bench.csv"
+        code, _, _ = _run(capsys, ["bench", "--data", str(data_path), "--out", str(out_path),
+                                   "--lambda0-grid", "1"])
+        assert code == 0
+        header, *lines = out_path.read_text().strip().splitlines()
+        header = header.split(",")
+        assert header == ["loss", "cut", "ordering", "lambda0", "lambda2", "objective",
+                          "support_size", "wall_ms", "swap_evals", "cut_prunes",
+                          "candidates", "line_searches", "cap_hits"]
+        rows = [dict(zip(header, ln.split(","))) for ln in lines]
+        assert len(rows) == 2 and all(len(ln.split(",")) == len(header) for ln in lines)
+        assert all(int(r["candidates"]) >= int(r["line_searches"]) >= 0 for r in rows)
+        assert all(int(r["cap_hits"]) >= 0 for r in rows)
 
 
 class TestFlags:

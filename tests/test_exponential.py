@@ -8,6 +8,7 @@ import pytest
 import sparseclass as sc
 from sparseclass import exponential as expeng
 from oracles import exp_curve, grid_minimize
+from test_logistic import _count_skips
 
 
 def _binary_data(rng, n=24, p=5):
@@ -248,3 +249,66 @@ class TestSweep:
         np.testing.assert_allclose(swept.w, ref.w, rtol=0, atol=1e-12)
         assert swept.H == pytest.approx(ref.H, rel=1e-12)
         assert move == pytest.approx(ref_move, rel=0, abs=1e-12)
+
+
+class TestCarriedScreen:
+    """Consecutive sweeps on one state, as a warm-started path makes them,
+    carry its screening reference across sweeps, intercept refits and
+    sparsity-penalty changes.  Every sweep must equal a loop of
+    ``exp_coordinate_update`` bit for bit."""
+
+    GRID = ((30.0, 30), (12.0, 30), (6.0, 30))
+
+    @staticmethod
+    def _suppressor_data():
+        # Column 150 copies the signal u on three rows in four and column
+        # 260 on the rest; once 150 enters, 260 explains its noise and
+        # enters too, although its reference test was far from the
+        # threshold.
+        rng = np.random.default_rng(1)
+        n, p = 240, 320
+        x = rng.choice([-1.0, 1.0], size=(n, p))
+        u = rng.choice([-1.0, 1.0], size=n)
+        x[:, 150] = np.where(rng.random(n) < 0.75, u, x[:, 260])
+        y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-3.0 * u)), 1.0, -1.0)
+        data = sc.DesignMatrix.from_arrays(x, y)
+        state = sc.ExpState.zeros(data)
+        for j in (40, 200, 290):
+            state.set_coefficient(data, j, float(rng.standard_normal() * 0.5))
+        return data, state
+
+    @pytest.mark.parametrize("order", ["range", "twice"])
+    def test_sweeps_match_single_updates(self, order, monkeypatch):
+        data, state = self._suppressor_data()
+        coords = range(data.p) if order == "range" else list(range(data.p)) * 2
+        skipped = _count_skips(monkeypatch, expeng)
+        oracle = state.copy()
+        expeng.refit_intercept(state, data)
+        expeng.refit_intercept(oracle, data)
+        refs, quiet, late_entries, sweeps = [], 0, 0, 0
+        for lam0, count in self.GRID:
+            # each grid point starts from a copy, as fit_path's warm start does
+            state, oracle = state.copy(), oracle.copy()
+            for _ in range(count):
+                before = set(oracle.support)
+                expeng.cd_sweep(state, data, lam0, coords)
+                for j in coords:
+                    expeng.exp_coordinate_update(oracle, data, j, lam0)
+                expeng.refit_intercept(state, data)
+                expeng.refit_intercept(oracle, data)
+                np.testing.assert_array_equal(state.w, oracle.w)
+                assert state.support == oracle.support
+                assert state.intercept == oracle.intercept
+                if oracle.support - before:
+                    late_entries += quiet >= 20
+                    quiet = 0
+                else:
+                    quiet += 1
+                if not any(r is state.ref for r in refs):
+                    refs.append(state.ref)
+                sweeps += 1
+        assert skipped  # runs were ruled out without a product
+        assert len(refs) < sweeps // 4  # the reference carried across sweeps
+        assert late_entries  # a feature entered after 20 quiet sweeps
+        assert 260 in state.support
+        assert state._updates >= expeng.WEIGHT_REFRESH_EVERY  # refreshed under a reference

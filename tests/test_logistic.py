@@ -403,3 +403,118 @@ class TestSweepAndIntercept:
         state = sc.fit_one(data, hp)
         assert state.w[2] == 0.0
         assert 2 not in state.support
+
+
+def _count_skips(monkeypatch, eng):
+    """Record the runs that ``eng``'s sweeps rule out by certificate, with
+    no product (``core.zero_certificate`` returns False for them)."""
+    skipped = []
+    certify = eng.zero_certificate
+
+    def counting(*args):
+        screen = certify(*args)
+
+        def counted(cols):
+            flagged = screen(cols)
+            if flagged is False:
+                skipped.append(cols)
+            return flagged
+
+        return counted
+
+    monkeypatch.setattr(eng, "zero_certificate", counting)
+    return skipped
+
+
+class TestCarriedScreen:
+    """Consecutive sweeps on one state, as a warm-started path makes them,
+    carry its screening reference across sweeps, intercept refits and
+    sparsity-penalty changes.  Every sweep must equal a loop of
+    ``threshold_step`` bit for bit."""
+
+    # (lambda0, sweeps) per grid point; the support settles long before each
+    # grid point ends, and lower penalties then let features enter.
+    GRID = ((12.0, 40), (5.0, 40), (2.0, 40), (1.2, 10))
+
+    @staticmethod
+    def _suppressor_data(lam2):
+        # Column 260 is pure noise at the zero state, but once column 150
+        # (signal u plus column 260) enters, it removes the noise and
+        # enters too: a coordinate whose reference test is far from its
+        # threshold, moved there by the drift of the other coordinates.
+        rng = np.random.default_rng(1)
+        n, p = 200, 320
+        x = rng.standard_normal((n, p))
+        u = rng.standard_normal(n)
+        x[:, 150] = x[:, 260] + u
+        inert = (120, 121) if lam2 == 0.0 else ()
+        x[:, list(inert)] = 0.0
+        y = np.where(rng.random(n) < expit(2.5 * u), 1.0, -1.0)
+        data = sc.DesignMatrix.from_arrays(x, y)
+        state = sc.ModelState.zeros(data)
+        for j in (40, 200, 290):
+            state.set_coefficient(data, j, float(rng.standard_normal() * 0.5))
+        return data, state, inert
+
+    @pytest.mark.parametrize("order,lam2", [("range", 0.0), ("twice", 0.0), ("range", 1e-3)])
+    def test_sweeps_match_single_steps(self, order, lam2, monkeypatch):
+        data, state, inert = self._suppressor_data(lam2)
+        coords = range(data.p) if order == "range" else list(range(data.p)) * 2
+        lip = logeng.lipschitz_all(data, lam2)
+        skipped = _count_skips(monkeypatch, logeng)
+        oracle = state.copy()
+        logeng.refit_intercept(state, data)
+        logeng.refit_intercept(oracle, data)
+        refs, quiet, late_entries, sweeps = [], 0, 0, 0
+        for lam0, count in self.GRID:
+            hp = sc.HyperParams(lambda0=lam0, lambda2=lam2)
+            # each grid point starts from a copy, as fit_path's warm start does
+            state, oracle = state.copy(), oracle.copy()
+            for _ in range(count):
+                before = set(oracle.support)
+                logeng.cd_sweep(state, data, lam0, lam2, lip, coords)
+                for j in coords:
+                    if lip[j] > 0.0:
+                        oracle.set_coefficient(data, j, sc.threshold_step(oracle, data, j, hp))
+                logeng.refit_intercept(state, data)
+                logeng.refit_intercept(oracle, data)
+                np.testing.assert_array_equal(state.w, oracle.w)
+                assert state.support == oracle.support
+                assert state.intercept == oracle.intercept
+                if oracle.support - before:
+                    late_entries += quiet >= 20
+                    quiet = 0
+                else:
+                    quiet += 1
+                if not any(r is state.ref for r in refs):
+                    refs.append(state.ref)
+                sweeps += 1
+        assert skipped  # runs were ruled out without a product
+        assert len(refs) < sweeps // 4  # the reference carried across sweeps
+        assert late_entries  # a feature entered after 20 quiet sweeps
+        assert 260 in state.support
+        assert state._updates >= sc.core.MARGIN_REFRESH_EVERY  # refreshed under a reference
+        for j in inert:
+            assert state.w[j] == 0.0
+
+    def test_reference_is_retaken_on_other_data(self):
+        # a state warm-started on other data of the same width must not be
+        # screened with the first data's reference
+        data, state, _ = self._suppressor_data(0.0)
+        lip = logeng.lipschitz_all(data, 0.0)
+        for _ in range(3):
+            logeng.cd_sweep(state, data, 5.0, 0.0, lip, range(data.p))
+        first = state.ref
+        assert first is not None
+        rng = np.random.default_rng(2)
+        other = sc.DesignMatrix.from_arrays(rng.standard_normal((data.n, data.p)), data.y)
+        lip = logeng.lipschitz_all(other, 0.0)
+        state = sc.ModelState.zeros(other)
+        state.ref, state.drift = first, 0.0
+        oracle = state.copy()
+        logeng.cd_sweep(state, other, 2.0, 0.0, lip, range(other.p))
+        hp = sc.HyperParams(lambda0=2.0)
+        for j in range(other.p):
+            oracle.set_coefficient(other, j, sc.threshold_step(oracle, other, j, hp))
+        assert state.ref is not first
+        np.testing.assert_array_equal(state.w, oracle.w)

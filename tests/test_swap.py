@@ -456,3 +456,25 @@ class TestFitSwap1Opt:
         state = sc.warm_start(data, hp)
         with pytest.raises(sc.ConfigError):
             sc.fit_swap_1opt(state, data, hp, cut="quad")
+
+    def test_pass_bound_counts_cap_hit(self, monkeypatch):
+        # the first walk swaps the noisy copy 2 for the true feature 5, so
+        # a search bounded to one walk stops before its stop test is met
+        rng = np.random.default_rng(3)
+        n, p = 200, 7
+        x = rng.standard_normal((n, p))
+        x[:, 2] = 0.9 * x[:, 5] + 0.45 * rng.standard_normal(n)
+        y = np.where(rng.random(n) < expit(1.6 * x[:, 5] + 1.2 * x[:, 0]), 1.0, -1.0)
+        data = sc.DesignMatrix.from_arrays(x, y)
+        hp = sc.HyperParams(lambda0=0.05, lambda2=1e-3)
+        state = _restricted_fit(data, [0, 2], hp)
+        stats = sc.FitStats()
+        sc.fit_swap_1opt(state.copy(), data, hp, stats=stats)
+        assert stats.cap_hits == 0
+        walks = stats.swap_evals
+        monkeypatch.setattr(swap, "SWAP_MAX_PASSES", 1)
+        stats = sc.FitStats()
+        out = sc.fit_swap_1opt(state.copy(), data, hp, stats=stats)
+        assert stats.cap_hits == 1
+        assert 5 in out.support and 2 not in out.support
+        assert stats.swap_evals < walks
