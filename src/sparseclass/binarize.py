@@ -8,7 +8,7 @@ additive model with one step function per selected threshold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .core import ConfigError, DataError, DesignMatrix
 
 DIRECTIONS = ("<=", ">=")
 ENCODINGS = ("0/1", "-1/+1")
+MODEL_KINDS = ("scorecard", "linear")
 
 
 @dataclass(frozen=True)
@@ -110,19 +111,25 @@ def binarize(
 
 @dataclass(frozen=True)
 class ScorecardTerm:
+    """One weighted term: the indicator 1[feature op threshold], or the raw
+    feature itself when ``op`` and ``threshold`` are None."""
+
     feature: str
-    op: str
-    threshold: float
+    op: str | None
+    threshold: float | None
     weight: float
 
 
 @dataclass(frozen=True)
 class Scorecard:
-    """Additive model as weighted 0/1 threshold indicators plus an intercept.
+    """A fitted model as read and written by model files: an intercept plus
+    weighted terms keyed by raw feature name.
 
-    Terms are grouped by source feature in threshold order.  Fits on -1/+1
-    dummies are folded into the indicator convention at export, so a
-    scorecard evaluates identically regardless of the training encoding.
+    A ``scorecard`` sums 0/1 threshold indicators.  Its terms are grouped
+    by source feature in threshold order; fits on -1/+1 dummies are folded
+    into the indicator convention at export, so a scorecard evaluates
+    identically regardless of the training encoding.  A ``linear`` model
+    sums raw features, its terms having no ``op`` or ``threshold``.
     """
 
     loss: str
@@ -130,20 +137,25 @@ class Scorecard:
     lambda2: float
     intercept: float
     terms: tuple[ScorecardTerm, ...]
+    kind: str = "scorecard"
 
     def __post_init__(self):
+        if self.kind not in MODEL_KINDS:
+            raise DataError(f"unknown model kind {self.kind!r}")
         if any(t.weight == 0.0 for t in self.terms):
-            raise DataError("scorecard terms must have nonzero weights")
+            raise DataError("model terms must have nonzero weights")
 
     def score_rows(self, features: dict[str, np.ndarray]) -> np.ndarray:
         """Raw additive scores for named raw-feature columns."""
         total = None
         for t in self.terms:
             if t.feature not in features:
-                raise DataError(f"scorecard needs feature {t.feature!r}")
+                raise DataError(f"model needs feature {t.feature!r}")
             col = np.asarray(features[t.feature], dtype=np.float64)
-            ind = (col <= t.threshold) if t.op == "<=" else (col >= t.threshold)
-            contrib = t.weight * ind.astype(np.float64)
+            if t.op is not None:
+                ind = (col <= t.threshold) if t.op == "<=" else (col >= t.threshold)
+                col = ind.astype(np.float64)
+            contrib = t.weight * col
             total = contrib if total is None else total + contrib
         if total is None:
             sizes = [np.asarray(v).shape[0] for v in features.values()]
@@ -156,48 +168,57 @@ class Scorecard:
     def to_json(self) -> str:
         return dumps_17g(
             {
-                "kind": "scorecard",
+                "kind": self.kind,
                 "loss": self.loss,
                 "lambda0": self.lambda0,
                 "lambda2": self.lambda2,
                 "intercept": self.intercept,
-                "terms": [
-                    {"feature": t.feature, "op": t.op, "threshold": t.threshold, "weight": t.weight}
-                    for t in self.terms
-                ],
+                "terms": [{k: v for k, v in asdict(t).items() if v is not None}
+                          for t in self.terms],
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "Scorecard":
-        obj = json.loads(text)
-        if obj.get("kind") != "scorecard":
-            raise DataError("not a scorecard file")
-        terms = tuple(
-            ScorecardTerm(str(t["feature"]), str(t["op"]), float(t["threshold"]), float(t["weight"]))
-            for t in obj["terms"]
-        )
+        # every number is a float; "-0" must read back as -0.0
+        obj = json.loads(text, parse_int=float)
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if kind not in MODEL_KINDS:
+            raise DataError(f"unknown model kind {kind!r}")
+        if kind == "linear":
+            terms = (ScorecardTerm(str(t["feature"]), None, None, float(t["weight"]))
+                     for t in obj["terms"])
+        else:
+            terms = (ScorecardTerm(str(t["feature"]), str(t["op"]), float(t["threshold"]),
+                                   float(t["weight"]))
+                     for t in obj["terms"])
         return cls(
             loss=str(obj["loss"]),
             lambda0=float(obj["lambda0"]),
             lambda2=float(obj["lambda2"]),
             intercept=float(obj["intercept"]),
-            terms=terms,
+            terms=tuple(terms),
+            kind=kind,
         )
 
 
-def export_scorecard(state, tmap: ThresholdMap, feature_names, hp) -> Scorecard:
-    """Turn a fit on a binarized matrix into a scorecard.
+def export_scorecard(state, tmap: ThresholdMap | None, feature_names, hp) -> Scorecard:
+    """Turn a fit into a model: a scorecard for a fit on a binarized matrix,
+    a ``linear`` model for a fit on raw features (``tmap`` None).
 
-    ``feature_names`` are the dummy-column names the state was fitted on and
-    are used to cross-check the map.  -1/+1 dummies contribute 2w per
+    ``feature_names`` are the column names the state was fitted on and are
+    used to cross-check the map.  -1/+1 dummies contribute 2w per
     indicator with the constant part folded into the intercept.
     """
-    n_cols = sum(len(g.columns) for g in tmap.groups)
+    n_cols = len(feature_names) if tmap is None else sum(len(g.columns) for g in tmap.groups)
     if len(feature_names) != n_cols or state.w.shape[0] != n_cols:
-        raise DataError("threshold map does not match the fitted coefficient vector")
-    pm = tmap.encoding == "-1/+1"
+        raise DataError("feature names do not match the fitted coefficient vector")
     intercept = float(state.intercept)
+    if tmap is None:
+        terms = [ScorecardTerm(feature_names[j], None, None, float(state.w[j]))
+                 for j in sorted(state.support)]
+        return Scorecard(hp.loss, hp.lambda0, hp.lambda2, intercept, tuple(terms), "linear")
+    pm = tmap.encoding == "-1/+1"
     terms = []
     for g in tmap.groups:
         for theta, cidx in zip(g.thresholds, g.columns):
@@ -209,13 +230,7 @@ def export_scorecard(state, tmap: ThresholdMap, feature_names, hp) -> Scorecard:
                 intercept -= w
             else:
                 terms.append(ScorecardTerm(g.name, tmap.direction, theta, w))
-    return Scorecard(
-        loss=hp.loss,
-        lambda0=hp.lambda0,
-        lambda2=hp.lambda2,
-        intercept=intercept,
-        terms=tuple(terms),
-    )
+    return Scorecard(hp.loss, hp.lambda0, hp.lambda2, intercept, tuple(terms))
 
 
 # --- structured-text rendering ---------------------------------------------

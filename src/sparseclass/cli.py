@@ -10,7 +10,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .core import (
     DataError,
     DesignMatrix,
     HyperParams,
+    engine,
     objective,
     probability_from_scores,
 )
@@ -67,15 +68,19 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
 
 
 def read_csv(path: str) -> DesignMatrix:
-    """Read a dataset: header row, a label column named ``y`` with values in
-    {-1, 1} or {0, 1}, all other columns numeric features."""
+    """Read a training dataset: header row, a label column named ``y`` with
+    values in {-1, 1} or {0, 1} and both classes present, all other columns
+    numeric features."""
     header, raw = _read_table(path)
     if LABEL_COLUMN not in header:
         raise DataError(f"{path}: no {LABEL_COLUMN!r} column")
     y_idx = header.index(LABEL_COLUMN)
     feat_idx = [i for i in range(len(header)) if i != y_idx]
     names = [header[i] for i in feat_idx]
-    return DesignMatrix.from_arrays(raw[:, feat_idx], raw[:, y_idx], names)
+    data = DesignMatrix.from_arrays(raw[:, feat_idx], raw[:, y_idx], names)
+    if np.unique(data.y).size < 2:
+        raise DataError(f"{path}: the {LABEL_COLUMN!r} column has one class; a fit needs both")
+    return data
 
 
 def write_csv(path: str, names, x: np.ndarray, y: np.ndarray) -> None:
@@ -87,75 +92,18 @@ def write_csv(path: str, names, x: np.ndarray, y: np.ndarray) -> None:
             fh.write(",".join(row) + "\n")
 
 
-@dataclass(frozen=True)
-class LinearModel:
-    """Plain sparse linear model keyed by feature name."""
-
-    loss: str
-    lambda0: float
-    lambda2: float
-    intercept: float
-    terms: tuple[tuple[str, float], ...]
-
-    def score_rows(self, features: dict[str, np.ndarray]) -> np.ndarray:
-        total = None
-        for name, weight in self.terms:
-            if name not in features:
-                raise DataError(f"model needs feature {name!r}")
-            contrib = weight * np.asarray(features[name], dtype=np.float64)
-            total = contrib if total is None else total + contrib
-        if total is None:
-            sizes = [np.asarray(v).shape[0] for v in features.values()]
-            total = np.zeros(sizes[0] if sizes else 0)
-        return total + self.intercept
-
-    def to_json(self) -> str:
-        return dumps_17g(
-            {
-                "kind": "linear",
-                "loss": self.loss,
-                "lambda0": self.lambda0,
-                "lambda2": self.lambda2,
-                "intercept": self.intercept,
-                "terms": [{"feature": n, "weight": w} for n, w in self.terms],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LinearModel":
-        obj = json.loads(text)
-        if obj.get("kind") != "linear":
-            raise DataError("not a linear model file")
-        return cls(
-            loss=str(obj["loss"]),
-            lambda0=float(obj["lambda0"]),
-            lambda2=float(obj["lambda2"]),
-            intercept=float(obj["intercept"]),
-            terms=tuple((str(t["feature"]), float(t["weight"])) for t in obj["terms"]),
-        )
-
-
-MODEL_KINDS = {"scorecard": Scorecard, "linear": LinearModel}
-
-
-def load_model(path: str):
-    """Read a model file; a missing or malformed field or an unknown loss
-    is an input error."""
+def load_model(path: str) -> Scorecard:
+    """Read a model file of either kind; a missing or malformed field or an
+    unknown kind or loss is an input error."""
     try:
         with open(path) as fh:
-            text = fh.read()
-        obj = json.loads(text)
+            model = Scorecard.from_json(fh.read())
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid model text ({exc})") from exc
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind not in MODEL_KINDS:
-        raise DataError(f"{path}: unknown model kind {kind!r}")
-    try:
-        model = MODEL_KINDS[kind].from_json(text)
-    except DataError:
-        raise
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise DataError(f"{path}: model file has no {exc.args[0]!r} field") from exc
     except (TypeError, ValueError) as exc:
@@ -187,23 +135,13 @@ def _check_finite(*values) -> None:
 def _prepare_training_data(args) -> tuple[DesignMatrix, object | None]:
     data = read_csv(args.data)
     tmap = None
+    encoding = engine(args.loss).BINARIZE_ENCODING
     if args.binarize:
-        encoding = "-1/+1" if args.loss == "exponential" else "0/1"
         data, tmap = binarize(data, direction="<=", encoding=encoding,
                               max_thresholds=args.max_thresholds)
-    if args.loss == "exponential" and not data.binary:
-        raise ConfigError("the exponential loss needs -1/+1 features; pass --binarize")
+    if encoding == "-1/+1" and not data.binary:
+        raise ConfigError(f"the {args.loss} loss needs -1/+1 features; pass --binarize")
     return data, tmap
-
-
-def _train_metrics(state, data: DesignMatrix) -> tuple[float, float | None]:
-    scores = state.scores(data)
-    acc = accuracy(scores, data.y)
-    try:
-        train_auc = auc(scores, data.y)
-    except DataError:
-        train_auc = None
-    return acc, train_auc
 
 
 def cmd_fit(args) -> int:
@@ -217,15 +155,8 @@ def cmd_fit(args) -> int:
     wall_ms = (time.perf_counter() - t0) * 1000.0
     obj = objective(state, data, hp)
     _check_finite(obj, state.w, state.intercept)
-    acc, train_auc = _train_metrics(state, data)
-    if tmap is not None:
-        model_text = export_scorecard(state, tmap, data.feature_names, hp).to_json()
-    else:
-        terms = tuple(
-            (data.feature_names[j], float(state.w[j])) for j in sorted(state.support)
-        )
-        model_text = LinearModel(hp.loss, hp.lambda0, hp.lambda2,
-                                 float(state.intercept), terms).to_json()
+    scores = state.scores(data)
+    model_text = export_scorecard(state, tmap, data.feature_names, hp).to_json()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(model_text + "\n")
@@ -233,8 +164,8 @@ def cmd_fit(args) -> int:
         "objective": obj,
         "support_size": len(state.support),
         "wall_ms": wall_ms,
-        "train_accuracy": acc,
-        "train_auc": train_auc,
+        "train_accuracy": accuracy(scores, data.y),
+        "train_auc": auc(scores, data.y),
         **asdict(stats),
     }))
     return EXIT_OK
@@ -287,10 +218,7 @@ def _path_rows(data: DesignMatrix, result) -> list[str]:
             + ",".join(COUNTER_COLUMNS)]
     for e in result.entries:
         if e.error is None:
-            try:
-                train_auc = _fmt(auc(e.state.scores(data), data.y))
-            except DataError:
-                train_auc = ""
+            train_auc = _fmt(auc(e.state.scores(data), data.y))
             rows.append(
                 f"{_fmt(e.lambda0)},{_fmt(e.lambda2)},{e.support_size},{_fmt(e.objective)},"
                 f"{train_auc},{_fmt(e.wall_ms)},{e.swap_evals},{e.cut_prunes},,{_counters(e)}"

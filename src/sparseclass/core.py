@@ -138,8 +138,8 @@ class HyperParams:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.lambda0 < 0 or self.lambda2 < 0:
             raise ConfigError("penalty strengths must be nonnegative")
-        if self.loss == "exponential" and self.lambda2 != 0:
-            raise ConfigError("the exponential loss does not take a ridge penalty")
+        if self.lambda2 != 0 and not engine(self.loss).TAKES_RIDGE:
+            raise ConfigError(f"the {self.loss} loss does not take a ridge penalty")
         if self.max_inner_iter < 1:
             raise ConfigError("max_inner_iter must be positive")
         if self.objective_tol <= 0:
@@ -171,55 +171,86 @@ class ScreenRef:
         return self.data() is data
 
 
-class ModelState:
-    """Dense coefficient vector plus support set, intercept, and margin cache.
+class CoefState:
+    """Dense coefficient vector plus support set and intercept: the state
+    that every loss engine's state class extends with its per-observation
+    cache and the rules that keep that cache in step (``set_coefficient``,
+    ``set_intercept``, ``refresh`` and ``scores``).  A state belongs to one
+    solver run and is never shared mutably.
+
+    ``_updates`` counts the cache updates that set the refresh cadence.
+    ``ref`` is the state's screening reference (a ``ScreenRef`` or None) and
+    ``drift`` bounds how far the cache has moved since it was taken, in the
+    norm the engine's zero certificate reads.  ``_lost`` counts the
+    screening since then that a fresh reference would have saved (see
+    ``zero_certificate``).
+    """
+
+    __slots__ = ("w", "support", "intercept", "_updates", "ref", "drift", "_lost")
+
+    def __init__(self, data: DesignMatrix):
+        self.w = np.zeros(data.p)
+        self.support = set()
+        self.intercept = 0.0
+        self._updates = 0
+        self.ref = None
+        self.drift = 0.0
+        self._lost = 0
+
+    @classmethod
+    def zeros(cls, data: DesignMatrix):
+        return cls(data)
+
+    def copy(self):
+        """An independent copy (the screening reference is shared); the
+        subclass copies its cache."""
+        new = object.__new__(type(self))
+        new.w = self.w.copy()
+        new.support = set(self.support)
+        new.intercept = self.intercept
+        new._updates = self._updates
+        new.ref = self.ref
+        new.drift = self.drift
+        new._lost = self._lost
+        return new
+
+    def _put(self, j: int, value: float) -> None:
+        """Store coefficient j and keep the support in step with ``w``."""
+        self.w[j] = value
+        if value == 0.0:
+            self.support.discard(j)
+        else:
+            self.support.add(j)
+
+    def linear_scores(self, data: DesignMatrix) -> np.ndarray:
+        """Raw decision scores f_i = w . x_i + intercept, computed from the
+        support columns alone."""
+        support = sorted(self.support)
+        if support:
+            return data.x[:, support] @ self.w[support] + self.intercept
+        return np.full(data.n, self.intercept)
+
+
+class ModelState(CoefState):
+    """Coefficient state plus the margin cache of the logistic loss.
 
     ``margins[i]`` is y_i * (w . x_i + intercept) and is maintained
     incrementally; it is the single per-observation source of truth under
-    the logistic loss.  A state belongs to one solver run and is never
-    shared mutably.
-
-    ``ref`` is the state's screening reference (a ``ScreenRef`` or None) and
-    ``drift`` bounds how far the margins have moved since it was taken, in
-    Euclidean norm: every margin change adds its norm (coefficient moves
-    |delta| * ||z_j||, intercept moves |delta| * sqrt(n), refreshes the
-    norm of their correction).  ``_lost`` counts the screening since then
-    that a fresh reference would have saved (see ``zero_certificate``).
+    the logistic loss.  ``drift`` is in Euclidean norm: every margin change
+    adds its norm (coefficient moves |delta| * ||z_j||, intercept moves
+    |delta| * sqrt(n), refreshes the norm of their correction).
     """
 
-    __slots__ = ("w", "support", "intercept", "margins", "_updates", "ref", "drift", "_lost")
+    __slots__ = ("margins",)
 
-    def __init__(self, w, support, intercept, margins, _updates=0, ref=None, drift=0.0,
-                 _lost=0):
-        self.w = w
-        self.support = support
-        self.intercept = intercept
-        self.margins = margins
-        self._updates = _updates
-        self.ref = ref
-        self.drift = drift
-        self._lost = _lost
-
-    @classmethod
-    def zeros(cls, data: DesignMatrix) -> "ModelState":
-        return cls(
-            w=np.zeros(data.p),
-            support=set(),
-            intercept=0.0,
-            margins=np.zeros(data.n),
-        )
+    def __init__(self, data: DesignMatrix):
+        super().__init__(data)
+        self.margins = np.zeros(data.n)
 
     def copy(self) -> "ModelState":
-        return ModelState(
-            w=self.w.copy(),
-            support=set(self.support),
-            intercept=self.intercept,
-            margins=self.margins.copy(),
-            _updates=self._updates,
-            ref=self.ref,
-            drift=self.drift,
-            _lost=self._lost,
-        )
+        new = super().copy()
+        new.margins = self.margins.copy()
+        return new
 
     def set_coefficient(self, data: DesignMatrix, j: int, value: float) -> None:
         value = float(value)
@@ -229,11 +260,7 @@ class ModelState:
         self.margins += delta * data.signed[:, j]
         if self.ref is not None:
             self.drift += abs(delta) * data.column_norms[j]
-        self.w[j] = value
-        if value == 0.0:
-            self.support.discard(j)
-        else:
-            self.support.add(j)
+        self._put(j, value)
         self._updates += 1
         if self._updates % MARGIN_REFRESH_EVERY == 0:
             self.refresh(data)
@@ -252,12 +279,7 @@ class ModelState:
 
     def refresh(self, data: DesignMatrix) -> None:
         """Rebuild the margin cache from scratch (sparse in |support|)."""
-        support = sorted(self.support)
-        if support:
-            f = data.x[:, support] @ self.w[support] + self.intercept
-        else:
-            f = np.full(data.n, self.intercept)
-        margins = data.y * f
+        margins = data.y * self.linear_scores(data)
         if self.ref is not None:
             self.drift += float(np.linalg.norm(margins - self.margins))
         self.margins = margins
@@ -416,7 +438,11 @@ def engine(loss: str):
     ``sparseclass.exponential``.  This is the one place where a loss name
     chooses code.
 
-    Every engine defines ``new_state(data)``, ``smooth_loss(state, data,
+    Every engine defines three constants: ``PROBABILITY_SCALE``, the s of
+    the probability link sigmoid(s * f); ``TAKES_RIDGE``, whether the loss
+    takes a ridge penalty; and ``BINARIZE_ENCODING``, the dummy encoding
+    its fits on binarized data use (``"-1/+1"`` where the engine needs
+    -1/+1 features).  It also defines ``new_state(data)``, ``smooth_loss(state, data,
     hp)``, ``sweep(state, data, hp, lam0, coords)`` (one coordinate pass,
     returning the largest move), ``refit_intercept(state, data)`` (returning
     the shift) and ``find_swap(trial, data, hp, forbidden, f0, threshold,
@@ -438,11 +464,9 @@ def _candidate_order(grads: np.ndarray, forbidden: set[int], limit: int | None) 
 
 
 def probability_from_scores(scores, loss: str):
-    """Class-1 probability for raw scores: sigmoid(f), or sigmoid(2f) under
-    the exponential loss."""
-    if loss not in LOSSES:
-        raise ConfigError(f"unknown loss {loss!r}")
-    scale = 2.0 if loss == "exponential" else 1.0
+    """Class-1 probability for raw scores: sigmoid(s * f) with the loss
+    engine's ``PROBABILITY_SCALE`` s (1 logistic, 2 exponential)."""
+    scale = engine(loss).PROBABILITY_SCALE
     return expit(scale * np.asarray(scores, dtype=np.float64))
 
 

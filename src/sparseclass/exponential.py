@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     EPS,
+    CoefState,
     DataError,
     DesignMatrix,
     HyperParams,
@@ -22,6 +23,12 @@ from .core import (
     sweep_visits,
     zero_certificate,
 )
+
+# Engine constants (see ``core.engine``): the probability is sigmoid(2f),
+# the loss takes no ridge, and it needs -1/+1 features.
+PROBABILITY_SCALE = 2.0
+TAKES_RIDGE = False
+BINARIZE_ENCODING = "-1/+1"
 
 # Weighted fractions are kept this far from {0, 1} so perfectly separating
 # columns get a large finite coefficient instead of an infinite one.
@@ -31,60 +38,33 @@ SEPARATION_EPS = 1e-10
 WEIGHT_REFRESH_EVERY = 64
 
 
-class ExpState:
+class ExpState(CoefState):
     """Coefficient state plus cached per-observation weights c_i = exp(-margin_i).
 
     Coefficient and intercept changes rescale the weights multiplicatively,
     as boosting does; every ``WEIGHT_REFRESH_EVERY`` updates the cache is
-    rebuilt exactly from the (sparse) coefficients.  Single-owner during a
-    fit.
+    rebuilt exactly from the (sparse) coefficients.  ``H`` is the weight
+    sum, the loss.
 
-    ``ref`` is the state's screening reference (a ``core.ScreenRef`` or
-    None) and ``drift`` bounds how far the weights have moved since it was
-    taken, in 1-norm: a coefficient or intercept move delta rescales every
-    weight by at most e^|delta|, which moves them by at most
+    ``drift`` is in 1-norm: a coefficient or intercept move delta rescales
+    every weight by at most e^|delta|, which moves them by at most
     H * expm1(|delta|); a refresh adds the 1-norm of its correction.
-    ``_lost`` is as for ``core.ModelState``.
     """
 
-    __slots__ = ("w", "support", "intercept", "c", "H", "_updates", "ref", "drift", "_lost")
+    __slots__ = ("c", "H")
 
-    def __init__(self, w, support, intercept, c, H, _updates=0, ref=None, drift=0.0, _lost=0):
-        self.w = w
-        self.support = support
-        self.intercept = intercept
-        self.c = c
-        self.H = H
-        self._updates = _updates
-        self.ref = ref
-        self.drift = drift
-        self._lost = _lost
-
-    @classmethod
-    def zeros(cls, data: DesignMatrix) -> "ExpState":
+    def __init__(self, data: DesignMatrix):
         if not data.binary:
             raise DataError("the exponential loss requires a -1/+1 feature matrix")
-        n = data.n
-        return cls(
-            w=np.zeros(data.p),
-            support=set(),
-            intercept=0.0,
-            c=np.ones(n),
-            H=float(n),
-        )
+        super().__init__(data)
+        self.c = np.ones(data.n)
+        self.H = float(data.n)
 
     def copy(self) -> "ExpState":
-        return ExpState(
-            w=self.w.copy(),
-            support=set(self.support),
-            intercept=self.intercept,
-            c=self.c.copy(),
-            H=self.H,
-            _updates=self._updates,
-            ref=self.ref,
-            drift=self.drift,
-            _lost=self._lost,
-        )
+        new = super().copy()
+        new.c = self.c.copy()
+        new.H = self.H
+        return new
 
     def set_coefficient(self, data: DesignMatrix, j: int, value: float) -> None:
         value = float(value)
@@ -95,11 +75,7 @@ class ExpState:
         self.c *= np.where(z > 0.0, math.exp(-delta), math.exp(delta))
         if self.ref is not None:
             self.drift += self.H * math.expm1(abs(delta))
-        self.w[j] = value
-        if value == 0.0:
-            self.support.discard(j)
-        else:
-            self.support.add(j)
+        self._put(j, value)
         self._bump(data)
 
     def set_intercept(self, data: DesignMatrix, value: float) -> None:
@@ -122,7 +98,7 @@ class ExpState:
 
     def refresh(self, data: DesignMatrix) -> None:
         """Rebuild the weights exactly from the coefficients."""
-        c = np.exp(-(data.y * self.scores(data)))
+        c = np.exp(-(data.y * self.linear_scores(data)))
         if self.ref is not None:
             self.drift += float(np.abs(c - self.c).sum())
         self.c = c
@@ -130,12 +106,7 @@ class ExpState:
 
     def scores(self, data: DesignMatrix) -> np.ndarray:
         """Raw decision scores f_i = w . x_i + intercept (sparse in |support|)."""
-        support = sorted(self.support)
-        if support:
-            f = data.x[:, support] @ self.w[support] + self.intercept
-        else:
-            f = np.full(data.n, self.intercept)
-        return f
+        return self.linear_scores(data)
 
 
 def _weights_without(state: ExpState, data: DesignMatrix, j: int) -> np.ndarray:
@@ -370,9 +341,12 @@ def find_swap(trial: ExpState, data: DesignMatrix, hp: HyperParams, forbidden: s
               f0: float, threshold: float, cut: str, stats) -> tuple[int, float] | None:
     """The first feature outside ``forbidden``, by gradient magnitude, whose
     closed-form coefficient brings the loss ``f0`` of ``trial`` below
-    ``threshold``.  Needs no cut; ``stats`` is not counted."""
+    ``threshold``.  Needs no cut; each candidate up to and including the
+    accepted one is counted in ``stats.candidates``."""
     dots = data.signed.T @ trial.c  # -gradient of the loss at the trial state
     for j2 in _candidate_order(dots, forbidden, hp.candidate_limit):
+        if stats is not None:
+            stats.candidates += 1
         d = min(max(0.5 * (f0 - float(dots[j2])) / f0, 0.0), 1.0)
         x = analytic_coefficient(d)
         if updated_loss(f0, d, x) < threshold:

@@ -27,6 +27,11 @@ from .core import (
     zero_certificate,
 )
 
+# Engine constants (see ``core.engine``).
+PROBABILITY_SCALE = 1.0
+TAKES_RIDGE = True
+BINARIZE_ENCODING = "0/1"
+
 # Two quadratic minorants with nearly equal curvature-adjusted slopes have no
 # usable intersection; below this denominator we fall back to the one-point
 # bound.

@@ -42,8 +42,10 @@ class PathSpec:
         return replace(self.base, lambda0=lam0, lambda2=lam2, loss=self.loss)
 
 
-@dataclass
-class PathEntry:
+@dataclass(kw_only=True)
+class PathEntry(FitStats):
+    """One grid point's fit, with the ``FitStats`` counters of that fit."""
+
     lambda0: float
     lambda2: float
     state: object | None
@@ -51,11 +53,6 @@ class PathEntry:
     objective: float
     smooth_loss: float
     wall_ms: float
-    swap_evals: int
-    cut_prunes: int
-    candidates: int
-    line_searches: int
-    cap_hits: int
     error: str | None = None
 
 

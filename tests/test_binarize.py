@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparseclass as sc
+from sparseclass.core import engine
 from sparseclass.binarize import ScorecardTerm, dumps_17g
 
 
@@ -175,6 +178,70 @@ class TestScorecard:
         with pytest.raises(sc.DataError):
             sc.Scorecard("logistic", 1.0, 0.0, 0.0,
                          (ScorecardTerm("a", "<=", 1.0, 0.0),))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _models(draw):
+    kind = draw(st.sampled_from(["scorecard", "linear"]))
+    if kind == "linear":
+        ops = st.tuples(st.none(), st.none())
+    else:
+        ops = st.tuples(st.sampled_from(["<=", ">="]), FINITE)
+    terms = draw(st.lists(st.tuples(st.text(max_size=6), ops, FINITE.filter(bool)), max_size=6))
+    return sc.Scorecard(
+        loss=draw(st.sampled_from(["logistic", "exponential"])),
+        lambda0=draw(FINITE),
+        lambda2=draw(FINITE),
+        intercept=draw(FINITE),
+        terms=tuple(ScorecardTerm(f, op, th, w) for f, (op, th), w in terms),
+        kind=kind,
+    )
+
+
+class TestModelFiles:
+    """Both model kinds share one class, one file format and one scorer."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_models())
+    def test_round_trip_is_bit_exact(self, model):
+        text = model.to_json()
+        again = sc.Scorecard.from_json(text)
+        assert again == model
+        assert again.to_json() == text
+        assert [np.float64(t.weight).tobytes() for t in again.terms] \
+            == [np.float64(t.weight).tobytes() for t in model.terms]
+        assert [np.float64(t.threshold).tobytes() for t in again.terms if t.op] \
+            == [np.float64(t.threshold).tobytes() for t in model.terms if t.op]
+        assert np.float64(again.intercept).tobytes() == np.float64(model.intercept).tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["scorecard", "linear"]),
+           loss=st.sampled_from(["logistic", "exponential"]),
+           lam0=st.floats(0.05, 4.0))
+    def test_model_scores_equal_the_fit(self, seed, kind, loss, lam0):
+        rng = np.random.default_rng(seed)
+        n, p = 40, 3
+        if kind == "linear" and loss == "exponential":
+            x = rng.choice([-1.0, 1.0], size=(n, p))
+        else:
+            x = np.round(rng.standard_normal((n, p)), 1)
+        y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-x @ [1.5, -1.0, 0.0])), 1.0, -1.0)
+        raw = sc.DesignMatrix.from_arrays(x, y, ["a", "b", "c"])
+        data, tmap = raw, None
+        if kind == "scorecard":
+            data, tmap = sc.binarize(raw, encoding=engine(loss).BINARIZE_ENCODING,
+                                     max_thresholds=8)
+        hp = sc.HyperParams(lambda0=lam0, lambda2=1e-3 if loss == "logistic" else 0.0,
+                            loss=loss)
+        state = sc.fit_one(data, hp)
+        model = sc.export_scorecard(state, tmap, data.feature_names, hp)
+        assert model.kind == kind
+        assert sc.Scorecard.from_json(model.to_json()) == model
+        got = model.score_rows({name: raw.column(j) for j, name in enumerate(raw.feature_names)})
+        np.testing.assert_allclose(got, state.scores(data), rtol=0.0, atol=1e-12)
 
 
 class TestFloatRendering:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sparseclass as sc
-from sparseclass.cli import LinearModel, main, read_csv
+from sparseclass.cli import main, read_csv
 
 
 def _write_dataset(path, rng, n=120, p=5, idx=(1, 3), scale=1.4, binary=False,
@@ -195,12 +195,30 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
 
+    @pytest.mark.parametrize("command", [["fit", "--lambda0", "1"],
+                                         ["path", "--lambda0-grid", "2,1"],
+                                         ["bench", "--lambda0-grid", "2,1"]],
+                             ids=["fit", "path", "bench"])
+    def test_single_class_labels_exit_2(self, tmp_path, capsys, command):
+        # one class leaves nothing to separate: no fit, no objective, no AUC
+        rng = np.random.default_rng(10)
+        data_path = tmp_path / "train.csv"
+        x, _, names = _write_dataset(data_path, rng, n=30, p=4)
+        with open(data_path, "w") as fh:
+            fh.write(",".join(names + ["y"]) + "\n")
+            for row in x:
+                fh.write(",".join(repr(float(v)) for v in row) + ",1.0\n")
+        code, out, err = _run(capsys, command + ["--data", str(data_path)])
+        assert code == 2
+        assert err == f"error: {data_path}: the 'y' column has one class; a fit needs both\n"
+        assert out == ""
+
     @pytest.mark.parametrize("command", ["fit", "predict"])
     def test_empty_file_message(self, tmp_path, capsys, command):
         empty = tmp_path / "x.csv"
         empty.write_text("")
         model_path = tmp_path / "model.json"
-        model_path.write_text(LinearModel("logistic", 1.0, 0.0, 0.0, ()).to_json())
+        model_path.write_text(sc.Scorecard("logistic", 1.0, 0.0, 0.0, (), kind="linear").to_json())
         argv = ["--model", str(model_path)] if command == "predict" else []
         code, _, err = _run(capsys, [command, *argv, "--data", str(empty)])
         assert code == 2
@@ -281,10 +299,21 @@ class TestExitCodes:
         assert err.startswith(f"error: {model_path}: malformed model file (")
         assert out == ""
 
+    def test_model_not_text_exits_2(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_bytes(b"\xff\xfe\x00")
+        data_path = tmp_path / "x.csv"
+        data_path.write_text("x1\n0.5\n")
+        code, out, err = _run(capsys, ["predict", "--model", str(model_path),
+                                       "--data", str(data_path)])
+        assert code == 2
+        assert err.startswith(f"error: {model_path}: malformed model file (")
+        assert out == ""
+
     def test_model_unknown_loss_exits_2(self, tmp_path, capsys):
         # the loss comes from the model file, so it is an input error
         model_path = tmp_path / "model.json"
-        model_path.write_text(LinearModel("hinge", 1.0, 0.0, 0.0, ()).to_json())
+        model_path.write_text(sc.Scorecard("hinge", 1.0, 0.0, 0.0, (), kind="linear").to_json())
         data_path = tmp_path / "x.csv"
         data_path.write_text("x1\n0.5\n")
         code, out, err = _run(capsys, ["predict", "--model", str(model_path),

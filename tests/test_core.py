@@ -184,6 +184,46 @@ class TestStateMaintenance:
         exact = data.y * (data.x @ state.w + state.intercept)
         np.testing.assert_allclose(state.margins, exact, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("cls", [sc.ModelState, sc.ExpState])
+    def test_copy_is_independent(self, cls):
+        rng = np.random.default_rng(8)
+        data = sc.DesignMatrix.from_arrays(rng.choice([-1.0, 1.0], size=(30, 24)),
+                                           np.where(rng.random(30) < 0.5, 1.0, -1.0))
+        state = _random_state(data, rng, k=3, cls=cls)
+        sc.core.engine("exponential" if cls is sc.ExpState else "logistic").sweep(
+            state, data, sc.HyperParams(), 1.0, range(data.p))
+        assert state.ref is not None and state.drift > 0.0
+        slots = [s for k in cls.__mro__ for s in getattr(k, "__slots__", ())]
+
+        def snapshot(st):
+            return {s: getattr(st, s).copy() if isinstance(getattr(st, s), (np.ndarray, set))
+                    else getattr(st, s) for s in slots}
+
+        def assert_same(a, b):
+            for s in slots:
+                if isinstance(a[s], np.ndarray):
+                    np.testing.assert_array_equal(a[s], b[s], err_msg=s)
+                else:
+                    assert a[s] == b[s] or a[s] is b[s], s
+
+        before = snapshot(state)
+        dup = state.copy()
+        assert type(dup) is cls
+        assert dup.ref is state.ref
+        assert_same(snapshot(dup), before)
+        free = next(j for j in range(data.p) if j not in state.support)
+        dup.set_coefficient(data, free, 0.5)
+        dup.set_coefficient(data, min(state.support), 0.0)
+        dup.set_intercept(data, 0.25)
+        dup.refresh(data)
+        dup._lost += 7
+        assert_same(snapshot(state), before)
+        copied = snapshot(dup)
+        state.set_coefficient(data, free, -0.5)
+        state.set_intercept(data, -0.25)
+        state.refresh(data)
+        assert_same(snapshot(dup), copied)
+
 
 class TestEngines:
     FUNCTIONS = {
@@ -201,6 +241,28 @@ class TestEngines:
             for module in (logistic, exponential):
                 got = list(inspect.signature(getattr(module, name)).parameters)
                 assert got == params, (module.__name__, name)
+
+    def test_engines_define_the_loss_constants(self):
+        from sparseclass import exponential, logistic
+        got = [(m.PROBABILITY_SCALE, m.TAKES_RIDGE, m.BINARIZE_ENCODING)
+               for m in (logistic, exponential)]
+        assert got == [(1.0, True, "0/1"), (2.0, False, "-1/+1")]
+
+    def test_states_keep_their_traced_methods(self):
+        # The benchmark's tracer counts calls by patching these methods in
+        # each state class's own namespace.  It finds every target but two
+        # hooks for swap functions that the block screen replaced.
+        import importlib.util
+        from pathlib import Path
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        targets = tracing.Tracer()._targets()
+        assert [f"{o.__name__}.{a}" for o, a, _ in targets if tracing._lookup(o, a) is None] \
+            == ["sparseclass.swap._try_add_quad", "sparseclass.swap._try_add_lin"]
+        for cls in (sc.ModelState, sc.ExpState):
+            assert {"set_coefficient", "refresh"} <= set(vars(cls)), cls.__name__
 
     def test_lookup_by_loss_name(self):
         from sparseclass import core, exponential, logistic

@@ -214,6 +214,34 @@ class TestWeightMaintenance:
         assert abs(deriv) < 1e-9 * state.H
 
 
+class TestFindSwap:
+    @pytest.mark.parametrize("limit", [None, 3])
+    def test_counts_candidates_up_to_the_accepted_one(self, limit):
+        rng = np.random.default_rng(21)
+        data = _binary_data(rng, n=60, p=12)
+        hp = sc.HyperParams(lambda0=0.5, loss="exponential", candidate_limit=limit)
+        trial = _random_exp_state(data, rng, k=3)
+        forbidden = set(trial.support)
+        f0 = trial.H
+        # The closed-form loss falls as |z_j . c| grows, so in gradient
+        # order the first candidate reaches the lowest loss: a search
+        # accepts it or scans every candidate.
+        dots = data.signed.T @ trial.c
+        order = [j for j in np.argsort(-np.abs(dots), kind="stable").tolist()
+                 if j not in forbidden][:limit]
+        d = min(max(0.5 * (f0 - float(dots[order[0]])) / f0, 0.0), 1.0)
+        best = expeng.updated_loss(f0, d, expeng.analytic_coefficient(d))
+        stats = sc.FitStats()
+        found = expeng.find_swap(trial, data, hp, forbidden, f0, math.nextafter(best, math.inf),
+                                 "auto", stats)
+        assert found is not None and found[0] == order[0]
+        assert stats.candidates == 1
+        stats = sc.FitStats()
+        assert expeng.find_swap(trial, data, hp, forbidden, f0, best, "auto", stats) is None
+        assert stats.candidates == len(order) == (9 if limit is None else limit)
+        assert (stats.cut_prunes, stats.line_searches, stats.swap_evals) == (0, 0, 0)
+
+
 class TestSweep:
     @pytest.mark.parametrize("coords", ["range", "permuted"])
     def test_wide_sweep_matches_single_updates(self, coords, monkeypatch):
