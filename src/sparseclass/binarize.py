@@ -189,7 +189,7 @@ class Scorecard:
             terms = (ScorecardTerm(str(t["feature"]), None, None, float(t["weight"]))
                      for t in obj["terms"])
         else:
-            terms = (ScorecardTerm(str(t["feature"]), str(t["op"]), float(t["threshold"]),
+            terms = (ScorecardTerm(str(t["feature"]), _direction(t["op"]), float(t["threshold"]),
                                    float(t["weight"]))
                      for t in obj["terms"])
         return cls(
@@ -200,6 +200,13 @@ class Scorecard:
             terms=tuple(terms),
             kind=kind,
         )
+
+
+def _direction(op) -> str:
+    # a ValueError, so a model file with another op reads as malformed
+    if op not in DIRECTIONS:
+        raise ValueError(f"term op {op!r} is not one of {DIRECTIONS}")
+    return op
 
 
 def export_scorecard(state, tmap: ThresholdMap | None, feature_names, hp) -> Scorecard:

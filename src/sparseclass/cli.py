@@ -233,7 +233,7 @@ def _path_rows(data: DesignMatrix, result) -> list[str]:
 def cmd_path(args) -> int:
     data, _ = _prepare_training_data(args)
     lam0_grid = _parse_grid(args.lambda0_grid)
-    lam2_grid = tuple(sorted({float(t) for t in args.lambda2_grid.split(",") if t.strip()}))
+    lam2_grid = tuple(sorted(_parse_grid(args.lambda2_grid)))
     spec = PathSpec(
         lambda0_grid=lam0_grid,
         lambda2_grid=lam2_grid,

@@ -111,12 +111,6 @@ class DesignMatrix:
         s.setflags(write=False)
         return s
 
-    @cached_property
-    def column_norms(self) -> tuple[float, ...]:
-        """Euclidean norm of each column (of ``signed`` too), as Python
-        floats for per-coordinate bookkeeping."""
-        return tuple(np.sqrt(self.column_sq_sums).tolist())
-
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -136,8 +130,8 @@ class HyperParams:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
-        if self.lambda0 < 0 or self.lambda2 < 0:
-            raise ConfigError("penalty strengths must be nonnegative")
+        if not (0 <= self.lambda0 < math.inf and 0 <= self.lambda2 < math.inf):
+            raise ConfigError("penalty strengths must be finite and nonnegative")
         if self.lambda2 != 0 and not engine(self.loss).TAKES_RIDGE:
             raise ConfigError(f"the {self.loss} loss does not take a ridge penalty")
         if self.max_inner_iter < 1:
@@ -149,22 +143,24 @@ class HyperParams:
 
 
 class ScreenRef:
-    """A screening reference for coordinate sweeps: ``g[j] = |z_j . v|`` for
-    every column of ``data.signed`` and the state's per-observation vector
-    v (the sigmoid vector under the logistic loss, the weights under the
-    exponential loss), taken with one product when the state had made
-    ``updates`` coefficient updates.  Copies of a state share it, each with
-    its own drift bound; ``g`` never changes, and ``memo`` is the engine's
-    cache of what it last derived from ``g``.  It holds its dataset weakly,
-    so a kept state does not keep the data alive.
+    """A screening reference for coordinate sweeps: a copy ``v`` of the
+    state's per-observation vector (the sigmoid vector under the logistic
+    loss, the weights under the exponential loss) and ``g[j] = |z_j . v|``
+    for every column of ``data.signed``, taken with one product.  A sweep
+    measures how far its vector has moved from ``v``.  Copies of a state
+    share the reference; ``v`` and ``g`` never change, and ``memo`` is the
+    engine's cache of what it last derived from ``g``.  It holds its
+    dataset weakly, so a kept state does not keep the data alive.
     """
 
-    __slots__ = ("data", "g", "updates", "memo")
+    __slots__ = ("data", "v", "g", "memo")
 
-    def __init__(self, data: DesignMatrix, g: np.ndarray, updates: int):
+    def __init__(self, data: DesignMatrix, v: np.ndarray):
         self.data = weakref.ref(data)
-        self.g = g
-        self.updates = updates
+        self.v = np.array(v)
+        self.g = np.abs(data.signed.T @ self.v)
+        self.v.setflags(write=False)
+        self.g.setflags(write=False)
         self.memo = None
 
     def belongs_to(self, data: DesignMatrix) -> bool:
@@ -179,14 +175,14 @@ class CoefState:
     solver run and is never shared mutably.
 
     ``_updates`` counts the cache updates that set the refresh cadence.
-    ``ref`` is the state's screening reference (a ``ScreenRef`` or None) and
-    ``drift`` bounds how far the cache has moved since it was taken, in the
-    norm the engine's zero certificate reads.  ``_lost`` counts the
-    screening since then that a fresh reference would have saved (see
+    ``ref`` is the state's screening reference (a ``ScreenRef`` or None);
+    the cache keeps no account of how far it has moved since, because the
+    engine's zero certificate measures that distance.  ``_lost`` counts the
+    screening since the reference that a fresh one would have saved (see
     ``zero_certificate``).
     """
 
-    __slots__ = ("w", "support", "intercept", "_updates", "ref", "drift", "_lost")
+    __slots__ = ("w", "support", "intercept", "_updates", "ref", "_lost")
 
     def __init__(self, data: DesignMatrix):
         self.w = np.zeros(data.p)
@@ -194,7 +190,6 @@ class CoefState:
         self.intercept = 0.0
         self._updates = 0
         self.ref = None
-        self.drift = 0.0
         self._lost = 0
 
     @classmethod
@@ -210,7 +205,6 @@ class CoefState:
         new.intercept = self.intercept
         new._updates = self._updates
         new.ref = self.ref
-        new.drift = self.drift
         new._lost = self._lost
         return new
 
@@ -236,9 +230,7 @@ class ModelState(CoefState):
 
     ``margins[i]`` is y_i * (w . x_i + intercept) and is maintained
     incrementally; it is the single per-observation source of truth under
-    the logistic loss.  ``drift`` is in Euclidean norm: every margin change
-    adds its norm (coefficient moves |delta| * ||z_j||, intercept moves
-    |delta| * sqrt(n), refreshes the norm of their correction).
+    the logistic loss.
     """
 
     __slots__ = ("margins",)
@@ -258,8 +250,6 @@ class ModelState(CoefState):
         if delta == 0.0:
             return
         self.margins += delta * data.signed[:, j]
-        if self.ref is not None:
-            self.drift += abs(delta) * data.column_norms[j]
         self._put(j, value)
         self._updates += 1
         if self._updates % MARGIN_REFRESH_EVERY == 0:
@@ -271,18 +261,11 @@ class ModelState(CoefState):
             return
         delta = value - self.intercept
         self.margins += delta * data.y
-        if self.ref is not None:
-            # with the update's rounding, 4 eps per element (a coefficient
-            # update's is allowed for by the certificate's level)
-            self.drift += (abs(delta) + 4.0 * EPS) * math.sqrt(data.n)
         self.intercept = value
 
     def refresh(self, data: DesignMatrix) -> None:
         """Rebuild the margin cache from scratch (sparse in |support|)."""
-        margins = data.y * self.linear_scores(data)
-        if self.ref is not None:
-            self.drift += float(np.linalg.norm(margins - self.margins))
-        self.margins = margins
+        self.margins = data.y * self.linear_scores(data)
 
     def scores(self, data: DesignMatrix) -> np.ndarray:
         """Raw decision scores f_i = w . x_i + intercept."""
@@ -361,32 +344,36 @@ def _screened_visits(coords, idx, runs, w, screen):
     yield from coords[pos:]
 
 
-def zero_certificate(state, data: DesignMatrix, screen, take, slack, level):
+def zero_certificate(state, data: DesignMatrix, screen, current, slack, level):
     """``screen`` behind the zero certificate of ``state``'s screening
     reference (``state.ref``).
 
+    ``current()`` is the per-observation vector the sweep's tests read now.
     ``slack(ref)`` maps the reference to per-column caps: the largest level
-    at which each column provably stays zero.  ``level()`` bounds how far
-    the column tests can have moved since the reference was taken: the
-    state's drift plus rounding.  The returned screen rules a run out
-    without a product, returning False, when every column in it has its cap
-    above ``level()``; other runs go to ``screen``.  The caps are computed
-    on the sweep's first screen, so sweeps that screen nothing pay nothing.
+    at which each column provably stays zero.  ``level(current())`` bounds
+    how far the column tests can have moved since the reference was taken:
+    the distance of that vector from ``ref.v``, measured in the norm the
+    engine's certificate reads, plus rounding.  The returned screen rules a run
+    out without a product, returning False, when every column in it has its
+    cap above the level; other runs go to ``screen``.  The caps are
+    computed on the sweep's first screen, so sweeps that screen nothing pay
+    nothing.
 
-    A reference is taken there with ``take()``, one product over all
-    columns, when the state has none for ``data``.  It is retaken there once
-    ``state._lost``, the columns of screened runs in which the screen
-    flagged nothing, reaches ``data.p``.  Such a run is one that a fresh
-    reference would have ruled out, so a reference is renewed when its drift
-    has cost as much screening as a new product costs: one that keeps
-    certifying lasts across sweeps and grid points, and one that cannot
-    certify what stays zero is not renewed over and over.  Measured with
-    renewal at 0.25, 0.5, 1, 2 and 4 times ``data.p`` (one BLAS thread),
-    the columns multiplied in screens and references came to 301k, 288k,
-    292k, 316k and 361k on the reference logistic path (p = 1000, 2.65M
-    without certificate) and to 521k, 517k, 494k, 513k and 575k on the
-    binarized exponential path (p = 5000, 2.34M); wall times differed by
-    less than their noise.
+    A reference is taken there, one product over all columns, when the
+    state has none for ``data``.  It is retaken there once ``state._lost``,
+    the columns of screened runs in which the screen flagged nothing,
+    reaches ``data.p``.  Such a run is one that a fresh reference would have
+    ruled out, so a reference is renewed when its distance has cost as much
+    screening as a new product costs: one that keeps certifying lasts
+    across sweeps and grid points, and one that cannot certify what stays
+    zero is not renewed over and over.  Measured with renewal at 0.25, 0.5,
+    1, 2 and 4 times ``data.p`` (one BLAS thread, under an earlier
+    certificate that bounded the distance instead of measuring it), the
+    columns multiplied in screens and references came to 301k, 288k, 292k,
+    316k and 361k on the reference logistic path (p = 1000, 2.65M without
+    certificate) and to 521k, 517k, 494k, 513k and 575k on the binarized
+    exponential path (p = 5000, 2.34M); wall times differed by less than
+    their noise.
     """
     caps = None
 
@@ -395,12 +382,10 @@ def zero_certificate(state, data: DesignMatrix, screen, take, slack, level):
         if caps is None:
             ref = state.ref
             if ref is None or not ref.belongs_to(data) or state._lost >= data.p:
-                g = take()
-                g.setflags(write=False)
-                state.ref = ref = ScreenRef(data, g, state._updates)
-                state.drift, state._lost = 0.0, 0
+                state.ref = ref = ScreenRef(data, current())
+                state._lost = 0
             caps = slack(ref)
-        if caps[cols].min() > level():
+        if caps[cols].min() > level(current()):
             return False
         flagged = screen(cols)
         if not flagged.any():

@@ -19,7 +19,6 @@ from .core import (
     DataError,
     DesignMatrix,
     HyperParams,
-    _candidate_order,
     sweep_visits,
     zero_certificate,
 )
@@ -45,10 +44,6 @@ class ExpState(CoefState):
     as boosting does; every ``WEIGHT_REFRESH_EVERY`` updates the cache is
     rebuilt exactly from the (sparse) coefficients.  ``H`` is the weight
     sum, the loss.
-
-    ``drift`` is in 1-norm: a coefficient or intercept move delta rescales
-    every weight by at most e^|delta|, which moves them by at most
-    H * expm1(|delta|); a refresh adds the 1-norm of its correction.
     """
 
     __slots__ = ("c", "H")
@@ -73,8 +68,6 @@ class ExpState(CoefState):
             return
         z = data.signed[:, j]
         self.c *= np.where(z > 0.0, math.exp(-delta), math.exp(delta))
-        if self.ref is not None:
-            self.drift += self.H * math.expm1(abs(delta))
         self._put(j, value)
         self._bump(data)
 
@@ -84,8 +77,6 @@ class ExpState(CoefState):
         if delta == 0.0:
             return
         self.c *= np.where(data.y > 0.0, math.exp(-delta), math.exp(delta))
-        if self.ref is not None:
-            self.drift += self.H * math.expm1(abs(delta))
         self.intercept = value
         self._bump(data)
 
@@ -98,10 +89,7 @@ class ExpState(CoefState):
 
     def refresh(self, data: DesignMatrix) -> None:
         """Rebuild the weights exactly from the coefficients."""
-        c = np.exp(-(data.y * self.linear_scores(data)))
-        if self.ref is not None:
-            self.drift += float(np.abs(c - self.c).sum())
-        self.c = c
+        self.c = np.exp(-(data.y * self.linear_scores(data)))
         self.H = float(self.c.sum())
 
     def scores(self, data: DesignMatrix) -> np.ndarray:
@@ -225,20 +213,21 @@ def refit_intercept(state: ExpState, data: DesignMatrix) -> float:
 
 
 def _certificate(state: ExpState, data: DesignMatrix, lam0: float):
-    """The reference product, per-column caps and level of the exponential
-    zero certificate (``core.zero_certificate``).
+    """The per-column caps and level of the exponential zero certificate
+    (``core.zero_certificate``), where the sweep's vector is the weight
+    vector c.
 
     A zero coordinate stays zero while its -1 fraction lies in the zero
     interval, that is while |z_j . c| <= thr(H) = sqrt(lam0 * (2H - lam0))
     (no coordinate leaves zero when lam0 >= 2H; the certificate then
     certifies nothing and the screen decides).  With z_j in {-1, +1},
-    |z_j . c - z_j . c_ref| <= ||c - c_ref||_1 <= drift.  The caps are
-    thr(H) - g_j for H at the sweep's first screen, and the level adds to
-    the drift what thr has lost since then, as H moves, and rounding: at
-    most eps * H' per unit below for the two products behind a test (2n),
-    the weight sum (n), the scalar test (16) and each weight update since
-    the reference (4 each), where H' = H + 2 * drift bounds the weight sum
-    since the reference.  The threshold is shaved by a relative 1e-9.
+    |z_j . c - z_j . v| <= ||c - v||_1 for the reference's weights v.  The
+    caps are thr(H) - g_j for H at the sweep's first screen.  The level is
+    ||c - v||_1, measured, plus what thr has lost since then, as H moves,
+    and rounding: at most eps * H' per unit below for the two products
+    behind a test (2n), the weight sum (n) and the scalar test (16), where
+    H' = H + 2 * ||c - v||_1 bounds the weight sums of c and v.  The
+    threshold is shaved and the distance grown by a relative 1e-9.
     """
     def thr(H):
         return math.sqrt(max(lam0 * (2.0 * H - lam0), 0.0)) * (1.0 - 1e-9)
@@ -246,21 +235,17 @@ def _certificate(state: ExpState, data: DesignMatrix, lam0: float):
     thr0 = 0.0
     base = 3 * data.n + 16
 
-    def take():
-        return np.abs(data.signed.T @ state.c)
-
     def slack(ref):
         nonlocal thr0
         thr0 = thr(state.H)
         return thr0 - ref.g
 
-    def level():
-        drift = state.drift
-        updates = state._updates - state.ref.updates
-        rounding = EPS * (state.H + 2.0 * drift) * (base + 4 * updates)
-        return drift * (1.0 + 1e-9) + rounding + (thr0 - thr(state.H))
+    def level(c):
+        dist = float(np.abs(c - state.ref.v).sum())
+        rounding = EPS * (state.H + 2.0 * dist) * base
+        return dist * (1.0 + 1e-9) + rounding + (thr0 - thr(state.H))
 
-    return take, slack, level
+    return slack, level
 
 
 def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
@@ -280,7 +265,7 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
     Runs shorter than ``core.SCREEN_MIN_RUN`` (8) stay in the loop: a
     screen costs about as much as six loop visits (measurements at the
     constant).  With ``lam0 > 0`` a run whose every column provably stays
-    zero under the state's screening reference and drift bound is skipped
+    zero, by its distance from the state's screening reference, is skipped
     without a product (``_certificate``, ``core.zero_certificate``).
     """
     z_all = data.signed
@@ -297,7 +282,8 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
         return ~((lo <= d) & (d <= hi))
 
     if lam0 > 0.0:
-        screen = zero_certificate(state, data, screen, *_certificate(state, data, lam0))
+        screen = zero_certificate(state, data, screen, lambda: c,
+                                  *_certificate(state, data, lam0))
 
     for j in sweep_visits(coords, state.w, len(state.support), screen):
         if state.w[j] == 0.0:
@@ -339,16 +325,23 @@ def sweep(state: ExpState, data: DesignMatrix, hp: HyperParams, lam0: float, coo
 
 def find_swap(trial: ExpState, data: DesignMatrix, hp: HyperParams, forbidden: set[int],
               f0: float, threshold: float, cut: str, stats) -> tuple[int, float] | None:
-    """The first feature outside ``forbidden``, by gradient magnitude, whose
-    closed-form coefficient brings the loss ``f0`` of ``trial`` below
-    ``threshold``.  Needs no cut; each candidate up to and including the
-    accepted one is counted in ``stats.candidates``."""
+    """The feature outside ``forbidden`` of largest gradient magnitude (the
+    lowest index on ties), with its closed-form coefficient, when that
+    brings the loss ``f0`` of ``trial`` below ``threshold``; else None.
+    The closed-form loss 2 * sqrt(d * (1 - d)) * f0 falls as |z_j . c|
+    grows, so no later candidate in gradient order does better and
+    ``hp.candidate_limit`` changes nothing.  Needs no cut; the one
+    candidate tested is counted in ``stats.candidates``."""
+    if len(forbidden) >= data.p:
+        return None
     dots = data.signed.T @ trial.c  # -gradient of the loss at the trial state
-    for j2 in _candidate_order(dots, forbidden, hp.candidate_limit):
-        if stats is not None:
-            stats.candidates += 1
-        d = min(max(0.5 * (f0 - float(dots[j2])) / f0, 0.0), 1.0)
-        x = analytic_coefficient(d)
-        if updated_loss(f0, d, x) < threshold:
-            return j2, x
+    mags = np.abs(dots)
+    mags[list(forbidden)] = -1.0
+    j2 = int(mags.argmax())
+    if stats is not None:
+        stats.candidates += 1
+    d = min(max(0.5 * (f0 - float(dots[j2])) / f0, 0.0), 1.0)
+    x = analytic_coefficient(d)
+    if updated_loss(f0, d, x) < threshold:
+        return j2, x
     return None

@@ -367,25 +367,20 @@ def refit_intercept(state: ModelState, data: DesignMatrix) -> float:
 # --- sweeps ---------------------------------------------------------------
 
 def _certificate(state: ModelState, data: DesignMatrix, lam0: float, lip: np.ndarray):
-    """The reference product, per-column caps and level of the logistic
-    zero certificate (``core.zero_certificate``).
+    """The per-column caps and level of the logistic zero certificate
+    (``core.zero_certificate``), where the sweep's vector is its sigmoid
+    vector q.
 
     A zero coordinate stays zero while |z_j . q| < sqrt(2 * lam0 * L_j),
-    and |z_j . q - z_j . q_ref| <= ||z_j|| * ||q - q_ref||, so column j
-    is certified while ||q - q_ref|| stays below its cap
-    (threshold - g_j) / ||z_j||; zero columns never move and get an
-    infinite cap.  The sigmoid is 1/4-Lipschitz, so the level is the margin
-    drift over 4, plus rounding: at most eps * sqrt(n) per unit below for
-    the two products behind a test (2n), the two sigmoid vectors (4), the
-    intercept moves (counted in the drift) and each margin update since the
-    reference.  The threshold is shaved and the drift grown by a relative
-    1e-9 against their own rounding.
+    and |z_j . q - z_j . v| <= ||z_j|| * ||q - v|| for the reference's
+    sigmoid vector v, so column j is certified while ||q - v|| stays below
+    its cap (threshold - g_j) / ||z_j||; zero columns never move and get an
+    infinite cap.  The level is ||q - v||, measured, plus rounding: at most
+    eps * sqrt(n) per unit below for the two products behind a test (2n)
+    and the scalar arithmetic (8).  The threshold is shaved and the
+    distance grown by a relative 1e-9 against their own rounding.
     """
-    sqrt_n = math.sqrt(data.n)
-    base = 2 * data.n + 8
-
-    def take():
-        return np.abs(data.signed.T @ expit(-state.margins))
+    rounding = EPS * math.sqrt(data.n) * (2 * data.n + 8)
 
     def slack(ref):
         # Consecutive sweeps at one penalty reuse the caps (``ref.memo``).
@@ -398,11 +393,10 @@ def _certificate(state: ModelState, data: DesignMatrix, lam0: float, lip: np.nda
             memo = ref.memo = (lam0, lip, caps)
         return memo[2]
 
-    def level():
-        rounding = EPS * sqrt_n * (base + state._updates - state.ref.updates)
-        return 0.25 * state.drift * (1.0 + 1e-9) + rounding
+    def level(q):
+        return float(np.linalg.norm(q - state.ref.v)) * (1.0 + 1e-9) + rounding
 
-    return take, slack, level
+    return slack, level
 
 
 def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
@@ -423,7 +417,7 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
     Runs shorter than ``core.SCREEN_MIN_RUN`` (8) stay in the loop: a
     screen costs about as much as six loop visits (measurements at the
     constant).  With ``lam0 > 0`` a run whose every column provably stays
-    zero under the state's screening reference and drift bound is skipped
+    zero, by its distance from the state's screening reference, is skipped
     without a product (``_certificate``, ``core.zero_certificate``).
     """
     z = data.signed
@@ -441,7 +435,8 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
         return c != 0.0
 
     if lam0 > 0.0:
-        screen = zero_certificate(state, data, screen, *_certificate(state, data, lam0, lip))
+        screen = zero_certificate(state, data, screen, lambda: q,
+                                  *_certificate(state, data, lam0, lip))
 
     for j in sweep_visits(coords, state.w, len(state.support), screen):
         L = lip[j]

@@ -31,8 +31,8 @@ class PathSpec:
     def __post_init__(self):
         if not self.lambda0_grid:
             raise ConfigError("lambda0_grid must not be empty")
-        if any(v <= 0 for v in self.lambda0_grid):
-            raise ConfigError("lambda0 grid values must be positive")
+        if not all(0 < v < math.inf for v in self.lambda0_grid):
+            raise ConfigError("lambda0 grid values must be positive and finite")
         if any(b >= a for a, b in zip(self.lambda0_grid, self.lambda0_grid[1:])):
             raise ConfigError("lambda0_grid must be strictly descending")
         for lam2 in self.lambda2_grid:

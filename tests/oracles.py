@@ -2,10 +2,12 @@
 
 Everything here is deliberately written from first principles (dense grids,
 pairwise counting, full Newton solves) and shares no code with the package
-paths under test.  The one exception is ``reference_swap_visit``: it drives
-the package's scalar ``CoordinateProbe`` and ``iterate_threshold``, which the
-swap search itself no longer calls, and the package's cut formulas, which
-the grid-minimum tests check on their own.
+paths under test.  The two exceptions are the sequential swap scans.
+``reference_swap_visit`` drives the package's scalar ``CoordinateProbe`` and
+``iterate_threshold``, which the swap search itself no longer calls, and the
+package's cut formulas, which the grid-minimum tests check on their own.
+``reference_exp_find_swap`` uses the package's closed-form exponential
+coefficient and loss, which the grid-minimum tests check too.
 """
 
 from __future__ import annotations
@@ -307,3 +309,21 @@ def reference_swap_visit(state, data, hp, j, cut):
             out.update(kind="swapped", removed=j, added=j2, coefficient=w_hat)
             return out
     return out
+
+
+def reference_exp_find_swap(trial, data, forbidden, f0, threshold, limit):
+    """An exponential swap search as a sequential scan: the first candidate
+    outside ``forbidden``, in descending |z_j . c| (ties by index) and
+    among the first ``limit`` of them, whose closed-form coefficient brings
+    the loss ``f0`` below ``threshold``, with that coefficient; else None.
+    Also returns the number of candidates tested."""
+    from sparseclass import exponential as expeng
+
+    dots = data.signed.T @ trial.c
+    order = [int(j) for j in np.argsort(-np.abs(dots), kind="stable") if j not in forbidden]
+    for tested, j2 in enumerate(order[:limit], start=1):
+        d = min(max(0.5 * (f0 - float(dots[j2])) / f0, 0.0), 1.0)
+        x = expeng.analytic_coefficient(d)
+        if expeng.updated_loss(f0, d, x) < threshold:
+            return (j2, x), tested
+    return None, len(order[:limit])

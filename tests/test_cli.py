@@ -310,6 +310,41 @@ class TestExitCodes:
         assert err.startswith(f"error: {model_path}: malformed model file (")
         assert out == ""
 
+    @pytest.mark.parametrize("op", ["<", "==", None])
+    def test_model_unknown_op_exits_2(self, tmp_path, capsys, op):
+        # any op but "<=" and ">=" would score as one of them
+        model = {"kind": "scorecard", "loss": "logistic", "lambda0": 1.0, "lambda2": 0.0,
+                 "intercept": 0.0, "terms": [{"feature": "x1", "op": op, "threshold": 0.0,
+                                              "weight": 1.0}]}
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        data_path = tmp_path / "x.csv"
+        data_path.write_text("x1\n0.5\n")
+        code, out, err = _run(capsys, ["predict", "--model", str(model_path),
+                                       "--data", str(data_path)])
+        assert code == 2
+        assert err.startswith(f"error: {model_path}: malformed model file (")
+        assert out == ""
+
+    @pytest.mark.parametrize("command", [["fit", "--lambda0", "nan"],
+                                         ["fit", "--lambda0", "inf"],
+                                         ["fit", "--lambda2", "nan"],
+                                         ["path", "--lambda0-grid", "nan,1"],
+                                         ["path", "--lambda0-grid", "2,inf"],
+                                         ["path", "--lambda0-grid", "2,1", "--lambda2-grid", "abc"],
+                                         ["path", "--lambda0-grid", "2,1", "--lambda2-grid", "nan"]],
+                             ids=["fit-lambda0-nan", "fit-lambda0-inf", "fit-lambda2-nan",
+                                  "path-lambda0-nan", "path-lambda0-inf", "path-lambda2-abc",
+                                  "path-lambda2-nan"])
+    def test_bad_penalties_exit_3(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(8)
+        data_path = tmp_path / "train.csv"
+        _write_dataset(data_path, rng, n=40, p=4)
+        code, out, err = _run(capsys, command + ["--data", str(data_path)])
+        assert code == 3
+        assert err.startswith("error: ")
+        assert out == ""
+
     def test_model_unknown_loss_exits_2(self, tmp_path, capsys):
         # the loss comes from the model file, so it is an input error
         model_path = tmp_path / "model.json"

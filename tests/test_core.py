@@ -192,7 +192,7 @@ class TestStateMaintenance:
         state = _random_state(data, rng, k=3, cls=cls)
         sc.core.engine("exponential" if cls is sc.ExpState else "logistic").sweep(
             state, data, sc.HyperParams(), 1.0, range(data.p))
-        assert state.ref is not None and state.drift > 0.0
+        assert state.ref is not None
         slots = [s for k in cls.__mro__ for s in getattr(k, "__slots__", ())]
 
         def snapshot(st):

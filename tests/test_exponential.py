@@ -7,7 +7,7 @@ import pytest
 
 import sparseclass as sc
 from sparseclass import exponential as expeng
-from oracles import exp_curve, grid_minimize
+from oracles import exp_curve, grid_minimize, reference_exp_find_swap
 from test_logistic import _count_skips
 
 
@@ -225,7 +225,7 @@ class TestFindSwap:
         f0 = trial.H
         # The closed-form loss falls as |z_j . c| grows, so in gradient
         # order the first candidate reaches the lowest loss: a search
-        # accepts it or scans every candidate.
+        # accepts it or none.
         dots = data.signed.T @ trial.c
         order = [j for j in np.argsort(-np.abs(dots), kind="stable").tolist()
                  if j not in forbidden][:limit]
@@ -238,8 +238,29 @@ class TestFindSwap:
         assert stats.candidates == 1
         stats = sc.FitStats()
         assert expeng.find_swap(trial, data, hp, forbidden, f0, best, "auto", stats) is None
-        assert stats.candidates == len(order) == (9 if limit is None else limit)
+        assert stats.candidates == 1
         assert (stats.cut_prunes, stats.line_searches, stats.swap_evals) == (0, 0, 0)
+
+    def test_matches_the_sequential_scan(self):
+        rng = np.random.default_rng(22)
+        outcomes = set()
+        for _ in range(120):
+            data = _binary_data(rng, n=int(rng.integers(8, 60)), p=int(rng.integers(2, 30)))
+            trial = _random_exp_state(data, rng, k=int(rng.integers(0, min(4, data.p))))
+            size = int(rng.integers(0, data.p + 1))
+            forbidden = {int(j) for j in rng.choice(data.p, size=size, replace=False)}
+            limit = None if rng.random() < 0.5 else int(rng.integers(1, 6))
+            hp = sc.HyperParams(lambda0=0.5, loss="exponential", candidate_limit=limit)
+            f0 = trial.H
+            threshold = f0 * float(rng.uniform(0.6, 1.0))
+            stats = sc.FitStats()
+            found = expeng.find_swap(trial, data, hp, forbidden, f0, threshold, "auto", stats)
+            want, tested = reference_exp_find_swap(trial, data, forbidden, f0, threshold, limit)
+            assert found == want
+            assert stats.candidates == min(tested, 1)
+            outcomes.add((want is None, tested))
+        # accepted and rejected visits, rejections after several candidates
+        assert (False, 1) in outcomes and any(none and t > 1 for none, t in outcomes)
 
 
 class TestSweep:
@@ -340,3 +361,21 @@ class TestCarriedScreen:
         assert late_entries  # a feature entered after 20 quiet sweeps
         assert 260 in state.support
         assert state._updates >= expeng.WEIGHT_REFRESH_EVERY  # refreshed under a reference
+
+    def test_a_move_and_back_keeps_every_run_certified(self, monkeypatch):
+        # The certificate measures how far c is from the reference, so a
+        # coefficient that moves and returns leaves no run to screen.
+        data, state = self._suppressor_data()
+        for _ in range(20):
+            expeng.cd_sweep(state, data, 12.0, range(data.p))
+        j = min(state.support)
+        wj = float(state.w[j])
+        state.set_coefficient(data, j, wj + 3.0)
+        state.set_coefficient(data, j, wj)
+        skipped = _count_skips(monkeypatch, expeng)
+        screens = []
+        visits = expeng.sweep_visits
+        monkeypatch.setattr(expeng, "sweep_visits", lambda c, w, k, screen: visits(
+            c, w, k, lambda cols: screens.append(cols) or screen(cols)))
+        expeng.cd_sweep(state, data, 12.0, range(data.p))
+        assert screens and len(skipped) == len(screens)

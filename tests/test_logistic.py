@@ -497,6 +497,25 @@ class TestCarriedScreen:
         for j in inert:
             assert state.w[j] == 0.0
 
+    def test_a_move_and_back_keeps_every_run_certified(self, monkeypatch):
+        # The certificate measures how far q is from the reference, so a
+        # coefficient that moves and returns leaves no run to screen.
+        data, state, _ = self._suppressor_data(0.0)
+        lip = logeng.lipschitz_all(data, 0.0)
+        for _ in range(20):
+            logeng.cd_sweep(state, data, 5.0, 0.0, lip, range(data.p))
+        j = min(state.support)
+        wj = float(state.w[j])
+        state.set_coefficient(data, j, wj + 3.0)
+        state.set_coefficient(data, j, wj)
+        skipped = _count_skips(monkeypatch, logeng)
+        screens = []
+        visits = logeng.sweep_visits
+        monkeypatch.setattr(logeng, "sweep_visits", lambda c, w, k, screen: visits(
+            c, w, k, lambda cols: screens.append(cols) or screen(cols)))
+        logeng.cd_sweep(state, data, 5.0, 0.0, lip, range(data.p))
+        assert screens and len(skipped) == len(screens)
+
     def test_reference_is_retaken_on_other_data(self):
         # a state warm-started on other data of the same width must not be
         # screened with the first data's reference
@@ -510,7 +529,7 @@ class TestCarriedScreen:
         other = sc.DesignMatrix.from_arrays(rng.standard_normal((data.n, data.p)), data.y)
         lip = logeng.lipschitz_all(other, 0.0)
         state = sc.ModelState.zeros(other)
-        state.ref, state.drift = first, 0.0
+        state.ref = first
         oracle = state.copy()
         logeng.cd_sweep(state, other, 2.0, 0.0, lip, range(other.p))
         hp = sc.HyperParams(lambda0=2.0)
