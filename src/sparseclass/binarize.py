@@ -8,6 +8,7 @@ additive model with one step function per selected threshold.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -162,9 +163,6 @@ class Scorecard:
             total = np.zeros(sizes[0] if sizes else 0)
         return total + self.intercept
 
-    def score(self, row: dict[str, float]) -> float:
-        return float(self.score_rows({k: np.atleast_1d(v) for k, v in row.items()})[0])
-
     def to_json(self) -> str:
         return dumps_17g(
             {
@@ -180,8 +178,8 @@ class Scorecard:
 
     @classmethod
     def from_json(cls, text: str) -> "Scorecard":
-        # every number is a float; "-0" must read back as -0.0
-        obj = json.loads(text, parse_int=float)
+        # every number is a finite float; "-0" must read back as -0.0
+        obj = json.loads(text, parse_int=_finite, parse_float=_finite, parse_constant=_finite)
         kind = obj.get("kind") if isinstance(obj, dict) else None
         if kind not in MODEL_KINDS:
             raise DataError(f"unknown model kind {kind!r}")
@@ -200,6 +198,15 @@ class Scorecard:
             terms=tuple(terms),
             kind=kind,
         )
+
+
+def _finite(text: str) -> float:
+    # a ValueError, so a model file with NaN, Infinity or 1e999 reads as
+    # malformed, as the writer (``_render``) refuses them
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def _direction(op) -> str:

@@ -186,9 +186,11 @@ def cmd_predict(args) -> int:
 
 
 def _read_predict_data(path: str) -> dict[str, np.ndarray]:
-    """Prediction input: header plus numeric columns; a label column is
-    allowed and ignored."""
+    """Prediction input: header plus numeric columns of distinct names; a
+    label column is allowed and ignored."""
     header, raw = _read_table(path)
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: column names must be distinct")
     if not np.isfinite(raw).all():
         raise DataError(f"{path}: non-finite values (nan or inf)")
     return {name: raw[:, i] for i, name in enumerate(header)}

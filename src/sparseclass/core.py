@@ -43,15 +43,12 @@ class DesignMatrix:
     """Feature matrix with labels in {-1, +1}.
 
     Instances are immutable after construction (the backing arrays are
-    locked) and can be shared read-only across concurrent fits.  ``binary``
-    is set when every feature entry is -1 or +1, which the exponential-loss
-    engine requires.
+    locked) and can be shared read-only across concurrent fits.
     """
 
     x: np.ndarray
     y: np.ndarray
     feature_names: tuple[str, ...]
-    binary: bool
 
     def __post_init__(self):
         if self.x.ndim != 2:
@@ -67,8 +64,6 @@ class DesignMatrix:
             raise DataError("feature_names length does not match feature count")
         if len(set(self.feature_names)) != p:
             raise DataError("feature names must be distinct")
-        if self.binary and not bool(np.all(np.abs(self.x) == 1.0)):
-            raise DataError("binary flag set but matrix has entries outside {-1, +1}")
         self.x.setflags(write=False)
         self.y.setflags(write=False)
 
@@ -84,8 +79,7 @@ class DesignMatrix:
             feature_names = tuple(f"x{j + 1}" for j in range(x.shape[1]))
         else:
             feature_names = tuple(str(s) for s in feature_names)
-        binary = bool(np.all(np.abs(x) == 1.0))
-        return cls(x=x, y=y, feature_names=feature_names, binary=binary)
+        return cls(x=x, y=y, feature_names=feature_names)
 
     @property
     def n(self) -> int:
@@ -97,6 +91,12 @@ class DesignMatrix:
 
     def column(self, j: int) -> np.ndarray:
         return self.x[:, j]
+
+    @cached_property
+    def binary(self) -> bool:
+        """Whether every feature entry is -1 or +1, as the exponential-loss
+        engine requires."""
+        return bool(np.all(np.abs(self.x) == 1.0))
 
     @cached_property
     def signed(self) -> np.ndarray:
@@ -272,43 +272,36 @@ class ModelState(CoefState):
         return data.y * self.margins
 
 
-def sweep_visits(coords, w: np.ndarray, support_size: int, screen):
+def sweep_visits(coords, w: np.ndarray, screen):
     """The coordinates of ``coords`` that a sweep must update one at a time.
 
     A sweep visits ``coords`` in order; a zero coefficient that stays zero
     changes nothing, so visiting only the coordinates yielded here, in the
-    order yielded, makes the same decisions.  Each run of at least
-    ``SCREEN_MIN_RUN`` positions whose coefficients are zero when the sweep
-    starts is screened: ``screen(cols)`` gets columns of the run (a slice
-    when ``coords`` is a contiguous range, else an index array) and returns
-    a mask, True where a coordinate may leave zero under the current state,
-    or False when it rules every coordinate out without a product (as
-    ``zero_certificate`` does).  The first flagged coordinate, or the first
-    one no longer zero, is yielded, and screening resumes right after it
-    once the caller has updated it.  All coordinates outside such runs are
-    yielded.
+    order yielded, makes the same decisions.  Only a warm-start sweep, a
+    contiguous range of coordinates with ``screen`` set, is screened: each
+    run of at least ``SCREEN_MIN_RUN`` positions whose coefficients are zero
+    when the sweep starts goes to ``screen(cols)``, with ``cols`` a slice of
+    the run.  It returns a mask, True where a coordinate may leave zero
+    under the current state, or False when it rules every coordinate out
+    without a product (as ``zero_certificate`` does).  The first flagged
+    coordinate is yielded, and screening resumes right after it once the
+    caller has updated it.  All coordinates outside such runs are yielded.
 
-    ``coords`` itself is returned when it has no such run, and without a
-    run search when it has fewer than ``SCREEN_MIN_RUN`` coordinates
-    beyond ``support_size``, as in a sweep over the support alone.
+    ``coords`` itself is returned when ``screen`` is None, when ``coords``
+    is not a unit-step range (the lists of a sweep over the support alone)
+    or when it has no such run.
     """
-    m = len(coords)
-    if m - support_size < SCREEN_MIN_RUN:
+    if screen is None or not (isinstance(coords, range) and coords.step == 1):
         return coords
-    if isinstance(coords, range) and coords.step == 1:
-        idx = None
-        nonzero = np.flatnonzero(w[coords.start:coords.stop]).tolist()
-    else:
-        idx = np.asarray(coords, dtype=np.intp)
-        nonzero = np.flatnonzero(w[idx]).tolist()
-    bounds = [-1, *nonzero, m]
+    nonzero = np.flatnonzero(w[coords.start:coords.stop]).tolist()
+    bounds = [-1, *nonzero, len(coords)]
     runs = [(a + 1, b) for a, b in zip(bounds, bounds[1:]) if b - a > SCREEN_MIN_RUN]
     if not runs:
         return coords
-    return _screened_visits(coords, idx, runs, w, screen)
+    return _screened_visits(coords, runs, w, screen)
 
 
-def _screened_visits(coords, idx, runs, w, screen):
+def _screened_visits(coords, runs, w, screen):
     pos = 0
     for a, b in runs:
         yield from coords[pos:a]
@@ -324,12 +317,8 @@ def _screened_visits(coords, idx, runs, w, screen):
                 quiet = quiet + 1 if w[j] == 0.0 else 0
                 continue
             stop = min(a + span, b)
-            cols = slice(coords.start + a, coords.start + stop) if idx is None else idx[a:stop]
-            flagged = screen(cols)
-            # A coordinate listed twice in ``coords`` may have left zero
-            # since the sweep started; a contiguous range lists none twice.
-            if flagged is not False or idx is not None:
-                flagged = flagged | (w[cols] != 0.0)
+            flagged = screen(slice(coords.start + a, coords.start + stop))
+            if flagged is not False:
                 k = int(flagged.argmax())
                 if flagged[k]:
                     yield coords[a + k]

@@ -97,36 +97,36 @@ class ExpState(CoefState):
         return self.linear_scores(data)
 
 
-def _weights_without(state: ExpState, data: DesignMatrix, j: int) -> np.ndarray:
-    """Weights re-expressed with coordinate j zeroed (one multiplicative pass)."""
-    wj = float(state.w[j])
-    z = data.signed[:, j]
-    return state.c * np.where(z > 0.0, math.exp(wj), math.exp(-wj))
+def _reference(state: ExpState, z: np.ndarray, old: float) -> tuple[float, float]:
+    """The reference loss and weighted -1 fraction of a coordinate with
+    signed column ``z`` and coefficient ``old``: the weight sum and the
+    fraction of it on {z = -1} as if the coefficient were zero.
 
-
-def _neg_fraction(c: np.ndarray, z: np.ndarray, total: float) -> float:
-    # For z in {-1, +1}: sum of c over {z = -1} equals (total - c.z) / 2.
-    d = 0.5 * (total - float(c @ z)) / total
-    return min(max(d, 0.0), 1.0)
+    Zeroing the coefficient rescales the two weight masses by e^{+-old},
+    so both come from one dot product instead of a rebuilt weight vector.
+    """
+    dot = float(state.c @ z)
+    if old == 0.0:
+        H_ref, neg_ref = state.H, 0.5 * (state.H - dot)
+    else:
+        scale = math.exp(old)
+        neg_ref = 0.5 * (state.H - dot) / scale
+        H_ref = scale * (0.5 * (state.H + dot)) + neg_ref
+    return H_ref, min(max(neg_ref / H_ref, 0.0), 1.0)
 
 
 def d_minus(state: ExpState, data: DesignMatrix, j: int, exclude_own: bool = False) -> float:
     """Weighted fraction of observations whose signed entry z_ij is -1.
 
-    With ``exclude_own`` the weights are first re-expressed as if coordinate
-    j were zero, which is the reference weighting when updating a coordinate
-    that is already in the support.
+    With ``exclude_own`` the weights are those with coordinate j zeroed,
+    the reference weighting when updating a coordinate that is already in
+    the support; they come from rescaling the two weight masses
+    (``_reference``), not from a rebuilt weight vector.
     """
     if not data.binary:
         raise DataError("the exponential loss requires a -1/+1 feature matrix")
-    z = data.signed[:, j]
-    if exclude_own:
-        c = _weights_without(state, data, j)
-        total = float(c.sum())
-    else:
-        c = state.c
-        total = state.H
-    return _neg_fraction(c, z, total)
+    old = float(state.w[j]) if exclude_own else 0.0
+    return _reference(state, data.signed[:, j], old)[1]
 
 
 def zero_interval(H_ref: float, lam0: float) -> tuple[float, float]:
@@ -161,39 +161,20 @@ def updated_loss(H_ref: float, d: float, x: float) -> float:
 
 def exp_line_search(state: ExpState, data: DesignMatrix, j: int) -> float:
     """Penalty-free analytical line-search optimum for coordinate j."""
-    d = d_minus(state, data, j, exclude_own=float(state.w[j]) != 0.0)
-    return analytic_coefficient(d)
+    return analytic_coefficient(d_minus(state, data, j, exclude_own=True))
 
 
 def exp_coordinate_update(state: ExpState, data: DesignMatrix, j: int, lam0: float) -> float:
     """One analytical coordinate update with the sparsity penalty active.
 
-    Zeroes the coefficient when its weighted -1 fraction falls in the
-    zero interval, otherwise moves it to the closed-form optimum; the
+    Zeroes the coefficient when its weighted -1 fraction, under the weights
+    with the coordinate zeroed (``_reference``: one dot product), falls in
+    the zero interval; otherwise moves it to the closed-form optimum.  The
     weight cache is updated in place.  Returns the new coefficient.
-
-    For a coordinate already in the support, zeroing it rescales the two
-    weight masses by e^{+-w_j}, so the reference loss and fraction come
-    from one dot product instead of a rebuilt weight vector.
     """
-    old = float(state.w[j])
-    z = data.signed[:, j]
-    if old == 0.0:
-        H_ref = state.H
-        d = _neg_fraction(state.c, z, H_ref)
-    else:
-        dot = float(state.c @ z)
-        mass_neg = 0.5 * (state.H - dot)
-        mass_pos = 0.5 * (state.H + dot)
-        scale = math.exp(old)
-        neg_ref = mass_neg / scale
-        H_ref = scale * mass_pos + neg_ref
-        d = min(max(neg_ref / H_ref, 0.0), 1.0)
+    H_ref, d = _reference(state, data.signed[:, j], float(state.w[j]))
     lo, hi = zero_interval(H_ref, lam0)
-    if lo <= d <= hi:
-        new = 0.0
-    else:
-        new = analytic_coefficient(d)
+    new = 0.0 if lo <= d <= hi else analytic_coefficient(d)
     state.set_coefficient(data, j, new)
     return new
 
@@ -249,62 +230,45 @@ def _certificate(state: ExpState, data: DesignMatrix, lam0: float):
 
 
 def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
-    """One pass of analytical coordinate updates; returns the largest move.
+    """One pass of ``exp_coordinate_update`` over ``coords``; returns the
+    largest move.
 
-    The dominant case, a zero coefficient that stays zero, is decided with a
-    single dot product against the current weights; everything else defers
-    to ``exp_coordinate_update``.
-
-    The decisions are those of the cyclic order.  Runs of zero coordinates
-    are screened with one product ``Z[:, run].T @ c`` against the current
-    weights (``core.sweep_visits``); every coordinate the screen flags,
-    and every support coordinate, takes the scalar update below.  Only the
-    summation order of the screening products differs from the loop, so
-    a zero coordinate can be decided differently only when its test lies
-    within rounding of its threshold.
-    Runs shorter than ``core.SCREEN_MIN_RUN`` (8) stay in the loop: a
-    screen costs about as much as six loop visits (measurements at the
-    constant).  With ``lam0 > 0`` a run whose every column provably stays
-    zero, by its distance from the state's screening reference, is skipped
-    without a product (``_certificate``, ``core.zero_certificate``).
+    The decisions are those of the cyclic order.  A warm-start sweep (a
+    contiguous range at ``lam0 > 0``) screens its runs of zero coordinates
+    with one product ``Z[:, run].T @ c`` against the current weights
+    (``core.sweep_visits``); every coordinate the screen flags, and every
+    support coordinate, takes the scalar update.  Only the summation order
+    of the screening products differs from the loop, so a zero coordinate
+    can be decided differently only when its test lies within rounding of
+    its threshold.  Runs shorter than ``core.SCREEN_MIN_RUN`` (8) stay in
+    the loop: a screen costs about as much as six loop visits
+    (measurements at the constant).  A run whose every column provably
+    stays zero, by its distance from the state's screening reference, is
+    skipped without a product (``_certificate``,
+    ``core.zero_certificate``).  Lists (the swap search's sweeps over a
+    support) and ``lam0 = 0`` sweeps go coordinate by coordinate.
     """
     z_all = data.signed
-    max_move = 0.0
-    c = state.c
-    H = state.H
-    lo, hi = zero_interval(H, lam0)
 
     def screen(cols):
-        # The zero test below.  Rounding can put d a hair outside [0, 1],
-        # where the scalar test clips it; such a column is flagged and the
-        # scalar test decides.
-        d = 0.5 * (H - z_all[:, cols].T @ c) / H
+        # The zero test of ``exp_coordinate_update`` at w_j = 0.  Rounding
+        # can put d a hair outside [0, 1], where the scalar test clips it;
+        # such a column is flagged and the scalar test decides.
+        H = state.H
+        lo, hi = zero_interval(H, lam0)
+        d = 0.5 * (H - z_all[:, cols].T @ state.c) / H
         return ~((lo <= d) & (d <= hi))
 
     if lam0 > 0.0:
-        screen = zero_certificate(state, data, screen, lambda: c,
+        screen = zero_certificate(state, data, screen, lambda: state.c,
                                   *_certificate(state, data, lam0))
+    else:
+        screen = None
 
-    for j in sweep_visits(coords, state.w, len(state.support), screen):
-        if state.w[j] == 0.0:
-            dot = float(c @ z_all[:, j])
-            d = 0.5 * (H - dot) / H
-            d = 0.0 if d < 0.0 else (1.0 if d > 1.0 else d)
-            if lo <= d <= hi:
-                continue
-            new = analytic_coefficient(d)
-            state.set_coefficient(data, j, new)
-            move = abs(new)
-        else:
-            old = float(state.w[j])
-            new = exp_coordinate_update(state, data, j, lam0)
-            move = abs(new - old)
-        if move > 0.0:
-            c = state.c
-            H = state.H
-            lo, hi = zero_interval(H, lam0)
-            if move > max_move:
-                max_move = move
+    max_move = 0.0
+    for j in sweep_visits(coords, state.w, screen):
+        old = float(state.w[j])
+        max_move = max(max_move, abs(exp_coordinate_update(state, data, j, lam0) - old))
     return max_move
 
 

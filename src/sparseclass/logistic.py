@@ -407,18 +407,20 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
     the sigmoid vector reused between steps that change nothing.  Returns
     the largest coefficient move.
 
-    The decisions are those of the cyclic order.  Runs of zero coordinates
-    are screened with one product ``Z[:, run].T @ q`` against the current
-    sigmoid vector (``core.sweep_visits``); every coordinate the screen flags,
-    and every support coordinate, takes the scalar step below.  Only the
-    summation order of the screening products differs from the loop, so
-    a zero coordinate can be decided differently only when its test lies
-    within rounding of its threshold.
-    Runs shorter than ``core.SCREEN_MIN_RUN`` (8) stay in the loop: a
-    screen costs about as much as six loop visits (measurements at the
-    constant).  With ``lam0 > 0`` a run whose every column provably stays
-    zero, by its distance from the state's screening reference, is skipped
-    without a product (``_certificate``, ``core.zero_certificate``).
+    The decisions are those of the cyclic order.  A warm-start sweep (a
+    contiguous range at ``lam0 > 0``) screens its runs of zero coordinates
+    with one product ``Z[:, run].T @ q`` against the current sigmoid vector
+    (``core.sweep_visits``); every coordinate the screen flags, and every
+    support coordinate, takes the scalar step below.  Only the summation
+    order of the screening products differs from the loop, so a zero
+    coordinate can be decided differently only when its test lies within
+    rounding of its threshold.  Runs shorter than ``core.SCREEN_MIN_RUN``
+    (8) stay in the loop: a screen costs about as much as six loop visits
+    (measurements at the constant).  A run whose every column provably
+    stays zero, by its distance from the state's screening reference, is
+    skipped without a product (``_certificate``,
+    ``core.zero_certificate``).  Lists (the swap search's sweeps over a
+    support) and ``lam0 = 0`` sweeps go coordinate by coordinate.
     """
     z = data.signed
     q = expit(-state.margins)
@@ -430,15 +432,15 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
         L = lip[cols]
         L = np.where(L > 0.0, L, 1.0)
         c = (z[:, cols].T @ q) / L
-        if lam0 > 0.0:
-            return ~(c * c < 2.0 * lam0 / L)
-        return c != 0.0
+        return ~(c * c < 2.0 * lam0 / L)
 
     if lam0 > 0.0:
         screen = zero_certificate(state, data, screen, lambda: q,
                                   *_certificate(state, data, lam0, lip))
+    else:
+        screen = None
 
-    for j in sweep_visits(coords, state.w, len(state.support), screen):
+    for j in sweep_visits(coords, state.w, screen):
         L = lip[j]
         if L <= 0.0:
             continue

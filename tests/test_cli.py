@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sparseclass as sc
+from sparseclass.binarize import ScorecardTerm
 from sparseclass.cli import main, read_csv
 
 
@@ -324,6 +325,41 @@ class TestExitCodes:
                                        "--data", str(data_path)])
         assert code == 2
         assert err.startswith(f"error: {model_path}: malformed model file (")
+        assert out == ""
+
+    @pytest.mark.parametrize("field,number", [("intercept", "NaN"),
+                                              ("threshold", "Infinity"),
+                                              ("weight", "-Infinity"),
+                                              ("lambda0", "1e999")])
+    def test_model_non_finite_number_exits_2(self, tmp_path, capsys, field, number):
+        # the writer refuses non-finite numbers, so the reader does too
+        values = {"lambda0": "1.0", "intercept": "0.5", "threshold": "0.0", "weight": "1.0",
+                  field: number}
+        model_path = tmp_path / "model.json"
+        model_path.write_text(
+            '{{"kind": "scorecard", "loss": "logistic", "lambda0": {lambda0}, "lambda2": 0.0, '
+            '"intercept": {intercept}, "terms": [{{"feature": "x1", "op": "<=", '
+            '"threshold": {threshold}, "weight": {weight}}}]}}'.format(**values))
+        data_path = tmp_path / "x.csv"
+        data_path.write_text("x1\n0.5\n")
+        code, out, err = _run(capsys, ["predict", "--model", str(model_path),
+                                       "--data", str(data_path)])
+        assert code == 2
+        assert err.startswith(f"error: {model_path}: malformed model file (")
+        assert out == ""
+
+    def test_predict_duplicate_column_names_exit_2(self, tmp_path, capsys):
+        # a second x1 column would silently replace the first
+        model_path = tmp_path / "model.json"
+        model_path.write_text(sc.Scorecard("logistic", 1.0, 0.0, 0.0,
+                                           (ScorecardTerm("x1", None, None, 1.0),),
+                                           kind="linear").to_json())
+        data_path = tmp_path / "x.csv"
+        data_path.write_text("x1,x1\n0.5,2.0\n")
+        code, out, err = _run(capsys, ["predict", "--model", str(model_path),
+                                       "--data", str(data_path)])
+        assert code == 2
+        assert err == f"error: {data_path}: column names must be distinct\n"
         assert out == ""
 
     @pytest.mark.parametrize("command", [["fit", "--lambda0", "nan"],

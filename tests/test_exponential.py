@@ -8,7 +8,7 @@ import pytest
 import sparseclass as sc
 from sparseclass import exponential as expeng
 from oracles import exp_curve, grid_minimize, reference_exp_find_swap
-from test_logistic import _count_skips
+from test_logistic import _count_skips, _record_screens
 
 
 def _binary_data(rng, n=24, p=5):
@@ -287,13 +287,11 @@ class TestSweep:
         entered = ref.support - state.support
         assert entered
 
-        screens = []
-        visits = expeng.sweep_visits
-        monkeypatch.setattr(expeng, "sweep_visits", lambda c, w, k, screen: visits(
-            c, w, k, lambda cols: screens.append(cols) or screen(cols)))
+        screens = _record_screens(monkeypatch, expeng)
         swept = state.copy()
         move = expeng.cd_sweep(swept, data, lam0, coords)
-        assert screens  # the batched path ran
+        # only warm-start sweeps (a range at lambda0 > 0) take the batched path
+        assert bool(screens) == isinstance(coords, range)
         assert swept.support == ref.support
         np.testing.assert_allclose(swept.w, ref.w, rtol=0, atol=1e-12)
         assert swept.H == pytest.approx(ref.H, rel=1e-12)
@@ -356,7 +354,10 @@ class TestCarriedScreen:
                 if not any(r is state.ref for r in refs):
                     refs.append(state.ref)
                 sweeps += 1
-        assert skipped  # runs were ruled out without a product
+        if order == "range":
+            assert skipped  # runs were ruled out without a product
+        else:
+            assert not skipped and state.ref is None  # lists are never screened
         assert len(refs) < sweeps // 4  # the reference carried across sweeps
         assert late_entries  # a feature entered after 20 quiet sweeps
         assert 260 in state.support
@@ -373,9 +374,6 @@ class TestCarriedScreen:
         state.set_coefficient(data, j, wj + 3.0)
         state.set_coefficient(data, j, wj)
         skipped = _count_skips(monkeypatch, expeng)
-        screens = []
-        visits = expeng.sweep_visits
-        monkeypatch.setattr(expeng, "sweep_visits", lambda c, w, k, screen: visits(
-            c, w, k, lambda cols: screens.append(cols) or screen(cols)))
+        screens = _record_screens(monkeypatch, expeng)
         expeng.cd_sweep(state, data, 12.0, range(data.p))
         assert screens and len(skipped) == len(screens)

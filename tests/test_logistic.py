@@ -368,13 +368,11 @@ class TestSweepAndIntercept:
             entered_mid_run |= old == 0.0 and new != 0.0 and window == [0.0] * 4
         assert entered_mid_run
 
-        screens = []
-        visits = logeng.sweep_visits
-        monkeypatch.setattr(logeng, "sweep_visits", lambda c, w, k, screen: visits(
-            c, w, k, lambda cols: screens.append(cols) or screen(cols)))
+        screens = _record_screens(monkeypatch, logeng)
         swept = state.copy()
         move = logeng.cd_sweep(swept, data, lam0, lam2, lip, coords)
-        assert screens  # the batched path ran
+        # only warm-start sweeps (a range at lambda0 > 0) take the batched path
+        assert bool(screens) == (order is None and lam0 > 0.0)
         assert swept.support == ref.support
         np.testing.assert_allclose(swept.w, ref.w, rtol=0, atol=1e-12)
         assert move == pytest.approx(ref_move, rel=0, abs=1e-12)
@@ -403,6 +401,20 @@ class TestSweepAndIntercept:
         state = sc.fit_one(data, hp)
         assert state.w[2] == 0.0
         assert 2 not in state.support
+
+
+def _record_screens(monkeypatch, eng):
+    """Record the columns of every screen that ``eng``'s sweeps run."""
+    screens = []
+    visits = eng.sweep_visits
+
+    def recording(coords, w, screen):
+        if screen is None:
+            return visits(coords, w, None)
+        return visits(coords, w, lambda cols: screens.append(cols) or screen(cols))
+
+    monkeypatch.setattr(eng, "sweep_visits", recording)
+    return screens
 
 
 def _count_skips(monkeypatch, eng):
@@ -489,7 +501,10 @@ class TestCarriedScreen:
                 if not any(r is state.ref for r in refs):
                     refs.append(state.ref)
                 sweeps += 1
-        assert skipped  # runs were ruled out without a product
+        if order == "range":
+            assert skipped  # runs were ruled out without a product
+        else:
+            assert not skipped and state.ref is None  # lists are never screened
         assert len(refs) < sweeps // 4  # the reference carried across sweeps
         assert late_entries  # a feature entered after 20 quiet sweeps
         assert 260 in state.support
@@ -509,10 +524,7 @@ class TestCarriedScreen:
         state.set_coefficient(data, j, wj + 3.0)
         state.set_coefficient(data, j, wj)
         skipped = _count_skips(monkeypatch, logeng)
-        screens = []
-        visits = logeng.sweep_visits
-        monkeypatch.setattr(logeng, "sweep_visits", lambda c, w, k, screen: visits(
-            c, w, k, lambda cols: screens.append(cols) or screen(cols)))
+        screens = _record_screens(monkeypatch, logeng)
         logeng.cd_sweep(state, data, 5.0, 0.0, lip, range(data.p))
         assert screens and len(skipped) == len(screens)
 
