@@ -49,7 +49,8 @@ def _fmt(x: float) -> str:
 # --- CSV / model file handling ---------------------------------------------
 
 def _read_table(path: str) -> tuple[list[str], np.ndarray]:
-    """The header names and the numeric rows of a CSV file."""
+    """The header names, which must be distinct, and the numeric rows of a
+    CSV file."""
     try:
         with open(path, newline="") as fh:
             header = next(csv.reader(fh), None)
@@ -64,7 +65,10 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
         raise DataError(f"{path}: no data rows")
     if raw.shape[1] != len(header):
         raise DataError(f"{path}: row width does not match header")
-    return [h.strip() for h in header], raw
+    header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: column names must be distinct")
+    return header, raw
 
 
 def read_csv(path: str) -> DesignMatrix:
@@ -186,11 +190,9 @@ def cmd_predict(args) -> int:
 
 
 def _read_predict_data(path: str) -> dict[str, np.ndarray]:
-    """Prediction input: header plus numeric columns of distinct names; a
-    label column is allowed and ignored."""
+    """Prediction input: header plus numeric columns; a label column is
+    allowed and ignored."""
     header, raw = _read_table(path)
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: column names must be distinct")
     if not np.isfinite(raw).all():
         raise DataError(f"{path}: non-finite values (nan or inf)")
     return {name: raw[:, i] for i, name in enumerate(header)}

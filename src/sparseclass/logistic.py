@@ -1,8 +1,8 @@
 """Coordinate machinery for the logistic loss.
 
 Gradients, curvature bounds, the surrogate thresholding step, the iterated
-line search, the tangent-based lower bounds used to rule features out
-without running a line search, and the block screening of swap candidates.
+line search, the lower bounds that rule features out without running a
+line search, and the block screening of swap candidates.
 The engine functions (see ``core.engine``) are at the end of the module.
 """
 
@@ -135,14 +135,14 @@ class BlockProbe:
     fresh arrays.
     """
 
-    __slots__ = ("base_margins", "u", "lam2", "base_sq", "_m", "_e", "_neg")
+    __slots__ = ("base_margins", "u", "lam2", "base_sq", "_m", "_e", "_c", "_neg")
 
     def __init__(self, base_margins, u, lam2=0.0, base_sq=0.0):
         self.base_margins = base_margins
         self.u = u
         self.lam2 = lam2
         self.base_sq = base_sq
-        self._m = self._e = self._neg = None
+        self._m = self._e = self._c = self._neg = None
 
     def take(self, rows) -> "BlockProbe":
         """The probe restricted to ``rows`` (itself when that is every row).
@@ -155,7 +155,7 @@ class BlockProbe:
         if self._m is not None:
             out._m = self._m[:k]
         if self._e is not None:
-            out._e, out._neg = self._e[:k], self._neg[:k]
+            out._e, out._c, out._neg = self._e[:k], self._c[:k], self._neg[:k]
         return out
 
     def _margins(self, t):
@@ -175,10 +175,12 @@ class BlockProbe:
         np.reciprocal(q, out=q)
         return -np.einsum("ij,ij->i", self.u, q) + 2.0 * self.lam2 * t
 
-    def evaluate(self, t):
-        """Values and slopes at ``t`` from one shared exponential pass."""
+    def evaluate(self, t, curvature=False):
+        """Values and slopes at ``t`` from one shared exponential pass, and
+        with ``curvature`` the bound mu of ``screen_block`` on f'' between
+        0 and ``t`` (else None)."""
         if self._e is None:
-            self._e = np.empty_like(self.u)
+            self._e, self._c = np.empty_like(self.u), np.empty_like(self.u)
             self._neg = np.empty(self.u.shape, dtype=bool)
         m = self._margins(t)
         neg = np.less(m, 0.0, out=self._neg)
@@ -188,11 +190,18 @@ class BlockProbe:
         np.maximum(m, 0.0, out=m)
         m += np.log1p(e)
         values = m.sum(axis=1) + self.lam2 * (t * t + self.base_sq)
-        # sigmoid(-m): e / (1 + e) where m >= 0, 1 / (1 + e) where m < 0
         np.add(e, 1.0, out=m)
+        mu = None
+        if curvature:  # sigma'(m) = e / (1 + e)^2, the same at m and -m
+            e0 = np.exp(-np.abs(self.base_margins))
+            c = np.divide(np.divide(e, m, out=self._c), m, out=self._c)
+            np.minimum(c, e0 / (1.0 + e0) ** 2, out=c)
+            c *= self.u
+            mu = np.einsum("ij,ij->i", self.u, c) + 2.0 * self.lam2
+        # sigmoid(-m): e / (1 + e) where m >= 0, 1 / (1 + e) where m < 0
         np.copyto(e, 1.0, where=neg)
         q = np.divide(e, m, out=e)
-        return values, -np.einsum("ij,ij->i", self.u, q) + 2.0 * self.lam2 * t
+        return values, -np.einsum("ij,ij->i", self.u, q) + 2.0 * self.lam2 * t, mu
 
 
 def coordinate_probe(state: ModelState, data: DesignMatrix, j: int, lam2: float = 0.0) -> CoordinateProbe:
@@ -291,8 +300,6 @@ def lin_cut(x1: float, x2: float, probe) -> float:
     a2 = probe.slope_at(x2)
     if a1 * a2 > 0.0:
         raise ValueError("tangent slopes must not share a sign")
-    if a1 == a2:
-        return probe.value_at(x1)
     return float(_lin_cut_val(probe.value_at(x1), a1, x1, probe.value_at(x2), a2, x2))
 
 
@@ -487,22 +494,37 @@ def screen_block(probe, s0, lip, f0: float, threshold: float, quad: bool,
     """Screen k candidates against one shared base state, as the sequential
     scan screens each one.
 
-    ``probe`` is a ``BlockProbe`` over the candidates' columns;
-    ``s0`` and ``lip`` hold their slopes at zero and curvature bounds
-    (positive wherever the slope is not zero), ``f0`` the base loss.  A
-    candidate is accepted when its line-search loss is below ``threshold``.
+    ``probe`` is a ``BlockProbe`` over the candidates' columns; ``s0`` and
+    ``lip`` hold their slopes at zero and curvature bounds (positive
+    wherever the slope is not zero), ``f0`` the base loss.  A candidate is
+    accepted when its line-search loss is below ``threshold``.
 
-    Each candidate brackets its 1-D optimum with steps of t = -s0/L: the
-    slope at 2t tells whether the optimum lies before 2t (then 1.5t and t
-    or 2t are probed) or beyond it (then 3t is probed).  A tangent-line
-    bound (``quad`` False) or strong-convexity bound (``quad`` True, needs
-    ``probe.lam2 > 0``) on the two bracket points prunes the candidate when
-    it cannot beat ``threshold``; quadratic cuts also test the one-point
-    bound at every probed point.  A candidate with zero slope has no
-    descent direction and is rejected unscreened.  The survivors run
-    ``iterations`` surrogate steps from zero (``iterate_threshold``).
-    All k candidates take each step together, one pass per step, and the
-    masks below track which branch each candidate is on.
+    The line search takes K = ``iterations`` surrogate steps from zero
+    (``iterate_threshold``).  The first is t = -s0/L; no later one is
+    longer or passes the 1-D optimum, as L bounds f''.  So the search ends
+    in [0, Kt], and one pass at Kt, with value fK and slope sK, bounds it.
+    Reach bound: if sK has the sign of s0, f falls over [0, Kt] and the
+    search ends at a loss of at least fK.  Bracket-curvature cut: else the
+    optimum lies in [0, Kt], where f'' >= mu = 2 lam2 + sum_i u_i^2
+    min(sigma'(m_i), sigma'(m_i + Kt u_i)) by log-concavity of sigma';
+    ``quad`` (needs ``probe.lam2 > 0``) bounds the minimum by the two
+    minorants of curvature mu anchored at 0 and Kt, else by the two
+    tangents.  ``quad`` first tests the one-point bound at zero, which
+    needs no pass.  A candidate with zero slope has no descent direction
+    and is rejected unscreened.  The survivors are line-searched together,
+    one pass per step.
+
+    A bound prunes when it clears ``threshold`` by the rounding allowance
+    gamma (3 (|f0| + |fK|) + 2 S r + mu r^2 + 4 K n) + 3 K EPS S r, with
+    gamma = (n + 8) EPS, r = |Kt| and S = 2 sqrt(n L).  A sum of n terms
+    is off by at most gamma times the sum of their magnitudes: |f| for a
+    value, S for a slope (sum |u_i| q_i <= ||u|| sqrt(n), ||u||^2 <= 4L),
+    mu for mu.  An anchor's errors df, ds, dmu move a bound by at most
+    df + ds r + dmu r^2 / 2 on [0, Kt], where both bounds take their
+    minimum: the first three terms, with the search's final value and the
+    bound's own arithmetic.  Each of the K steps can pass Kt by
+    gamma S / L + 3 EPS r, which lowers f by at most |sK| <= S per unit:
+    the last two terms.
     """
     k = s0.shape[0]
     lam2 = probe.lam2
@@ -516,55 +538,30 @@ def screen_block(probe, s0, lip, f0: float, threshold: float, quad: bool,
     rows = np.flatnonzero(live)
     probe = probe.take(rows)
 
-    # pass 1: the slope at 2t tells whether the optimum lies before 2t
-    s2 = np.zeros(k)
-    s2[rows] = probe.slopes(2.0 * t[rows])
-    near = live & (s0 * s2 < 0.0)
-
-    # pass 2: value and slope at 1.5t (near), the value at 2t (far)
-    x_mid = np.where(near, 1.5 * t, 2.0 * t)
-    f_mid, s_mid = np.zeros(k), s2.copy()
-    f_mid[rows], s_mid_rows = probe.evaluate(x_mid[rows])
-    s_mid[near] = s_mid_rows[near[rows]]
+    # one pass at the reach point Kt
+    s, L, x = s0[rows], lip[rows], iterations * t[rows]
+    fK, sK, mu = probe.evaluate(x, curvature=quad)
     if quad:
-        pruned |= live & (_quad_cut_one_val(f_mid, s_mid, lam2) >= threshold)
-        live &= ~pruned
-    keep = np.flatnonzero(live[rows])
-    rows, probe = rows[keep], probe.take(keep)
-
-    # pass 3: the other bracket end, t (inner), 2t (near) or 3t (far)
-    inner = live & near & (s0 * s_mid < 0.0)
-    x3 = np.where(inner, t, np.where(near, 2.0 * t, 3.0 * t))
-    f3, s3 = np.zeros(k), np.zeros(k)
-    f3[rows], s3[rows] = probe.evaluate(x3[rows])
-
-    # bracket (a, b): inner (t, 1.5t), near (1.5t, 2t), far (2t, 3t)
-    a = np.where(inner, x3, x_mid)
-    fa = np.where(inner, f3, f_mid)
-    sa = np.where(inner, s3, s_mid)
-    b = np.where(inner, x_mid, x3)
-    fb = np.where(inner, f_mid, f3)
-    sb = np.where(inner, s_mid, np.where(near, s2, s3))
-    straddle = live & (near | (s0 * s3 < 0.0))
-    if quad:
-        bound = np.where(straddle, _quad_cut_two_val(fa, sa, a, fb, sb, b, lam2),
-                         _quad_cut_one_val(f3, s3, lam2))
+        bound = _quad_cut_two_val(f0, s, 0.0, fK, sK, x, 0.5 * mu)
     else:
-        bound = np.where(straddle, _lin_cut_val(fa, sa, a, fb, sb, b), -np.inf)
-    pruned |= live & (bound >= threshold)
+        bound, mu = _lin_cut_val(f0, s, 0.0, fK, sK, x), 0.0
+    n, r = probe.u.shape[1], np.abs(x)
+    scale = 2.0 * np.sqrt(n * L)
+    allowance = ((n + 8) * EPS * (3.0 * (abs(f0) + np.abs(fK)) + 2.0 * scale * r + mu * r * r
+                                  + 4.0 * iterations * n) + 3.0 * iterations * EPS * scale * r)
+    cut = np.where(s * sK > 0.0, fK, bound) >= threshold + allowance
+    pruned[rows] = cut
     searched = live & ~pruned
 
     # line search: the first step from zero uses the known slope s0
-    keep = np.flatnonzero(searched[rows])
-    rows, probe = rows[keep], probe.take(keep)
-    w = t[rows]
-    L = lip[rows]
-    for _ in range(iterations - 1):
-        w = w - probe.slopes(w) / L
-    coefficient = np.zeros(k)
-    coefficient[rows] = w
-    accepted = np.zeros(k, dtype=bool)
-    accepted[rows] = probe.evaluate(w)[0] < threshold
+    coefficient, accepted = np.zeros(k), np.zeros(k, dtype=bool)
+    keep = np.flatnonzero(~cut)
+    if keep.size:
+        rows, probe, w, L = rows[keep], probe.take(keep), t[rows[keep]], L[keep]
+        for _ in range(iterations - 1):
+            w = w - probe.slopes(w) / L
+        coefficient[rows] = w
+        accepted[rows] = probe.evaluate(w)[0] < threshold
     return BlockResult(accepted, coefficient, pruned, searched)
 
 
@@ -573,7 +570,7 @@ def _try_add(state, data: DesignMatrix, hp: HyperParams, j2: int, loss_best: flo
     """``screen_block`` on the single candidate ``j2``."""
     cp = coordinate_probe(state, data, j2, hp.lambda2)
     probe = BlockProbe(cp.base_margins, cp.u[None, :], cp.lam2, cp.base_sq)
-    f0, s0 = probe.evaluate(np.zeros(1))
+    f0, s0, _ = probe.evaluate(np.zeros(1))
     res = screen_block(probe, s0, np.array([cp.lipschitz]), float(f0[0]),
                        loss_best - hp.objective_tol, quad, hp.max_inner_iter)
     accepted = bool(res.accepted[0])
@@ -584,14 +581,15 @@ def _try_add(state, data: DesignMatrix, hp: HyperParams, j2: int, loss_best: flo
 def try_add_lincut(state_without_j: ModelState, data: DesignMatrix, hp: HyperParams,
                    j2: int, loss_best: float) -> TryAddResult:
     """Evaluate adding feature ``j2`` to a state it is absent from, screening
-    with tangent-line bounds.  Accepts when the post-line-search loss beats
-    ``loss_best`` by more than the objective tolerance."""
+    with the reach bound and tangent-line cuts (``screen_block``).  Accepts
+    when the post-line-search loss beats ``loss_best`` by more than the
+    objective tolerance."""
     return _try_add(state_without_j, data, hp, j2, loss_best, quad=False)
 
 
 def try_add_quad(state_without_j: ModelState, data: DesignMatrix, hp: HyperParams,
                  j2: int, loss_best: float) -> TryAddResult:
-    """Evaluate adding feature ``j2``, screening with strong-convexity bounds."""
+    """Evaluate adding feature ``j2``, screening with the reach bound and quadratic cuts."""
     if hp.lambda2 <= 0.0:
         raise ConfigError("quadratic cuts require lambda2 > 0")
     return _try_add(state_without_j, data, hp, j2, loss_best, quad=True)

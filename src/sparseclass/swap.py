@@ -34,8 +34,9 @@ class FitStats:
     The swap search counts as a sequential scan of each visit's candidates
     would, up to and including the accepted one: ``candidates`` evaluated
     (inert zero columns are skipped, not counted) and, under the logistic
-    loss, ``cut_prunes`` among them dismissed by a cut and
-    ``line_searches`` run.
+    loss, ``cut_prunes`` among them dismissed without a line search (by
+    the cut at zero, the reach bound or the bracket-curvature cut of
+    ``logistic.screen_block``) and ``line_searches`` run.
     ``cap_hits`` counts the warm-start and reoptimization loops that ended
     at their sweep cap without meeting their stop test, and swap searches
     that ended at ``SWAP_MAX_PASSES``.

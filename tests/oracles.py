@@ -5,7 +5,9 @@ pairwise counting, full Newton solves) and shares no code with the package
 paths under test.  The two exceptions are the sequential swap scans.
 ``reference_swap_visit`` drives the package's scalar ``CoordinateProbe`` and
 ``iterate_threshold``, which the swap search itself no longer calls, and the
-package's cut formulas, which the grid-minimum tests check on their own.
+package's cut formulas, which the grid-minimum tests check on their own; it
+computes the curvature bound of its quadratic cuts and the rounding
+allowance of its prunes itself.
 ``reference_exp_find_swap`` uses the package's closed-form exponential
 coefficient and loss, which the grid-minimum tests check too.
 """
@@ -210,59 +212,64 @@ def random_logistic_instance(rng, n, p, k=3, scale=1.2, binary=False):
 def scalar_try_add(probe, s0, threshold, hp, quad):
     """One candidate screened alone: (step, branch, accepted, coefficient).
     ``step`` is "pruned", "rejected" or "searched"; ``branch`` names where
-    the screening decided.  Brackets the 1-D optimum with steps of
-    t = -s0/L, bounds the reachable loss from tangent lines or quadratic
-    minorants, and runs the line search when the bound cannot prune."""
+    the screening decided:
+
+    - "zero": the one-point quadratic minorant at zero, or a zero slope;
+    - "reach": the slope at Kt (t = -s0/L, K = ``hp.max_inner_iter``)
+      still has the sign of s0, so the K-step search ends at a loss of at
+      least f(Kt);
+    - "bracket": the optimum lies in [0, Kt], bounded by the tangents at 0
+      and Kt, or by quadratic minorants there whose curvature is the least
+      f'' on [0, Kt] that the ends' sigma' allow.
+
+    A bound prunes when it clears ``threshold`` by the rounding allowance
+    that ``logistic.screen_block`` documents; otherwise the line search
+    runs."""
     from sparseclass import logistic as logeng
 
-    lam2 = probe.lam2
-
-    def one(f, s):
-        return quad and logeng._quad_cut_one_val(f, s, lam2) >= threshold
-
-    def two(fa, sa, a, fb, sb, b):
-        if quad:
-            return logeng._quad_cut_two_val(fa, sa, a, fb, sb, b, lam2)
-        return logeng._lin_cut_val(fa, sa, a, fb, sb, b)
+    lam2, u, n, L = probe.lam2, probe.u, probe.u.shape[0], probe.lipschitz
+    iterations = hp.max_inner_iter
 
     def decide(branch, prune):
         if prune:
             return "pruned", branch, False, 0.0
-        w_hat = logeng.iterate_threshold(probe, 0.0, hp.max_inner_iter)
+        w_hat = logeng.iterate_threshold(probe, 0.0, iterations)
         if probe.value_at(w_hat) < threshold:
             return "searched", branch, True, w_hat
         return "searched", branch, False, 0.0
 
-    if one(probe.f0, s0):
+    if quad and logeng._quad_cut_one_val(probe.f0, s0, lam2) >= threshold:
         return decide("zero", True)
     if s0 == 0.0:
         return "rejected", "zero", False, 0.0
-    t_step = -s0 / probe.lipschitz
-    a, b = t_step, 2.0 * t_step
-    sb = probe.slope_at(b)
-    if s0 * sb < 0.0:  # the optimum lies before 2t
-        c = 0.5 * (a + b)
-        fc, sc = probe.eval_at(c)
-        if one(fc, sc):
-            return decide("near", True)
-        if s0 * sc < 0.0:
-            b, fb, sb = c, fc, sc
-            fa, sa = probe.eval_at(a)
-            branch = "near-inner"
-        else:
-            a, fa, sa = c, fc, sc
-            fb = probe.value_at(b)
-            branch = "near-outer"
-        return decide(branch, two(fa, sa, a, fb, sb, b) >= threshold)
-    a, b = 2.0 * t_step, 3.0 * t_step
-    fa, sa = probe.value_at(a), sb
-    if one(fa, sa):
-        return decide("far", True)
-    sb = probe.slope_at(b)
-    fb = probe.value_at(b)
-    if s0 * sb < 0.0:
-        return decide("far-straddle", two(fa, sa, a, fb, sb, b) >= threshold)
-    return decide("far-open", one(fb, sb))
+    x = iterations * (-s0 / L)
+    fk, sk = probe.eval_at(x)
+    mu = 0.0
+    if quad:
+        def sigma_prime(m):
+            return expit(m) * expit(-m)
+
+        m0 = probe.base_margins
+        mu = 2.0 * lam2 + float((u * u) @ np.minimum(sigma_prime(m0), sigma_prime(m0 + x * u)))
+        bound = logeng._quad_cut_two_val(probe.f0, s0, 0.0, fk, sk, x, 0.5 * mu)
+    else:
+        bound = logeng._lin_cut_val(probe.f0, s0, 0.0, fk, sk, x)
+    branch = "reach" if s0 * sk > 0.0 else "bracket"
+    if branch == "reach":
+        bound = fk
+    allowance = screen_allowance(n, iterations, probe.f0, fk, L, x, mu)
+    return decide(branch, float(bound) >= threshold + allowance)
+
+
+def screen_allowance(n, iterations, f0, fk, lipschitz, x, mu):
+    """The rounding allowance that ``logistic.screen_block`` documents for
+    its reach and bracket prunes, at the reach point ``x``."""
+    from sparseclass.core import EPS
+
+    r, scale = abs(x), 2.0 * math.sqrt(n * lipschitz)
+    return ((n + 8) * EPS * (3.0 * (abs(f0) + abs(fk)) + 2.0 * scale * r + mu * r * r
+                             + 4.0 * iterations * n)
+            + 3.0 * iterations * EPS * scale * r)
 
 
 def reference_swap_visit(state, data, hp, j, cut):

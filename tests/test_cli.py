@@ -362,6 +362,19 @@ class TestExitCodes:
         assert err == f"error: {data_path}: column names must be distinct\n"
         assert out == ""
 
+    @pytest.mark.parametrize("command,header", [(["fit", "--lambda0", "0.01"], "x1,y,y"),
+                                                (["fit", "--lambda0", "0.01"], "x1,x1,y"),
+                                                (["path", "--lambda0-grid", "1,0.1"], "x1,y,y")])
+    def test_training_duplicate_column_names_exit_2(self, tmp_path, capsys, command, header):
+        # a second y column would be read as a feature named y
+        data_path = tmp_path / "d.csv"
+        rows = ["1,1,1", "-1,-1,-1", "2,1,1", "-2,-1,-1", "0.5,-1,-1", "-0.5,1,1"]
+        data_path.write_text("\n".join([header, *rows]) + "\n")
+        code, out, err = _run(capsys, [*command, "--data", str(data_path)])
+        assert code == 2
+        assert err == f"error: {data_path}: column names must be distinct\n"
+        assert out == ""
+
     @pytest.mark.parametrize("command", [["fit", "--lambda0", "nan"],
                                          ["fit", "--lambda0", "inf"],
                                          ["fit", "--lambda2", "nan"],

@@ -4,13 +4,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import sparseclass as sc
 from sparseclass import logistic as logeng
 from sparseclass import swap
 from sparseclass.swap import reoptimize
-from oracles import grid_minimize, logistic_curve, reference_swap_visit, scalar_try_add
+from oracles import (grid_minimize, logistic_curve, reference_swap_visit, scalar_try_add,
+                     screen_allowance)
 
 
 def _planted(rng, n=120, p=8, idx=(1, 4), scale=1.4):
@@ -309,11 +312,12 @@ class TestBlockEvaluation:
                             seen["rejected_searches"] += (ref["line_searches"]
                                                           - (ref["kind"] == "swapped"))
         assert all(seen.values()), seen
-        expected = {("zero", "pruned"), ("zero", "rejected"), ("near", "pruned"),
-                    ("far", "pruned")}
-        expected |= {(branch, step) for branch in ("near-inner", "near-outer",
-                                                   "far-straddle", "far-open")
-                     for step in ("pruned", "searched")}
+        # In these visits no candidate whose optimum lies beyond K steps is
+        # good enough to be line-searched; the threshold ladder of
+        # ``test_every_outcome_at_any_threshold_matches_scalar_screening``
+        # reaches that branch.
+        expected = {("zero", "pruned"), ("zero", "rejected"), ("reach", "pruned"),
+                    ("bracket", "pruned"), ("bracket", "searched")}
         assert expected <= set(branches), expected - set(branches)
 
     @pytest.mark.parametrize("lam2,cut", CONFIGS)
@@ -325,32 +329,63 @@ class TestBlockEvaluation:
         hp = sc.HyperParams(lambda0=0.1, lambda2=lam2)
         start = _restricted_fit(data, [0, 1, 2, *range(100, 112)], hp)
         settled = sc.fit_swap_1opt(start, data, hp, cut=cut)
-        lip = logeng.lipschitz_all(data, lam2)
         for state in (start, settled):
             loss_best = sc.smooth_logistic_loss(state, data, lam2)
             threshold = loss_best - hp.objective_tol
             for j in sorted(state.support)[:2]:
-                trial = state.copy()
-                trial.set_coefficient(data, j, 0.0)
-                f0 = sc.smooth_logistic_loss(trial, data, lam2)
-                base_sq = float(trial.w @ trial.w)
-                grads = -(data.signed.T @ expit(-trial.margins))
-                cands = np.array([c for c in range(data.p)
-                                  if c not in state.support and lip[c] > 0.0])
-                probe = logeng.BlockProbe(trial.margins, data.signed.T[cands], lam2, base_sq)
-                res = logeng.screen_block(probe, grads[cands], lip[cands], f0, threshold,
-                                        cut == "quad", hp.max_inner_iter)
-                for i, c in enumerate(cands):
-                    scalar = logeng.CoordinateProbe(trial.margins, data.signed[:, c], lam2=lam2,
-                                                    base_sq=base_sq, lipschitz=float(lip[c]),
-                                                    f0=f0)
-                    step, _, accepted, w_hat = scalar_try_add(scalar, float(grads[c]),
-                                                              threshold, hp, cut == "quad")
-                    got = ("pruned" if res.pruned[i]
-                           else "searched" if res.searched[i] else "rejected")
-                    assert (got, bool(res.accepted[i])) == (step, accepted), c
-                    if accepted:
-                        assert res.coefficient[i] == pytest.approx(w_hat, abs=1e-10)
+                self._screen_visit(state, data, hp, j, cut, threshold)
+
+    @pytest.mark.parametrize("lam2,cut", [(0.0, "lin"), (1e-3, "quad")])
+    def test_every_outcome_at_any_threshold_matches_scalar_screening(self, lam2, cut):
+        """Thresholds from just below the dropped loss down to far below it
+        reach every branch of the screen, searched and pruned, and every
+        candidate is decided as ``oracles.scalar_try_add`` decides it."""
+        data = _wide_instance(0.2)
+        hp = sc.HyperParams(lambda0=0.1, lambda2=lam2)
+        state = sc.fit_swap_1opt(_restricted_fit(data, [0, 1, 2, *range(100, 112)], hp),
+                                 data, hp, cut=cut)
+        branches = Counter()
+        for j in sorted(state.support)[:2]:
+            trial = state.copy()
+            trial.set_coefficient(data, j, 0.0)
+            f0 = sc.smooth_logistic_loss(trial, data, lam2)
+            for gap in (1e-6, 1e-3, 0.1, 1.0, 10.0):
+                branches += self._screen_visit(state, data, hp, j, cut, f0 - gap)
+        expected = {(branch, step) for branch in ("reach", "bracket")
+                    for step in ("pruned", "searched")}
+        assert expected <= set(branches), expected - set(branches)
+
+    @staticmethod
+    def _screen_visit(state, data, hp, j, cut, threshold):
+        """Screen every candidate of the visit of ``j`` in one block at
+        ``threshold``, check each against the scalar screen and return the
+        tally of (branch, step) pairs."""
+        lam2 = hp.lambda2
+        lip = logeng.lipschitz_all(data, lam2)
+        trial = state.copy()
+        trial.set_coefficient(data, j, 0.0)
+        f0 = sc.smooth_logistic_loss(trial, data, lam2)
+        base_sq = float(trial.w @ trial.w)
+        grads = -(data.signed.T @ expit(-trial.margins))
+        cands = np.array([c for c in range(data.p)
+                          if c not in state.support and lip[c] > 0.0])
+        probe = logeng.BlockProbe(trial.margins, data.signed.T[cands], lam2, base_sq)
+        res = logeng.screen_block(probe, grads[cands], lip[cands], f0, threshold,
+                                  cut == "quad", hp.max_inner_iter)
+        branches = Counter()
+        for i, c in enumerate(cands):
+            scalar = logeng.CoordinateProbe(trial.margins, data.signed[:, c], lam2=lam2,
+                                            base_sq=base_sq, lipschitz=float(lip[c]),
+                                            f0=f0)
+            step, branch, accepted, w_hat = scalar_try_add(scalar, float(grads[c]),
+                                                           threshold, hp, cut == "quad")
+            got = ("pruned" if res.pruned[i]
+                   else "searched" if res.searched[i] else "rejected")
+            assert (got, bool(res.accepted[i])) == (step, accepted), c
+            if accepted:
+                assert res.coefficient[i] == pytest.approx(w_hat, abs=1e-10)
+            branches[branch, step] += 1
+        return branches
 
     def _check_visit(self, state, data, hp, j, cut, ref, monkeypatch):
         for width in (None, 16):
@@ -384,6 +419,90 @@ class TestBlockEvaluation:
                 "coefficient": added["w"][out.added] if out.kind == "swapped" else None,
                 "cut_prunes": stats.cut_prunes, "candidates": stats.candidates,
                 "line_searches": stats.line_searches}
+
+
+def _random_probe(seed, lam2):
+    """A c02-style 1-D restriction: random base margins and a +-1 or
+    Gaussian column of 8 to 25 rows."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 26))
+    base = rng.standard_normal(n) * rng.uniform(0.5, 2.0)
+    u = rng.choice([-1.0, 1.0], size=n) if rng.random() < 0.5 else rng.standard_normal(n)
+    return logeng.CoordinateProbe(base, u, lam2=lam2)
+
+
+def _reach_point(probe, iterations):
+    """Kt with its value, slope and curvature bound from one block pass."""
+    s0 = probe.slope_at(0.0)
+    x = iterations * (-s0 / probe.lipschitz)
+    block = logeng.BlockProbe(probe.base_margins, probe.u[None, :], probe.lam2)
+    fk, sk, mu = block.evaluate(np.array([x]), curvature=True)
+    return s0, x, float(fk[0]), float(sk[0]), float(mu[0])
+
+
+_PROBES = dict(seed=st.integers(0, 2**32 - 1), iterations=st.integers(1, 12),
+               lam2=st.sampled_from([0.0, 1e-3, 1e-2, 0.1]))
+
+
+class TestScreenSoundness:
+    """The two bounds of ``logistic.screen_block`` against 1-D oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**_PROBES)
+    def test_reach_bound_never_exceeds_the_search_loss(self, seed, iterations, lam2):
+        probe = _random_probe(seed, lam2)
+        s0, x, fk, sk, _ = _reach_point(probe, iterations)
+        assume(s0 * sk > 0.0)
+        w = logeng.iterate_threshold(probe, 0.0, iterations)
+        assert abs(w) <= abs(x) * (1.0 + 1e-12)
+        allowance = screen_allowance(probe.u.size, iterations, probe.f0, fk,
+                                     probe.lipschitz, x, 0.0)
+        assert fk <= probe.value_at(w) + allowance
+
+    @settings(max_examples=300, deadline=None)
+    @given(**_PROBES)
+    def test_curvature_bound_holds_between_zero_and_the_reach_point(self, seed, iterations,
+                                                                     lam2):
+        probe = _random_probe(seed, lam2)
+        _, x, _, _, mu = _reach_point(probe, iterations)
+        m = probe.base_margins[None, :] + np.linspace(0.0, x, 201)[:, None] * probe.u
+        second = (probe.u ** 2 * expit(m) * expit(-m)).sum(axis=1) + 2.0 * lam2
+        assert mu <= second.min() * (1.0 + 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(**_PROBES)
+    def test_bracket_cuts_never_exceed_the_grid_minimum(self, seed, iterations, lam2):
+        """Both cuts, the curvature cut also at lam2 = 0, where only the
+        tangent-line cut screens."""
+        probe = _random_probe(seed, lam2)
+        s0, x, fk, sk, mu = _reach_point(probe, iterations)
+        assume(s0 != 0.0 and s0 * sk <= 0.0)
+        lo, hi = sorted((0.0, x))
+        step = (hi - lo) / 4000 + 1e-12
+        _, fmin = grid_minimize(logistic_curve(probe.base_margins, probe.u, lam2),
+                                lo - step, hi + step, step, step / 100)
+        f0 = probe.f0
+        assert logeng._lin_cut_val(f0, s0, 0.0, fk, sk, x) <= fmin + 1e-9
+        assert logeng._quad_cut_two_val(f0, s0, 0.0, fk, sk, x, 0.5 * mu) <= fmin + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(**_PROBES)
+    def test_screen_keeps_every_search_that_succeeds(self, seed, iterations, lam2):
+        """Just above the search's loss the candidate is accepted, just
+        below it rejected, whichever bound applies."""
+        probe = _random_probe(seed, lam2)
+        s0 = probe.slope_at(0.0)
+        assume(s0 != 0.0)
+        w = logeng.iterate_threshold(probe, 0.0, iterations)
+        loss = probe.value_at(w)
+        block = logeng.BlockProbe(probe.base_margins, probe.u[None, :], lam2)
+        for sign in (1.0, -1.0):
+            res = logeng.screen_block(block, np.array([s0]), np.array([probe.lipschitz]),
+                                      probe.f0, loss + sign * 1e-9 * (1.0 + abs(loss)),
+                                      lam2 > 0.0, iterations)
+            assert bool(res.accepted[0]) == (sign > 0.0)
+            if sign > 0.0:
+                assert res.coefficient[0] == pytest.approx(w, abs=1e-10)
 
 
 class TestFitSwap1Opt:
