@@ -87,13 +87,26 @@ def read_csv(path: str) -> DesignMatrix:
     return data
 
 
+# Rows per ``tolist`` batch in ``_format_rows``: bounds the Python floats
+# held at once.
+WRITE_BATCH_ROWS = 256
+
+
+def _format_rows(fmt: str, columns):
+    """Yield ``fmt % row`` for each row across ``columns`` (equal-length
+    1-D arrays), converting ``WRITE_BATCH_ROWS`` rows at a time to Python
+    numbers; ``%.17g`` then writes each value as ``_fmt`` does."""
+    for start in range(0, len(columns[0]), WRITE_BATCH_ROWS):
+        stop = start + WRITE_BATCH_ROWS
+        yield from (fmt % row for row in zip(*(c[start:stop].tolist() for c in columns)))
+
+
 def write_csv(path: str, names, x: np.ndarray, y: np.ndarray) -> None:
+    """Write a dataset with the label column last."""
+    fmt = ",".join(["%.17g"] * (x.shape[1] + 1)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join([*names, LABEL_COLUMN]) + "\n")
-        for i in range(x.shape[0]):
-            row = [_fmt(v) for v in x[i]]
-            row.append(_fmt(y[i]))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(_format_rows(fmt, [*x.T, y]))
 
 
 def load_model(path: str) -> Scorecard:
@@ -183,8 +196,7 @@ def cmd_predict(args) -> int:
     probs = probability_from_scores(scores, model.loss)
     labels = np.where(scores >= 0.0, 1.0, -1.0)
     lines = ["score,probability,label"]
-    for s, pr, lb in zip(scores, probs, labels):
-        lines.append(f"{_fmt(s)},{_fmt(pr)},{int(lb)}")
+    lines += _format_rows("%.17g,%.17g,%d", (scores, probs, labels))
     _emit(lines, args.out)
     return EXIT_OK
 

@@ -29,6 +29,10 @@ SCREEN_MIN_RUN = 8
 # Unit roundoff scale for the rounding allowances of zero certificates.
 EPS = float(np.finfo(np.float64).eps)
 
+# The most sweeps (logistic) or Newton iterations (exponential) that one
+# support reoptimization (an engine's ``reoptimize``) may take.
+REOPT_MAX_SWEEPS = 100
+
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
@@ -419,9 +423,12 @@ def engine(loss: str):
     -1/+1 features).  It also defines ``new_state(data)``, ``smooth_loss(state, data,
     hp)``, ``sweep(state, data, hp, lam0, coords)`` (one coordinate pass,
     returning the largest move), ``refit_intercept(state, data)`` (returning
-    the shift) and ``find_swap(trial, data, hp, forbidden, f0, threshold,
+    the shift), ``find_swap(trial, data, hp, forbidden, f0, threshold,
     cut, stats)`` (the first acceptable replacement feature and its
-    coefficient, or None).
+    coefficient, or None) and ``reoptimize(state, data, hp, stats)``
+    (minimizes the smooth loss over the support coefficients and the
+    intercept in place, counting a stop at ``REOPT_MAX_SWEEPS`` in
+    ``stats.cap_hits``).
     """
     if loss not in LOSSES:
         raise ConfigError(f"unknown loss {loss!r}")

@@ -16,6 +16,7 @@ from scipy.special import expit
 
 from .core import (
     EPS,
+    REOPT_MAX_SWEEPS,
     ConfigError,
     DesignMatrix,
     HyperParams,
@@ -388,6 +389,7 @@ def _certificate(state: ModelState, data: DesignMatrix, lam0: float, lip: np.nda
     distance grown by a relative 1e-9 against their own rounding.
     """
     rounding = EPS * math.sqrt(data.n) * (2 * data.n + 8)
+    diff = np.empty(data.n)
 
     def slack(ref):
         # Consecutive sweeps at one penalty reuse the caps (``ref.memo``).
@@ -401,7 +403,9 @@ def _certificate(state: ModelState, data: DesignMatrix, lam0: float, lip: np.nda
         return memo[2]
 
     def level(q):
-        return float(np.linalg.norm(q - state.ref.v)) * (1.0 + 1e-9) + rounding
+        # ||q - v|| as np.linalg.norm computes it, in a reused buffer
+        d = np.subtract(q, state.ref.v, out=diff)
+        return math.sqrt(d @ d) * (1.0 + 1e-9) + rounding
 
     return slack, level
 
@@ -607,6 +611,24 @@ def smooth_loss(state: ModelState, data: DesignMatrix, hp: HyperParams) -> float
 
 def sweep(state: ModelState, data: DesignMatrix, hp: HyperParams, lam0: float, coords) -> float:
     return cd_sweep(state, data, lam0, hp.lambda2, lipschitz_all(data, hp.lambda2), coords)
+
+
+def reoptimize(state: ModelState, data: DesignMatrix, hp: HyperParams, stats) -> None:
+    """Cyclic coordinate descent on the current support (penalty-free steps)
+    with an intercept refit per sweep, until the per-sweep objective change
+    drops below ``hp.objective_tol`` or the sweep cap is hit (counted in
+    ``stats.cap_hits``)."""
+    prev = smooth_loss(state, data, hp)
+    for _ in range(REOPT_MAX_SWEEPS):
+        refit_intercept(state, data)
+        sweep(state, data, hp, 0.0, sorted(state.support))
+        cur = smooth_loss(state, data, hp)
+        if prev - cur < hp.objective_tol:
+            break
+        prev = cur
+    else:
+        if stats is not None:
+            stats.cap_hits += 1
 
 
 def find_swap(trial: ModelState, data: DesignMatrix, hp: HyperParams, forbidden: set[int],

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DesignMatrix, HyperParams, engine
+# REOPT_MAX_SWEEPS, the cap of every engine's ``reoptimize``, is also read
+# from here (perfbench's tracer counts reoptimizations that reach it).
+from .core import REOPT_MAX_SWEEPS, ConfigError, DesignMatrix, HyperParams, engine
 
 ORDERINGS = ("dynamic", "sequential")
 CUTS = ("auto", "lin", "quad")
-
-REOPT_MAX_SWEEPS = 100
 
 # Walks over the support in ``fit_swap_1opt``; each walk after the first
 # follows an accepted change.  The most any fit makes is 20 on the benchmark
@@ -38,8 +38,10 @@ class FitStats:
     the cut at zero, the reach bound or the bracket-curvature cut of
     ``logistic.screen_block``) and ``line_searches`` run.
     ``cap_hits`` counts the warm-start and reoptimization loops that ended
-    at their sweep cap without meeting their stop test, and swap searches
-    that ended at ``SWAP_MAX_PASSES``.
+    at their sweep or iteration cap without meeting their stop test (or,
+    under the exponential loss, ended short of it: see
+    ``exponential.reoptimize``), and swap searches that ended at
+    ``SWAP_MAX_PASSES``.
     """
 
     swap_evals: int = 0
@@ -93,22 +95,13 @@ def resolve_cut(cut: str, hp: HyperParams) -> str:
 
 def reoptimize(state, data: DesignMatrix, hp: HyperParams,
                stats: FitStats | None = None) -> None:
-    """Cyclic coordinate descent on the current support (penalty-free steps)
-    with an intercept refit per sweep, until the per-sweep objective change
-    drops below ``hp.objective_tol`` or the sweep cap is hit (counted in
-    ``stats.cap_hits``)."""
-    eng = engine(hp.loss)
-    prev = eng.smooth_loss(state, data, hp)
-    for _ in range(REOPT_MAX_SWEEPS):
-        eng.refit_intercept(state, data)
-        eng.sweep(state, data, hp, 0.0, sorted(state.support))
-        cur = eng.smooth_loss(state, data, hp)
-        if prev - cur < hp.objective_tol:
-            break
-        prev = cur
-    else:
-        if stats is not None:
-            stats.cap_hits += 1
+    """Minimize the smooth loss over the support coefficients and the
+    intercept, in place, with the loss engine's ``reoptimize``: cyclic
+    coordinate descent under the logistic loss, a box-constrained Newton
+    solve under the exponential loss.  Either stops after at most
+    ``REOPT_MAX_SWEEPS`` sweeps or iterations; a stop there is counted in
+    ``stats.cap_hits``."""
+    engine(hp.loss).reoptimize(state, data, hp, stats)
 
 
 # --- delete-or-swap ----------------------------------------------------------

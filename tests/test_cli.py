@@ -585,3 +585,42 @@ class TestSynthCommand:
                                          "--lambda0", "0.5", "--lambda2", "0.001"])
         assert code == 0
         assert json.loads(fit_out)["support_size"] >= 0
+
+
+class TestCsvWriters:
+    # signed zeros, the smallest subnormal, near-overflow, integral floats
+    # and values that need all 17 digits
+    EDGE = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -2.0, 2.0 ** 53, 0.1, 1.0 / 3.0,
+            -123456789.0)
+
+    def test_write_csv_matches_the_per_value_format(self, tmp_path, monkeypatch):
+        from sparseclass import cli
+        x = np.array(self.EDGE).reshape(4, 3)
+        y = np.array([1.0, -1.0, -1.0, 1.0])
+        monkeypatch.setattr(cli, "WRITE_BATCH_ROWS", 3)  # full batches and a partial one
+        path = tmp_path / "d.csv"
+        cli.write_csv(str(path), ["a", "b", "c"], x, y)
+        want = "a,b,c,y\n" + "".join(
+            ",".join(cli._fmt(v) for v in [*x[i], y[i]]) + "\n" for i in range(4))
+        assert path.read_text() == want
+
+    def test_predict_output_matches_the_per_value_format(self, tmp_path, capsys, monkeypatch):
+        from sparseclass import cli
+        monkeypatch.setattr(cli, "WRITE_BATCH_ROWS", 5)
+        # weight 1 and intercept -0.0 make each score its input value exactly
+        model_path = tmp_path / "model.json"
+        model_path.write_text(sc.Scorecard("logistic", 1.0, 0.0, -0.0,
+                                           (ScorecardTerm("x1", None, None, 1.0),),
+                                           kind="linear").to_json())
+        data_path = tmp_path / "x.csv"
+        data_path.write_text("x1\n" + "".join(cli._fmt(v) + "\n" for v in self.EDGE))
+        code, out, _ = _run(capsys, ["predict", "--model", str(model_path),
+                                     "--data", str(data_path)])
+        assert code == 0
+        scores = np.array(self.EDGE)
+        probs = sc.probability_from_scores(scores, "logistic")
+        labels = np.where(scores >= 0.0, 1.0, -1.0)
+        want = ["score,probability,label"] + [
+            f"{cli._fmt(s)},{cli._fmt(p)},{int(lb)}" for s, p, lb in zip(scores, probs, labels)]
+        assert out == "\n".join(want) + "\n"
+        assert out.splitlines()[1].startswith("-0,0.5,1")  # the sign of zero survives

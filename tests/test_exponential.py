@@ -7,8 +7,10 @@ import pytest
 
 import sparseclass as sc
 from sparseclass import exponential as expeng
-from oracles import exp_curve, grid_minimize, reference_exp_find_swap
+from sparseclass import swap
+from oracles import exp_curve, grid_minimize, newton_fit_exponential, reference_exp_find_swap
 from test_logistic import _count_skips, _record_screens
+from test_path import _data
 
 
 def _binary_data(rng, n=24, p=5):
@@ -377,3 +379,108 @@ class TestCarriedScreen:
         screens = _record_screens(monkeypatch, expeng)
         expeng.cd_sweep(state, data, 12.0, range(data.p))
         assert screens and len(skipped) == len(screens)
+
+
+def _projected_gradient(state, data):
+    """H and the projected gradient of H over the support (sorted) and the
+    intercept, from scratch: a coefficient at +-COEF_BOUND whose gradient
+    points out of the box contributes zero."""
+    support = sorted(state.support)
+    c = np.exp(-(data.y * (data.x @ state.w + state.intercept)))
+    z = data.y[:, None] * data.x[:, support]
+    g = -(z.T @ c)
+    w = state.w[support]
+    bound = expeng.COEF_BOUND
+    g[((w >= bound) & (g < 0.0)) | ((w <= -bound) & (g > 0.0))] = 0.0
+    return float(c.sum()), np.append(g, -float(data.y @ c))
+
+
+def _certified(state, data):
+    H, pg = _projected_gradient(state, data)
+    # the solver's test, plus the rounding of this recomputation
+    return float(np.abs(pg).max()) <= expeng.REOPT_GRAD_TOL * H * (1.0 + 1e-6) + 1e-12 * H
+
+
+class TestReoptimize:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_newton_oracle_and_is_certified(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n, p = int(rng.integers(60, 240)), 12
+        x = rng.choice([-1.0, 1.0], size=(n, p))
+        y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-0.6 * (x[:, 0] + x[:, 1]))), 1.0, -1.0)
+        data = sc.DesignMatrix.from_arrays(x, y)
+        state = _random_exp_state(data, rng, k=int(rng.integers(1, 7)))
+        hp = sc.HyperParams(lambda0=1.0, loss="exponential")
+        w_ref, b_ref, H_ref = newton_fit_exponential(x, data.y, state.support)
+        assert np.abs(w_ref).max() < 0.5 * expeng.COEF_BOUND  # the box is not active
+        stats = sc.FitStats()
+        support = set(state.support)
+        swap.reoptimize(state, data, hp, stats)
+        assert stats.cap_hits == 0 and state.support == support
+        assert state.H == pytest.approx(H_ref, rel=1e-9)
+        np.testing.assert_allclose(state.w, w_ref, rtol=0, atol=1e-6)
+        assert state.intercept == pytest.approx(b_ref, abs=1e-6)
+        assert _certified(state, data)
+        # the weights are rebuilt exactly from the coefficients
+        np.testing.assert_array_equal(state.c, np.exp(-(data.y * state.linear_scores(data))))
+
+        again = state.copy()
+        swap.reoptimize(again, data, hp, stats)
+        assert stats.cap_hits == 0
+        assert np.abs(again.w - state.w).max() <= 1e-12
+        assert abs(again.intercept - state.intercept) <= 1e-12
+
+    def test_empty_support_fits_the_intercept(self):
+        rng = np.random.default_rng(310)
+        data = _binary_data(rng, n=50, p=4)
+        state = sc.ExpState.zeros(data)
+        swap.reoptimize(state, data, sc.HyperParams(loss="exponential"))
+        assert state.support == set()
+        c_pos = float(np.sum(data.y > 0.0))
+        assert state.intercept == pytest.approx(0.5 * math.log(c_pos / (data.n - c_pos)),
+                                                abs=1e-9)
+        assert _certified(state, data)
+
+    @pytest.mark.parametrize("seed", [51, 53, 55, 56])
+    def test_separable_supports_stay_in_the_box(self, seed):
+        # Columns of these supports separate the data.  Without the box,
+        # Newton drives their coefficients past 300 and H below 1e-43.
+        data = _data(np.random.default_rng(seed), n=80, p=300, binary=True)
+        hp = sc.HyperParams(lambda0=2.0, loss="exponential")
+        stats = sc.FitStats()
+        reopt = sc.warm_start(data, hp)
+        swap.reoptimize(reopt, data, hp, stats)
+        fit = sc.fit_one(data, hp, stats=stats)  # at seed 55 a swap reoptimizes
+        assert stats.cap_hits == 0
+        for st in (reopt, fit):
+            assert np.abs(st.w).max() <= expeng.COEF_BOUND
+            assert 0.0 < st.H < math.inf
+            assert 0.0 < sc.objective(st, data, hp) < math.inf
+        assert np.abs(reopt.w).max() == expeng.COEF_BOUND  # the box is active
+        assert _certified(reopt, data)
+
+    def test_c08_data_hits_no_cap_and_runs_no_sweep(self, monkeypatch):
+        raw, _ = sc.gen_classification(sc.SynthSpec(n=1000, p=25, k=5, rho=0.5, seed=3))
+        bdata, _ = sc.binarize(raw, encoding="-1/+1", max_thresholds=20)
+        sweeps, inside = [0], []
+        real_sweep, real_reopt = expeng.cd_sweep, swap.reoptimize
+
+        def sweep(*args):
+            sweeps[0] += 1
+            return real_sweep(*args)
+
+        def reoptimize(state, data, hp, stats=None):
+            before = sweeps[0]
+            real_reopt(state, data, hp, stats)
+            inside.append(sweeps[0] - before)
+            assert np.abs(state.w).max() <= expeng.COEF_BOUND
+            assert _certified(state, data)
+
+        monkeypatch.setattr(expeng, "cd_sweep", sweep)
+        monkeypatch.setattr(swap, "reoptimize", reoptimize)
+        result = sc.fit_path(bdata, sc.PathSpec((7.0, 6.0, 5.0, 4.0, 3.0, 2.0), (0.0,),
+                                                "exponential",
+                                                sc.HyperParams(loss="exponential",
+                                                               candidate_limit=50)))
+        assert inside and inside == [0] * len(inside)
+        assert all(e.error is None and e.cap_hits == 0 for e in result.entries)

@@ -8,6 +8,7 @@ from scipy.special import expit
 
 import sparseclass as sc
 from sparseclass import logistic as logeng
+from sparseclass.core import EPS, ScreenRef
 from oracles import central_difference, grid_minimize, logistic_curve
 
 
@@ -549,3 +550,18 @@ class TestCarriedScreen:
             oracle.set_coefficient(other, j, sc.threshold_step(oracle, other, j, hp))
         assert state.ref is not first
         np.testing.assert_array_equal(state.w, oracle.w)
+
+    def test_certificate_level_is_the_euclidean_distance(self):
+        # the level reads ||q - v|| as np.linalg.norm computes it, bit for bit
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 300, 1001):
+            data = sc.DesignMatrix.from_arrays(rng.standard_normal((n, 3)),
+                                               np.where(rng.random(n) < 0.5, 1.0, -1.0))
+            state = sc.ModelState.zeros(data)
+            state.ref = ScreenRef(data, expit(rng.standard_normal(n)))
+            _, level = logeng._certificate(state, data, 1.0, logeng.lipschitz_all(data))
+            rounding = EPS * math.sqrt(n) * (2 * n + 8)
+            for scale in (1e-300, 1e-9, 0.3, 1.0, 1e150):
+                q = state.ref.v + scale * rng.standard_normal(n)
+                want = float(np.linalg.norm(q - state.ref.v)) * (1.0 + 1e-9) + rounding
+                assert level(q) == want
