@@ -85,28 +85,20 @@ def binarize(
     if max_thresholds is not None and max_thresholds < 1:
         raise ConfigError("max_thresholds must be positive or None")
 
-    columns: list[np.ndarray] = []
+    thresholds = [_feature_thresholds(data.column(j), max_thresholds) for j in range(data.p)]
+    x = np.empty((data.n, sum(t.size for t in thresholds)), order="F")
+    compare = np.less_equal if direction == "<=" else np.greater_equal
     names: list[str] = []
     groups: list[ThresholdGroup] = []
-    for j, name in enumerate(data.feature_names):
-        col = data.column(j)
-        thresholds = _feature_thresholds(col, max_thresholds)
-        idxs = []
-        for theta in thresholds:
-            ind = (col <= theta) if direction == "<=" else (col >= theta)
-            dummy = ind.astype(np.float64)
-            if encoding == "-1/+1":
-                dummy = 2.0 * dummy - 1.0
-            idxs.append(len(columns))
-            columns.append(dummy)
-            names.append(f"{name}{direction}{float(theta)!r}")
-        groups.append(ThresholdGroup(name, tuple(float(t) for t in thresholds), tuple(idxs)))
-
-    if columns:
-        x = np.column_stack(columns)
-    else:
-        x = np.empty((data.n, 0))
-    out = DesignMatrix.from_arrays(x, data.y, names)
+    for j, (name, ths) in enumerate(zip(data.feature_names, thresholds)):
+        start = len(names)
+        compare(data.column(j)[:, None], ths, out=x[:, start:start + ths.size])
+        names += [f"{name}{direction}{t!r}" for t in ths.tolist()]
+        groups.append(ThresholdGroup(name, tuple(ths.tolist()), tuple(range(start, len(names)))))
+    if encoding == "-1/+1":
+        x *= 2.0
+        x -= 1.0
+    out = DesignMatrix(x=x, y=data.y, feature_names=tuple(names))
     return out, ThresholdMap(direction=direction, encoding=encoding, groups=tuple(groups))
 
 
@@ -164,7 +156,7 @@ class Scorecard:
         return total + self.intercept
 
     def to_json(self) -> str:
-        return dumps_17g(
+        return dump_json(
             {
                 "kind": self.kind,
                 "loss": self.loss,
@@ -202,7 +194,7 @@ class Scorecard:
 
 def _finite(text: str) -> float:
     # a ValueError, so a model file with NaN, Infinity or 1e999 reads as
-    # malformed, as the writer (``_render``) refuses them
+    # malformed, as the writer (``dump_json``) refuses them
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text}")
@@ -214,6 +206,22 @@ def _direction(op) -> str:
     if op not in DIRECTIONS:
         raise ValueError(f"term op {op!r} is not one of {DIRECTIONS}")
     return op
+
+
+def dump_json(obj) -> str:
+    """JSON text with each float in its shortest form that reads back bit for
+    bit (``repr``); a non-finite number is a ``DataError``."""
+    try:
+        return json.dumps(obj, allow_nan=False, default=_unwrap_numpy)
+    except ValueError as exc:
+        raise DataError("cannot serialize non-finite numbers") from exc
+
+
+def _unwrap_numpy(obj):
+    # NumPy scalars that do not subclass a Python number, such as np.float32
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def export_scorecard(state, tmap: ThresholdMap | None, feature_names, hp) -> Scorecard:
@@ -245,44 +253,3 @@ def export_scorecard(state, tmap: ThresholdMap | None, feature_names, hp) -> Sco
             else:
                 terms.append(ScorecardTerm(g.name, tmap.direction, theta, w))
     return Scorecard(hp.loss, hp.lambda0, hp.lambda2, intercept, tuple(terms))
-
-
-# --- structured-text rendering ---------------------------------------------
-
-def _render(obj, out: list[str]) -> None:
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _render(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _render(v, out)
-        out.append("]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            raise DataError("cannot serialize non-finite numbers")
-        out.append(format(obj, ".17g"))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, np.floating):
-        _render(float(obj), out)
-    else:
-        out.append(json.dumps(obj))
-
-
-def dumps_17g(obj) -> str:
-    """JSON text with floats rendered to 17 significant digits, enough for a
-    bit-exact round trip."""
-    out: list[str] = []
-    _render(obj, out)
-    return "".join(out)

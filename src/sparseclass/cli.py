@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .binarize import Scorecard, binarize, dumps_17g, export_scorecard
+from .binarize import Scorecard, binarize, dump_json, export_scorecard
 from .core import (
     LOSSES,
     ConfigError,
@@ -177,7 +177,7 @@ def cmd_fit(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(model_text + "\n")
-    print(dumps_17g({
+    print(dump_json({
         "objective": obj,
         "support_size": len(state.support),
         "wall_ms": wall_ms,
@@ -305,8 +305,8 @@ def cmd_synth(args) -> int:
         "names": [data.feature_names[j] for j in sorted(truth)],
     }
     with open(args.out + ".truth.json", "w") as fh:
-        fh.write(dumps_17g(sidecar) + "\n")
-    print(dumps_17g({"rows": data.n, "features": data.p, "truth_size": len(truth)}))
+        fh.write(dump_json(sidecar) + "\n")
+    print(dump_json({"rows": data.n, "features": data.p, "truth_size": len(truth)}))
     return EXIT_OK
 
 

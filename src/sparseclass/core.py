@@ -422,10 +422,11 @@ def engine(loss: str):
     its fits on binarized data use (``"-1/+1"`` where the engine needs
     -1/+1 features).  It also defines ``new_state(data)``, ``smooth_loss(state, data,
     hp)``, ``sweep(state, data, hp, lam0, coords)`` (one coordinate pass,
-    returning the largest move), ``refit_intercept(state, data)`` (returning
-    the shift), ``find_swap(trial, data, hp, forbidden, f0, threshold,
-    cut, stats)`` (the first acceptable replacement feature and its
-    coefficient, or None) and ``reoptimize(state, data, hp, stats)``
+    returning the largest move), ``refit_intercept(state, data, stats)``
+    (returning the shift, counting a stop at an iteration cap in
+    ``stats.cap_hits``), ``find_swap(trial, data, hp, forbidden, f0,
+    threshold, cut, stats)`` (the first acceptable replacement feature and
+    its coefficient, or None) and ``reoptimize(state, data, hp, stats)``
     (minimizes the smooth loss over the support coefficients and the
     intercept in place, counting a stop at ``REOPT_MAX_SWEEPS`` in
     ``stats.cap_hits``).

@@ -195,8 +195,9 @@ def exp_coordinate_update(state: ExpState, data: DesignMatrix, j: int, lam0: flo
     return new
 
 
-def refit_intercept(state: ExpState, data: DesignMatrix) -> float:
-    """Closed-form intercept refit; returns the applied shift."""
+def refit_intercept(state: ExpState, data: DesignMatrix, stats=None) -> float:
+    """Closed-form intercept refit; returns the applied shift.  ``stats`` is
+    unused: the closed form has no cap."""
     if data.n == 0:
         return 0.0
     dot = float(state.c @ data.y)

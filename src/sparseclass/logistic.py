@@ -339,13 +339,14 @@ _INTERCEPT_SPAN = 40.0
 _INTERCEPT_MAX_ITER = 60
 
 
-def refit_intercept(state: ModelState, data: DesignMatrix) -> float:
+def refit_intercept(state: ModelState, data: DesignMatrix, stats=None) -> float:
     """Exact 1-D minimization of the logistic loss over the intercept.
 
     Newton steps on the derivative, safeguarded by a shrinking sign bracket
     (midpoint fallback when a step leaves it); the intercept carries no
     penalty and is clamped to a wide span on separable data.  Returns the
-    applied shift.
+    applied shift; a stop at ``_INTERCEPT_MAX_ITER`` steps is counted in
+    ``stats.cap_hits``.
     """
     if data.n == 0:
         return 0.0
@@ -368,6 +369,9 @@ def refit_intercept(state: ModelState, data: DesignMatrix) -> float:
             delta = nxt
             break
         delta = nxt
+    else:
+        if stats is not None:
+            stats.cap_hits += 1
     state.set_intercept(data, state.intercept + delta)
     return delta
 
@@ -620,7 +624,7 @@ def reoptimize(state: ModelState, data: DesignMatrix, hp: HyperParams, stats) ->
     ``stats.cap_hits``)."""
     prev = smooth_loss(state, data, hp)
     for _ in range(REOPT_MAX_SWEEPS):
-        refit_intercept(state, data)
+        refit_intercept(state, data, stats)
         sweep(state, data, hp, 0.0, sorted(state.support))
         cur = smooth_loss(state, data, hp)
         if prev - cur < hp.objective_tol:

@@ -72,10 +72,10 @@ def warm_start(data: DesignMatrix, hp: HyperParams, init=None,
     """
     eng = engine(hp.loss)
     state = eng.new_state(data) if init is None else init.copy()
-    eng.refit_intercept(state, data)
+    eng.refit_intercept(state, data, stats)
     for _ in range(WARM_START_MAX_SWEEPS):
         move = eng.sweep(state, data, hp, hp.lambda0, range(data.p))
-        shift = eng.refit_intercept(state, data)
+        shift = eng.refit_intercept(state, data, stats)
         if move <= SWEEP_STABLE_TOL and abs(shift) <= SWEEP_STABLE_TOL:
             break
     else:

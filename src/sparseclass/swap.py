@@ -37,11 +37,11 @@ class FitStats:
     loss, ``cut_prunes`` among them dismissed without a line search (by
     the cut at zero, the reach bound or the bracket-curvature cut of
     ``logistic.screen_block``) and ``line_searches`` run.
-    ``cap_hits`` counts the warm-start and reoptimization loops that ended
-    at their sweep or iteration cap without meeting their stop test (or,
-    under the exponential loss, ended short of it: see
-    ``exponential.reoptimize``), and swap searches that ended at
-    ``SWAP_MAX_PASSES``.
+    ``cap_hits`` counts the warm-start, reoptimization and logistic
+    intercept-refit loops that ended at their sweep or iteration cap
+    without meeting their stop test (or, under the exponential loss, ended
+    short of it: see ``exponential.reoptimize``), and swap searches that
+    ended at ``SWAP_MAX_PASSES``.
     """
 
     swap_evals: int = 0

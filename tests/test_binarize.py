@@ -1,5 +1,7 @@
 """Threshold expansion and scorecard tests."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 import sparseclass as sc
 from sparseclass.core import engine
-from sparseclass.binarize import ScorecardTerm, dumps_17g
+from sparseclass.binarize import ScorecardTerm, dump_json
+from oracles import reference_binarize
 
 
 def _toy(values, y=None):
@@ -81,6 +84,32 @@ class TestBinarize:
         out, tmap = sc.binarize(data, direction=">=", encoding="0/1")
         col = out.column(tmap.groups[0].columns[1])  # theta = 3
         assert col.tolist() == [1.0, 0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("max_thresholds", [None, 1, 3, 200])
+    @pytest.mark.parametrize("encoding", ["0/1", "-1/+1"])
+    @pytest.mark.parametrize("direction", ["<=", ">="])
+    def test_matches_the_per_threshold_oracle(self, direction, encoding, max_thresholds):
+        rng = np.random.default_rng(19)
+        n = 300
+        x = np.column_stack([
+            rng.standard_normal(n),                          # all values distinct
+            rng.integers(0, 6, size=n).astype(float),        # heavy ties
+            np.full(n, 2.5),                                 # constant
+            np.round(rng.standard_normal(n), 1) * 1e-3,      # ties, -0.0 and 0.0
+            np.where(rng.random(n) < 0.5, -1.0, 1.0),        # two values
+        ])
+        data = sc.DesignMatrix.from_arrays(x, np.where(rng.random(n) < 0.5, 1.0, -1.0),
+                                           ["a", "b", "c", "d", "e"])
+        got, got_map = sc.binarize(data, direction=direction, encoding=encoding,
+                                   max_thresholds=max_thresholds)
+        want, want_map = reference_binarize(data, direction, encoding, max_thresholds)
+        assert got.x.dtype == want.x.dtype == np.float64
+        assert got.x.flags.f_contiguous
+        assert got.x.shape == want.x.shape
+        assert got.x.tobytes(order="F") == want.x.tobytes(order="F")
+        assert got.feature_names == want.feature_names
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got_map == want_map
 
 
 def _fit_on_dummies(data, tmap, rng, encoding):
@@ -245,10 +274,23 @@ class TestModelFiles:
 
 
 class TestFloatRendering:
-    def test_17g_roundtrip(self):
-        rng = np.random.default_rng(17)
-        values = rng.standard_normal(200) * 10.0 ** rng.integers(-8, 8, size=200)
-        import json
+    def test_floats_read_back_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        values = rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, size=2000)
+        values = [*values.tolist(), 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0, -3.0]
         for v in values:
-            text = dumps_17g({"v": float(v)})
-            assert json.loads(text)["v"] == float(v)
+            card = sc.Scorecard("logistic", 1.0, 0.0, v, (ScorecardTerm("a", "<=", v, 1.0),))
+            again = sc.Scorecard.from_json(card.to_json())
+            assert again.intercept.hex() == v.hex()
+            assert again.terms[0].threshold.hex() == v.hex()
+            assert json.loads(dump_json(v)).hex() == v.hex()  # -0.0 included
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                       np.float32("nan")])
+    def test_non_finite_numbers_are_refused(self, value):
+        with pytest.raises(sc.DataError):
+            dump_json({"v": [1.0, value]})
+
+    def test_numpy_scalars_are_written_as_numbers(self):
+        assert dump_json({"k": np.int64(3), "v": np.float32(0.5), "w": np.float64(0.1)}) \
+            == '{"k": 3, "v": 0.5, "w": 0.1}'

@@ -146,6 +146,16 @@ class TestFitPredict:
                                    "--out", str(tmp_path / "p.csv")])
         assert code == 0
 
+        raw = read_csv(str(data_path))
+        data, _ = sc.binarize(raw, encoding="-1/+1", max_thresholds=12)
+        hp = sc.HyperParams(lambda0=2.0, loss="exponential")
+        state = sc.fit_one(data, hp)
+        assert json.loads(out)["objective"].hex() == sc.objective(state, data, hp).hex()
+        scores = np.loadtxt(tmp_path / "p.csv", delimiter=",", skiprows=1, ndmin=2)[:, 0]
+        columns = {name: raw.column(j) for j, name in enumerate(raw.feature_names)}
+        np.testing.assert_allclose(scores, card.score_rows(columns), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scores, state.scores(data), rtol=0, atol=1e-12)
+
     def test_label01_ingestion(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         data_path = tmp_path / "train.csv"

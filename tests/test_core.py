@@ -225,12 +225,23 @@ class TestStateMaintenance:
         assert_same(snapshot(dup), copied)
 
 
+def _load_tracer():
+    """The benchmark's ``perfbench/tracing.py``, which is not a package."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestEngines:
     FUNCTIONS = {
         "new_state": ["data"],
         "smooth_loss": ["state", "data", "hp"],
         "sweep": ["state", "data", "hp", "lam0", "coords"],
-        "refit_intercept": ["state", "data"],
+        "refit_intercept": ["state", "data", "stats"],
         "find_swap": ["trial", "data", "hp", "forbidden", "f0", "threshold", "cut", "stats"],
     }
 
@@ -252,17 +263,28 @@ class TestEngines:
         # The benchmark's tracer counts calls by patching these methods in
         # each state class's own namespace.  It finds every target but two
         # hooks for swap functions that the block screen replaced.
-        import importlib.util
-        from pathlib import Path
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = _load_tracer()
         targets = tracing.Tracer()._targets()
         assert [f"{o.__name__}.{a}" for o, a, _ in targets if tracing._lookup(o, a) is None] \
             == ["sparseclass.swap._try_add_quad", "sparseclass.swap._try_add_lin"]
         for cls in (sc.ModelState, sc.ExpState):
             assert {"set_coefficient", "refresh"} <= set(vars(cls)), cls.__name__
+
+    def test_tracer_wraps_every_live_target_and_restores_it(self):
+        # The benchmark's tracer only warns about a name it cannot find, and
+        # the layer behind it then reads 0; it reads ``coords`` by position.
+        import inspect
+        from sparseclass import exponential, logistic
+        for module, position in ((logistic, 5), (exponential, 3)):
+            assert list(inspect.signature(module.cd_sweep).parameters)[position] == "coords"
+        tracer = _load_tracer().Tracer()
+        tracer.install()
+        try:
+            assert tracer.missing == ["sparseclass.swap._try_add_quad",
+                                      "sparseclass.swap._try_add_lin"]
+        finally:
+            tracer.uninstall()
+        assert tracer.leftovers() == []
 
     def test_lookup_by_loss_name(self):
         from sparseclass import core, exponential, logistic

@@ -387,6 +387,31 @@ class TestSweepAndIntercept:
         g = -float(data.y @ expit(-state.margins))
         assert abs(g) < 1e-8
 
+    def test_intercept_refit_counts_a_stop_at_its_cap(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        data, state = _instance(rng, n=50, p=4)
+        stats = sc.FitStats()
+        logeng.refit_intercept(state.copy(), data, stats)
+        assert stats.cap_hits == 0
+        monkeypatch.setattr(logeng, "_INTERCEPT_MAX_ITER", 1)
+        logeng.refit_intercept(state, data, stats)
+        assert stats.cap_hits == 1
+        g = -float(data.y @ expit(-state.margins))
+        assert abs(g) > 1e-8  # one step does not reach stationarity here
+
+    def test_warm_start_and_reoptimize_pass_their_stats(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        data, state = _instance(rng, n=50, p=4)
+        hp = sc.HyperParams(lambda0=0.5, lambda2=0.1)
+        seen = []
+        refit = logeng.refit_intercept
+        monkeypatch.setattr(logeng, "refit_intercept",
+                            lambda st, d, stats=None: seen.append(stats) or refit(st, d, stats))
+        stats = sc.FitStats()
+        sc.warm_start(data, hp, stats=stats)
+        logeng.reoptimize(state, data, hp, stats)
+        assert seen and all(s is stats for s in seen)
+
     def test_intercept_refit_empty_data(self):
         data = sc.DesignMatrix.from_arrays(np.empty((0, 1)), np.empty(0))
         state = sc.ModelState.zeros(data)

@@ -1,5 +1,7 @@
 """Warm start and regularization-path tests."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -153,15 +155,23 @@ class TestFitPath:
         assert stats.candidates > 0
         assert stats.cut_prunes + stats.line_searches <= stats.candidates
 
-    def test_deterministic_across_runs(self):
+    @pytest.mark.parametrize("loss", ["logistic", "exponential"])
+    def test_deterministic_across_runs(self, loss):
         rng = np.random.default_rng(3)
-        data = _data(rng)
-        spec = sc.PathSpec(lambda0_grid=(1.0, 0.5), lambda2_grid=(1e-3,))
+        exponential = loss == "exponential"
+        data = _data(rng, binary=exponential)
+        spec = sc.PathSpec(lambda0_grid=(1.0, 0.5), lambda2_grid=(0.0 if exponential else 1e-3,),
+                           loss=loss)
         r1 = sc.fit_path(data, spec)
         r2 = sc.fit_path(data, spec)
+        counters = [f.name for f in fields(sc.FitStats)]
+        assert len(r1.entries) == len(r2.entries) == 2
         for a, b in zip(r1.entries, r2.entries):
+            assert a.error is None and b.error is None
             np.testing.assert_array_equal(a.state.w, b.state.w)
+            assert a.state.intercept == b.state.intercept
             assert a.objective == b.objective
+            assert [getattr(a, k) for k in counters] == [getattr(b, k) for k in counters]
 
     def test_failures_recorded_and_grid_continues(self, monkeypatch):
         rng = np.random.default_rng(4)
