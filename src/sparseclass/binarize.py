@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, DesignMatrix
+from .core import ConfigError, DataError, DesignMatrix, ThresholdIndex
 
 DIRECTIONS = ("<=", ">=")
 ENCODINGS = ("0/1", "-1/+1")
@@ -74,7 +74,9 @@ def binarize(
     Thresholds are the distinct realized values of each feature, capped to
     equally spaced realized quantiles when ``max_thresholds`` is given.
     Constant features contribute no columns.  The -1/+1 encoding is what the
-    exponential-loss engine requires.
+    exponential-loss engine requires.  The result carries a
+    ``ThresholdIndex``: each feature's sort order and each dummy's count of
+    ones, found with the comparison that fills the column.
     """
     if direction not in DIRECTIONS:
         raise ConfigError(f"direction must be one of {DIRECTIONS}")
@@ -88,17 +90,31 @@ def binarize(
     thresholds = [_feature_thresholds(data.column(j), max_thresholds) for j in range(data.p)]
     x = np.empty((data.n, sum(t.size for t in thresholds)), order="F")
     compare = np.less_equal if direction == "<=" else np.greater_equal
+    # x >= t exactly when -x <= -t, so ">=" dummies sort and count by -x
+    sign = 1.0 if direction == "<=" else -1.0
     names: list[str] = []
     groups: list[ThresholdGroup] = []
+    orders: list[np.ndarray] = []
+    feature = np.empty(x.shape[1], dtype=np.intp)
+    prefix = np.empty(x.shape[1], dtype=np.intp)
     for j, (name, ths) in enumerate(zip(data.feature_names, thresholds)):
         start = len(names)
-        compare(data.column(j)[:, None], ths, out=x[:, start:start + ths.size])
+        col = data.column(j)
+        compare(col[:, None], ths, out=x[:, start:start + ths.size])
         names += [f"{name}{direction}{t!r}" for t in ths.tolist()]
         groups.append(ThresholdGroup(name, tuple(ths.tolist()), tuple(range(start, len(names)))))
+        if ths.size:
+            keys = sign * col
+            order = np.argsort(keys, kind="stable")
+            feature[start:len(names)] = len(orders)
+            prefix[start:len(names)] = np.searchsorted(keys[order], sign * ths, side="right")
+            orders.append(order)
     if encoding == "-1/+1":
         x *= 2.0
         x -= 1.0
-    out = DesignMatrix(x=x, y=data.y, feature_names=tuple(names))
+    index = ThresholdIndex(order=np.array(orders, dtype=np.intp).reshape(len(orders), data.n),
+                           feature=feature, prefix=prefix, plus_minus=encoding == "-1/+1")
+    out = DesignMatrix(x=x, y=data.y, feature_names=tuple(names), threshold_index=index)
     return out, ThresholdMap(direction=direction, encoding=encoding, groups=tuple(groups))
 
 

@@ -312,10 +312,15 @@ def find_swap(trial: ExpState, data: DesignMatrix, hp: HyperParams, forbidden: s
     The closed-form loss 2 * sqrt(d * (1 - d)) * f0 falls as |z_j . c|
     grows, so no later candidate in gradient order does better and
     ``hp.candidate_limit`` changes nothing.  Needs no cut; the one
-    candidate tested is counted in ``stats.candidates``."""
+    candidate tested is counted in ``stats.candidates``.
+
+    The gradient comes from ``DesignMatrix.signed_products``, prefix sums
+    on threshold dummies, so a tie is broken by index only up to that
+    product's rounding (3 n EPS sum(c)); dummies that are 1 on every row
+    tie exactly."""
     if len(forbidden) >= data.p:
         return None
-    dots = data.signed.T @ trial.c  # -gradient of the loss at the trial state
+    dots = data.signed_products(trial.c)  # -gradient of the loss at the trial state
     mags = np.abs(dots)
     mags[list(forbidden)] = -1.0
     j2 = int(mags.argmax())

@@ -142,6 +142,15 @@ def reference_binarize(data, direction="<=", encoding="0/1", max_thresholds=None
     return out, ThresholdMap(direction=direction, encoding=encoding, groups=tuple(groups))
 
 
+def reference_signed_products(data, v):
+    """z_j . v for every column j, with z_ij = y_i * x_ij: each column's
+    terms y_i * x_ij * v_i summed by ``math.fsum``, which rounds once.  On
+    0/1 and -1/+1 dummies every term is exact, so each entry is the exact
+    product correctly rounded."""
+    x, y, v = np.asarray(data.x), np.asarray(data.y), np.asarray(v, dtype=np.float64)
+    return np.array([math.fsum((y * x[:, j] * v).tolist()) for j in range(x.shape[1])])
+
+
 def central_difference(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparseclass as sc
-from sparseclass.core import engine
+from sparseclass.core import EPS, ThresholdIndex, engine
 from sparseclass.binarize import ScorecardTerm, dump_json
-from oracles import reference_binarize
+from oracles import reference_binarize, reference_signed_products
 
 
 def _toy(values, y=None):
@@ -110,6 +110,78 @@ class TestBinarize:
         assert got.feature_names == want.feature_names
         assert got.y.tobytes() == want.y.tobytes()
         assert got_map == want_map
+
+
+def _mixed(n, seed=19):
+    """Raw columns of every kind that binarize meets: distinct values, heavy
+    ties, a constant, ties with -0.0 and 0.0, and two values."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([
+        rng.standard_normal(n),
+        rng.integers(0, 6, size=n).astype(float),
+        np.full(n, 2.5),
+        np.round(rng.standard_normal(n), 1) * 1e-3,
+        np.where(rng.random(n) < 0.5, -1.0, 1.0),
+    ])
+    return sc.DesignMatrix.from_arrays(x, np.where(rng.random(n) < 0.5, 1.0, -1.0),
+                                       ["a", "b", "c", "d", "e"])
+
+
+CONFIGS = [(direction, encoding, max_thresholds)
+           for direction in ("<=", ">=") for encoding in ("0/1", "-1/+1")
+           for max_thresholds in (None, 1, 3, 200)]
+
+
+class TestSignedProducts:
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    @pytest.mark.parametrize("direction,encoding,max_thresholds", CONFIGS)
+    def test_matches_the_exact_sums_within_the_stated_bound(self, direction, encoding,
+                                                            max_thresholds, n):
+        data = _mixed(n)
+        out, _ = sc.binarize(data, direction=direction, encoding=encoding,
+                             max_thresholds=max_thresholds)
+        assert out.threshold_index is not None
+        rng = np.random.default_rng(n)
+        for v in (np.exp(rng.standard_normal(n)),                       # weights, as find_swap
+                  rng.standard_normal(n) * np.exp(4 * rng.standard_normal(n))):
+            got = out.signed_products(v)
+            want = reference_signed_products(out, v)
+            assert got.shape == want.shape == (out.p,)
+            # the docstring's 3 n EPS sum|v|, plus the oracle's one rounding
+            bound = (3 * n + 1) * EPS * float(np.abs(v).sum())
+            assert np.all(np.abs(got - want) <= bound)
+            full = out.threshold_index.prefix == n
+            assert np.unique(got[full]).size <= 1  # columns of ones tie exactly
+        if n == 1:
+            assert out.p == 0  # every feature is constant
+
+    def test_a_copy_without_the_index_takes_the_matrix_product(self):
+        out, _ = sc.binarize(_mixed(300), encoding="-1/+1", max_thresholds=200)
+        copy = sc.DesignMatrix.from_arrays(out.x, out.y, out.feature_names)
+        assert copy.threshold_index is None
+        v = np.exp(np.random.default_rng(3).standard_normal(300))
+        assert copy.signed_products(v).tobytes() == (copy.signed.T @ v).tobytes()
+
+    def test_the_index_is_locked_and_checked(self):
+        out, _ = sc.binarize(_mixed(40), direction=">=", encoding="-1/+1")
+        idx = out.threshold_index
+        for a in (idx.order, idx.feature, idx.prefix):
+            assert not a.flags.writeable
+        assert "threshold_index" not in repr(out)
+        bad = [dict(order=idx.order[:, 1:]), dict(prefix=idx.prefix[1:]),
+               dict(prefix=np.zeros_like(idx.prefix)), dict(feature=idx.feature + 99)]
+        for change in bad:
+            fields = dict(order=idx.order, feature=idx.feature, prefix=idx.prefix,
+                          plus_minus=True) | change
+            with pytest.raises(sc.DataError):
+                sc.DesignMatrix(out.x, out.y, out.feature_names, ThresholdIndex(**fields))
+
+    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize("direction,encoding,max_thresholds", CONFIGS)
+    def test_binary_equals_a_scan(self, direction, encoding, max_thresholds, n):
+        out, _ = sc.binarize(_mixed(n), direction=direction, encoding=encoding,
+                             max_thresholds=max_thresholds)
+        assert out.binary == bool(np.all(np.abs(out.x) == 1.0))
 
 
 def _fit_on_dummies(data, tmap, rng, encoding):

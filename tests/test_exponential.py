@@ -8,7 +8,9 @@ import pytest
 import sparseclass as sc
 from sparseclass import exponential as expeng
 from sparseclass import swap
-from oracles import exp_curve, grid_minimize, newton_fit_exponential, reference_exp_find_swap
+from sparseclass.core import EPS
+from oracles import (exp_curve, grid_minimize, newton_fit_exponential, reference_exp_find_swap,
+                     reference_signed_products)
 from test_logistic import _count_skips, _record_screens
 from test_path import _data
 
@@ -263,6 +265,60 @@ class TestFindSwap:
             outcomes.add((want is None, tested))
         # accepted and rejected visits, rejections after several candidates
         assert (False, 1) in outcomes and any(none and t > 1 for none, t in outcomes)
+
+    def test_matches_the_sequential_scan_on_threshold_dummies(self):
+        rng = np.random.default_rng(23)
+        compared = skipped = accepted = 0
+        while compared < 100:
+            n, p = int(rng.integers(2, 60)), int(rng.integers(1, 5))
+            raw = np.column_stack([rng.standard_normal(n), rng.integers(0, 4, size=n),
+                                   np.round(rng.standard_normal((n, 2)), 1)])[:, :p]
+            base = sc.DesignMatrix.from_arrays(raw, np.where(rng.random(n) < 0.5, 1.0, -1.0))
+            data, _ = sc.binarize(base, direction=str(rng.choice(["<=", ">="])),
+                                  encoding="-1/+1",
+                                  max_thresholds=[None, 1, 3, 200][int(rng.integers(4))])
+            if data.p == 0:
+                continue
+            trial = _random_exp_state(data, rng, k=int(rng.integers(0, min(4, data.p))))
+            size = int(rng.integers(0, data.p))
+            forbidden = {int(j) for j in rng.choice(data.p, size=size, replace=False)}
+            # skip draws whose best two candidates lie within the products'
+            # rounding, 3 n EPS sum(c) each (``DesignMatrix.signed_products``)
+            exact = np.abs(reference_signed_products(data, trial.c))
+            exact[list(forbidden)] = -1.0
+            top = np.sort(exact)[::-1]
+            if top.size > 1 and top[0] - top[1] <= 2 * (3 * n + 1) * EPS * trial.H:
+                skipped += 1
+                continue
+            hp = sc.HyperParams(lambda0=0.5, loss="exponential")
+            f0 = trial.H
+            d = 0.5 * (1.0 - top[0] / f0)
+            # about half the draws accept: the best loss is 2 sqrt(d (1 - d)) f0
+            threshold = 2.0 * math.sqrt(d * (1.0 - d)) * f0 * float(rng.uniform(0.9, 1.1))
+            found = expeng.find_swap(trial, data, hp, forbidden, f0, threshold, "auto", None)
+            want, _ = reference_exp_find_swap(trial, data, forbidden, f0, threshold, None)
+            assert (found is None) == (want is None)
+            if want is not None:
+                assert found[0] == want[0]
+                assert found[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+            compared += 1
+            accepted += want is not None
+        assert skipped < compared and 20 < accepted < 80
+
+    def test_columns_of_ones_tie_and_the_lowest_index_wins(self):
+        rng = np.random.default_rng(24)
+        raw = sc.DesignMatrix.from_arrays(rng.standard_normal((50, 3)),
+                                          np.where(rng.random(50) < 0.7, 1.0, -1.0))
+        data, _ = sc.binarize(raw, direction=">=", encoding="-1/+1")
+        ones = np.flatnonzero(data.threshold_index.prefix == data.n).tolist()
+        assert len(ones) == 3 and all(np.all(data.x[:, j] == 1.0) for j in ones)
+        trial = _random_exp_state(data, rng, k=3)
+        forbidden = set(range(data.p)) - set(ones[1:])
+        dots = data.signed_products(trial.c)
+        assert dots[ones[1]] == dots[ones[2]] != 0.0
+        hp = sc.HyperParams(lambda0=0.5, loss="exponential")
+        found = expeng.find_swap(trial, data, hp, forbidden, trial.H, math.inf, "auto", None)
+        assert found is not None and found[0] == ones[1]
 
 
 class TestSweep:

@@ -12,8 +12,9 @@ import sparseclass as sc
 from sparseclass import logistic as logeng
 from sparseclass import swap
 from sparseclass.swap import reoptimize
-from oracles import (grid_minimize, logistic_curve, reference_swap_visit, scalar_try_add,
-                     screen_allowance)
+from sparseclass.core import EPS, engine
+from oracles import (direct_exponential_objective, direct_logistic_objective, grid_minimize,
+                     logistic_curve, reference_swap_visit, scalar_try_add, screen_allowance)
 
 
 def _planted(rng, n=120, p=8, idx=(1, 4), scale=1.4):
@@ -170,6 +171,70 @@ class TestSwap:
                 state = out.new_state
                 cur = sc.objective(state, data, hp)
                 assert cur <= prev + 1e-9
+
+
+class TestObjectiveNeverRises:
+    """Across every accepted delete or swap, the objective as the scalar
+    oracles compute it does not rise beyond rounding."""
+
+    @staticmethod
+    def _instance(rng, loss, kind):
+        n = int(rng.integers(40, 120))
+        if kind == "dummies":
+            raw = np.column_stack([rng.standard_normal((n, 3)), rng.integers(0, 5, size=(n, 2))])
+            y = np.where(rng.random(n) < expit(raw[:, 0] - raw[:, 3] + 1.0), 1.0, -1.0)
+            data, _ = sc.binarize(sc.DesignMatrix.from_arrays(raw, y),
+                                  direction=str(rng.choice(["<=", ">="])),
+                                  encoding=engine(loss).BINARIZE_ENCODING,
+                                  max_thresholds=int(rng.integers(2, 12)))
+            return data
+        x = rng.standard_normal((n, 10))
+        if loss == "exponential":
+            x = np.where(x > 0.0, 1.0, -1.0)
+        else:
+            x[:, 0] = 0.0
+        y = np.where(rng.random(n) < expit(1.2 * (x[:, 1] - x[:, 6])), 1.0, -1.0)
+        return sc.DesignMatrix.from_arrays(x, y)
+
+    @staticmethod
+    def _oracle(state, data, hp):
+        x, y = np.asarray(data.x), np.asarray(data.y)
+        if hp.loss == "exponential":
+            return direct_exponential_objective(x, y, state.w, state.intercept, hp.lambda0)
+        return direct_logistic_objective(x, y, state.w, state.intercept, hp.lambda0, hp.lambda2)
+
+    @pytest.mark.parametrize("kind", ["generic", "dummies"])
+    @pytest.mark.parametrize("loss", ["logistic", "exponential"])
+    def test_accepted_changes_never_raise_the_oracle_objective(self, loss, kind):
+        rng = np.random.default_rng(31 if loss == "logistic" else 32)
+        outcomes = Counter()
+        for _ in range(12):
+            data = self._instance(rng, loss, kind)
+            hp = sc.HyperParams(lambda0=float(rng.uniform(0.2, 2.0)), loss=loss,
+                                lambda2=1e-3 if loss == "logistic" else 0.0)
+            # a random support fitted on its own, so that changes get accepted
+            state = engine(loss).new_state(data)
+            for j in rng.choice(data.p, size=min(4, data.p), replace=False):
+                state.set_coefficient(data, int(j), float(rng.uniform(-0.5, 0.5)))
+            reoptimize(state, data, hp)
+            if kind == "generic" and loss == "logistic":
+                state.set_coefficient(data, 0, 0.5)  # its deletion lowers the ridge alone
+            for _ in range(8):
+                if not state.support:
+                    break
+                j = int(rng.choice(sorted(state.support)))
+                out = sc.try_delete_or_swap(state, data, hp, j)
+                outcomes[out.kind] += 1
+                if out.kind == "no_change":
+                    continue
+                old = self._oracle(state, data, hp)
+                new = self._oracle(out.new_state, data, hp)
+                # rounding of the oracle's n-term sums and of the solver's
+                # acceptance tests, both far below 64 n EPS of the value
+                assert new <= old + 64 * data.n * EPS * abs(old)
+                state = out.new_state
+        assert outcomes["swapped"] > 0 and outcomes["no_change"] > 0
+        assert outcomes["deleted"] > 0 or (kind, loss) != ("generic", "logistic")
 
 
 class TestTryAdd:
