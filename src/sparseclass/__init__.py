@@ -36,17 +36,13 @@ from .exponential import (
 )
 from .logistic import (
     CoordinateProbe,
-    TryAddResult,
     coordinate_probe,
-    find_new_coefficient,
     grad_j,
     lin_cut,
     lipschitz_j,
     quad_cut_one,
     quad_cut_two,
     threshold_step,
-    try_add_lincut,
-    try_add_quad,
 )
 from .metrics import SupportComparison, accuracy, auc, recovery_f1
 from .path import PathEntry, PathResult, PathSpec, fit_one, fit_path, warm_start
@@ -73,7 +69,6 @@ __all__ = [
     "SynthSpec",
     "ThresholdGroup",
     "ThresholdMap",
-    "TryAddResult",
     "accuracy",
     "auc",
     "binarize",
@@ -82,7 +77,6 @@ __all__ = [
     "exp_coordinate_update",
     "exp_line_search",
     "export_scorecard",
-    "find_new_coefficient",
     "fit_one",
     "fit_path",
     "fit_swap_1opt",
@@ -100,8 +94,6 @@ __all__ = [
     "smooth_logistic_loss",
     "smooth_loss",
     "threshold_step",
-    "try_add_lincut",
-    "try_add_quad",
     "try_delete_or_swap",
     "warm_start",
     "zero_interval",

@@ -27,7 +27,7 @@ from .core import (
 )
 from .metrics import accuracy, auc
 from .path import PathSpec, fit_one, fit_path
-from .swap import CUTS, ORDERINGS, FitStats, resolve_cut
+from .swap import CUTS, ORDERINGS, FitStats
 from .synth import SynthSpec, gen_classification
 
 EXIT_OK = 0
@@ -165,7 +165,6 @@ def cmd_fit(args) -> int:
     data, tmap = _prepare_training_data(args)
     hp = HyperParams(lambda0=args.lambda0, lambda2=args.lambda2, loss=args.loss,
                      candidate_limit=args.candidate_limit)
-    resolve_cut(args.cut, hp)  # reject bad cut/ridge combinations up front
     stats = FitStats()
     t0 = time.perf_counter()
     state = fit_one(data, hp, ordering=args.ordering, cut=args.cut, stats=stats)
@@ -256,7 +255,6 @@ def cmd_path(args) -> int:
         loss=args.loss,
         base=HyperParams(loss=args.loss, candidate_limit=args.candidate_limit),
     )
-    resolve_cut(args.cut, spec.hyperparams(lam0_grid[0], max(lam2_grid)))
     result = fit_path(data, spec, ordering=args.ordering, cut=args.cut)
     _emit(_path_rows(data, result), args.out)
     return EXIT_OK

@@ -33,6 +33,10 @@ EPS = float(np.finfo(np.float64).eps)
 # support reoptimization (an engine's ``reoptimize``) may take.
 REOPT_MAX_SWEEPS = 100
 
+# Objective tolerance: a swap must lower the smooth loss by more than this,
+# and the logistic support reoptimization stops once a sweep gains less.
+OBJECTIVE_TOL = 1e-8
+
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
@@ -177,17 +181,16 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Solver configuration.
-
-    ``candidate_limit`` bounds how many out-of-support features a swap
-    evaluation may consider (None means all of them).
+    """Solver configuration: the sparsity and ridge penalty strengths, the
+    loss, and ``candidate_limit``, which bounds how many out-of-support
+    features a swap evaluation may consider (None means all of them).
+    The line-search length and the objective tolerance are module
+    constants (``logistic.LINE_SEARCH_STEPS``, ``OBJECTIVE_TOL``).
     """
 
     lambda0: float = 1.0
     lambda2: float = 0.0
     loss: str = "logistic"
-    max_inner_iter: int = 10
-    objective_tol: float = 1e-8
     candidate_limit: int | None = None
 
     def __post_init__(self):
@@ -197,10 +200,6 @@ class HyperParams:
             raise ConfigError("penalty strengths must be finite and nonnegative")
         if self.lambda2 != 0 and not engine(self.loss).TAKES_RIDGE:
             raise ConfigError(f"the {self.loss} loss does not take a ridge penalty")
-        if self.max_inner_iter < 1:
-            raise ConfigError("max_inner_iter must be positive")
-        if self.objective_tol <= 0:
-            raise ConfigError("objective_tol must be positive")
         if self.candidate_limit is not None and self.candidate_limit < 1:
             raise ConfigError("candidate_limit must be positive or None")
 

@@ -16,6 +16,7 @@ from scipy.special import expit
 
 from .core import (
     EPS,
+    OBJECTIVE_TOL,
     REOPT_MAX_SWEEPS,
     ConfigError,
     DesignMatrix,
@@ -32,6 +33,10 @@ from .core import (
 PROBABILITY_SCALE = 1.0
 TAKES_RIDGE = True
 BINARIZE_ENCODING = "0/1"
+
+# Surrogate steps K of a swap candidate's line search (``find_swap`` passes
+# them to ``screen_block``).
+LINE_SEARCH_STEPS = 10
 
 # Two quadratic minorants with nearly equal curvature-adjusted slopes have no
 # usable intersection; below this denominator we fall back to the one-point
@@ -86,10 +91,9 @@ class CoordinateProbe:
     losses when a ridge is present.
     """
 
-    __slots__ = ("j", "base_margins", "u", "lam2", "base_sq", "lipschitz", "_f0")
+    __slots__ = ("base_margins", "u", "lam2", "base_sq", "lipschitz", "_f0")
 
-    def __init__(self, base_margins, u, lam2=0.0, base_sq=0.0, lipschitz=None, f0=None, j=-1):
-        self.j = j
+    def __init__(self, base_margins, u, lam2=0.0, base_sq=0.0, lipschitz=None, f0=None):
         self.base_margins = base_margins
         self.u = u
         self.lam2 = lam2
@@ -221,7 +225,6 @@ def coordinate_probe(state: ModelState, data: DesignMatrix, j: int, lam2: float 
         lam2=lam2,
         base_sq=base_sq,
         lipschitz=lipschitz_j(data, j, lam2),
-        j=j,
     )
 
 
@@ -232,17 +235,6 @@ def iterate_threshold(probe: CoordinateProbe, start: float, iterations: int) -> 
     for _ in range(iterations):
         t = t - probe.slope_at(t) / L
     return t
-
-
-def find_new_coefficient(state: ModelState, data: DesignMatrix, j: int, hp: HyperParams) -> float:
-    """Near-optimal coefficient for coordinate j via iterated thresholding.
-
-    Runs ``hp.max_inner_iter`` penalty-free steps starting from the current
-    coefficient; successive iterates approach the 1-D optimum monotonically
-    from one side.
-    """
-    probe = coordinate_probe(state, data, j, hp.lambda2)
-    return iterate_threshold(probe, float(state.w[j]), hp.max_inner_iter)
 
 
 # --- lower bounds for the 1-D minimum ------------------------------------
@@ -474,13 +466,6 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
 
 # --- swap candidates --------------------------------------------------------
 
-@dataclass(frozen=True)
-class TryAddResult:
-    accepted: bool
-    coefficient: float
-    cut_pruned: bool
-
-
 # Candidates of one swap visit are evaluated in blocks of at most
 # BLOCK_ELEMENTS // n, so each of the evaluator's few k x n float64 buffers
 # stays within 1 MB.  At n = 300 a block holds 436 candidates.
@@ -508,9 +493,10 @@ def screen_block(probe, s0, lip, f0: float, threshold: float, quad: bool,
     accepted when its line-search loss is below ``threshold``.
 
     The line search takes K = ``iterations`` surrogate steps from zero
-    (``iterate_threshold``).  The first is t = -s0/L; no later one is
-    longer or passes the 1-D optimum, as L bounds f''.  So the search ends
-    in [0, Kt], and one pass at Kt, with value fK and slope sK, bounds it.
+    (``iterate_threshold``); the swap search passes ``LINE_SEARCH_STEPS``.
+    The first is t = -s0/L; no later one is longer or passes the 1-D
+    optimum, as L bounds f''.  So the search ends in [0, Kt], and one pass
+    at Kt, with value fK and slope sK, bounds it.
     Reach bound: if sK has the sign of s0, f falls over [0, Kt] and the
     search ends at a loss of at least fK.  Bracket-curvature cut: else the
     optimum lies in [0, Kt], where f'' >= mu = 2 lam2 + sum_i u_i^2
@@ -573,36 +559,6 @@ def screen_block(probe, s0, lip, f0: float, threshold: float, quad: bool,
     return BlockResult(accepted, coefficient, pruned, searched)
 
 
-def _try_add(state, data: DesignMatrix, hp: HyperParams, j2: int, loss_best: float,
-             quad: bool) -> TryAddResult:
-    """``screen_block`` on the single candidate ``j2``."""
-    cp = coordinate_probe(state, data, j2, hp.lambda2)
-    probe = BlockProbe(cp.base_margins, cp.u[None, :], cp.lam2, cp.base_sq)
-    f0, s0, _ = probe.evaluate(np.zeros(1))
-    res = screen_block(probe, s0, np.array([cp.lipschitz]), float(f0[0]),
-                       loss_best - hp.objective_tol, quad, hp.max_inner_iter)
-    accepted = bool(res.accepted[0])
-    return TryAddResult(accepted, float(res.coefficient[0]) if accepted else 0.0,
-                        bool(res.pruned[0]))
-
-
-def try_add_lincut(state_without_j: ModelState, data: DesignMatrix, hp: HyperParams,
-                   j2: int, loss_best: float) -> TryAddResult:
-    """Evaluate adding feature ``j2`` to a state it is absent from, screening
-    with the reach bound and tangent-line cuts (``screen_block``).  Accepts
-    when the post-line-search loss beats ``loss_best`` by more than the
-    objective tolerance."""
-    return _try_add(state_without_j, data, hp, j2, loss_best, quad=False)
-
-
-def try_add_quad(state_without_j: ModelState, data: DesignMatrix, hp: HyperParams,
-                 j2: int, loss_best: float) -> TryAddResult:
-    """Evaluate adding feature ``j2``, screening with the reach bound and quadratic cuts."""
-    if hp.lambda2 <= 0.0:
-        raise ConfigError("quadratic cuts require lambda2 > 0")
-    return _try_add(state_without_j, data, hp, j2, loss_best, quad=True)
-
-
 # --- engine -----------------------------------------------------------------
 
 def new_state(data: DesignMatrix) -> ModelState:
@@ -620,14 +576,14 @@ def sweep(state: ModelState, data: DesignMatrix, hp: HyperParams, lam0: float, c
 def reoptimize(state: ModelState, data: DesignMatrix, hp: HyperParams, stats) -> None:
     """Cyclic coordinate descent on the current support (penalty-free steps)
     with an intercept refit per sweep, until the per-sweep objective change
-    drops below ``hp.objective_tol`` or the sweep cap is hit (counted in
+    drops below ``core.OBJECTIVE_TOL`` or the sweep cap is hit (counted in
     ``stats.cap_hits``)."""
     prev = smooth_loss(state, data, hp)
     for _ in range(REOPT_MAX_SWEEPS):
         refit_intercept(state, data, stats)
         sweep(state, data, hp, 0.0, sorted(state.support))
         cur = smooth_loss(state, data, hp)
-        if prev - cur < hp.objective_tol:
+        if prev - cur < OBJECTIVE_TOL:
             break
         prev = cur
     else:
@@ -656,7 +612,7 @@ def find_swap(trial: ModelState, data: DesignMatrix, hp: HyperParams, forbidden:
         # reference, so they are freed as soon as candidates drop out.
         res = screen_block(BlockProbe(trial.margins, data.signed.T[block], lam2, base_sq),
                            grads[block], lip[block], f0, threshold,
-                           cut == "quad", hp.max_inner_iter)
+                           cut == "quad", LINE_SEARCH_STEPS)
         hits = np.flatnonzero(res.accepted)
         # Count as the sequential scan does: up to and including the first
         # acceptance.

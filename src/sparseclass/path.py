@@ -11,8 +11,8 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
-from .core import ConfigError, DesignMatrix, HyperParams, engine, objective, smooth_loss
-from .swap import FitStats, fit_swap_1opt
+from .core import ConfigError, DesignMatrix, HyperParams, engine, objective
+from .swap import FitStats, fit_swap_1opt, resolve_cut
 
 WARM_START_MAX_SWEEPS = 500
 SWEEP_STABLE_TOL = 1e-10
@@ -31,6 +31,8 @@ class PathSpec:
     def __post_init__(self):
         if not self.lambda0_grid:
             raise ConfigError("lambda0_grid must not be empty")
+        if not self.lambda2_grid:
+            raise ConfigError("lambda2_grid must not be empty")
         if not all(0 < v < math.inf for v in self.lambda0_grid):
             raise ConfigError("lambda0 grid values must be positive and finite")
         if any(b >= a for a, b in zip(self.lambda0_grid, self.lambda0_grid[1:])):
@@ -51,7 +53,6 @@ class PathEntry(FitStats):
     state: object | None
     support_size: int
     objective: float
-    smooth_loss: float
     wall_ms: float
     error: str | None = None
 
@@ -86,7 +87,9 @@ def warm_start(data: DesignMatrix, hp: HyperParams, init=None,
 
 def fit_one(data: DesignMatrix, hp: HyperParams, ordering: str = "dynamic",
             cut: str = "auto", init=None, stats: FitStats | None = None):
-    """Warm start then swap search; the standard single fit."""
+    """Warm start then swap search; the standard single fit.  ``cut`` is
+    checked against the ridge before the warm start runs."""
+    resolve_cut(cut, hp)
     state = warm_start(data, hp, init=init, stats=stats)
     return fit_swap_1opt(state, data, hp, ordering=ordering, cut=cut, stats=stats)
 
@@ -94,7 +97,10 @@ def fit_one(data: DesignMatrix, hp: HyperParams, ordering: str = "dynamic",
 def fit_path(data: DesignMatrix, spec: PathSpec, ordering: str = "dynamic",
              cut: str = "auto") -> PathResult:
     """Fit the full grid; failures are recorded per grid point and the rest
-    of the grid still runs."""
+    of the grid still runs.  ``cut`` is checked against every ridge value
+    of the grid before anything is fitted."""
+    for lam2 in spec.lambda2_grid:
+        resolve_cut(cut, spec.hyperparams(spec.lambda0_grid[0], lam2))
     entries: list[PathEntry] = []
     for lam2 in spec.lambda2_grid:
         prev = None
@@ -105,11 +111,11 @@ def fit_path(data: DesignMatrix, spec: PathSpec, ordering: str = "dynamic",
             try:
                 state = fit_one(data, hp, ordering=ordering, cut=cut, init=prev, stats=stats)
                 wall_ms = (time.perf_counter() - t0) * 1000.0
-                obj, loss, error = objective(state, data, hp), smooth_loss(state, data, hp), None
+                obj, error = objective(state, data, hp), None
                 prev = state
             except Exception as exc:  # keep the grid going, record the failure
                 wall_ms = (time.perf_counter() - t0) * 1000.0
-                state, obj, loss = None, math.nan, math.nan
+                state, obj = None, math.nan
                 error = f"lambda0={lam0}, lambda2={lam2}: {exc}"
             entries.append(PathEntry(
                 lambda0=lam0,
@@ -117,7 +123,6 @@ def fit_path(data: DesignMatrix, spec: PathSpec, ordering: str = "dynamic",
                 state=state,
                 support_size=0 if state is None else len(state.support),
                 objective=obj,
-                smooth_loss=loss,
                 wall_ms=wall_ms,
                 error=error,
                 **asdict(stats),

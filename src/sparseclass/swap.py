@@ -16,7 +16,7 @@ import numpy as np
 
 # REOPT_MAX_SWEEPS, the cap of every engine's ``reoptimize``, is also read
 # from here (perfbench's tracer counts reoptimizations that reach it).
-from .core import REOPT_MAX_SWEEPS, ConfigError, DesignMatrix, HyperParams, engine
+from .core import OBJECTIVE_TOL, REOPT_MAX_SWEEPS, ConfigError, DesignMatrix, HyperParams, engine
 
 ORDERINGS = ("dynamic", "sequential")
 CUTS = ("auto", "lin", "quad")
@@ -129,7 +129,7 @@ def try_delete_or_swap(state, data: DesignMatrix, hp: HyperParams, j: int,
         reoptimize(trial, data, hp, stats)
         return SwapOutcome("deleted", j, None, trial)
     found = eng.find_swap(trial, data, hp, state.support, dropped_loss,
-                          loss_best - hp.objective_tol, cut, stats)
+                          loss_best - OBJECTIVE_TOL, cut, stats)
     if found is None:
         return SwapOutcome("no_change", None, None, state)
     j2, coefficient = found

@@ -250,13 +250,13 @@ def random_logistic_instance(rng, n, p, k=3, scale=1.2, binary=False):
 
 # --- sequential scalar swap visit ---------------------------------------------
 
-def scalar_try_add(probe, s0, threshold, hp, quad):
+def scalar_try_add(probe, s0, threshold, quad):
     """One candidate screened alone: (step, branch, accepted, coefficient).
     ``step`` is "pruned", "rejected" or "searched"; ``branch`` names where
     the screening decided:
 
     - "zero": the one-point quadratic minorant at zero, or a zero slope;
-    - "reach": the slope at Kt (t = -s0/L, K = ``hp.max_inner_iter``)
+    - "reach": the slope at Kt (t = -s0/L, K = ``logistic.LINE_SEARCH_STEPS``)
       still has the sign of s0, so the K-step search ends at a loss of at
       least f(Kt);
     - "bracket": the optimum lies in [0, Kt], bounded by the tangents at 0
@@ -269,7 +269,7 @@ def scalar_try_add(probe, s0, threshold, hp, quad):
     from sparseclass import logistic as logeng
 
     lam2, u, n, L = probe.lam2, probe.u, probe.u.shape[0], probe.lipschitz
-    iterations = hp.max_inner_iter
+    iterations = logeng.LINE_SEARCH_STEPS
 
     def decide(branch, prune):
         if prune:
@@ -324,6 +324,7 @@ def reference_swap_visit(state, data, hp, j, cut):
     screening over those candidates.
     """
     from sparseclass import logistic as logeng
+    from sparseclass.core import OBJECTIVE_TOL
 
     lam2 = hp.lambda2
     loss_best = logeng.CoordinateProbe(state.margins, state.margins, lam2,
@@ -340,15 +341,15 @@ def reference_swap_visit(state, data, hp, j, cut):
     grads = -(data.signed.T @ expit(-trial.margins))
     order = [int(c) for c in np.argsort(-np.abs(grads), kind="stable") if c not in state.support]
     lip = 0.25 * data.column_sq_sums + 2.0 * lam2
-    threshold = loss_best - hp.objective_tol
+    threshold = loss_best - OBJECTIVE_TOL
     for j2 in order[:hp.candidate_limit]:
         if lip[j2] <= 0.0:
             continue
         probe = logeng.CoordinateProbe(trial.margins, data.signed[:, j2], lam2=lam2,
                                        base_sq=base_sq, lipschitz=float(lip[j2]),
-                                       f0=dropped, j=j2)
+                                       f0=dropped)
         step, branch, accepted, w_hat = scalar_try_add(probe, float(grads[j2]), threshold,
-                                                        hp, cut == "quad")
+                                                        cut == "quad")
         out["branches"][branch, step] += 1
         out["candidates"] += 1
         out["cut_prunes"] += step == "pruned"

@@ -16,6 +16,7 @@ from scipy.special import expit
 
 import sparseclass as sc
 from sparseclass import logistic as logeng
+from sparseclass.core import OBJECTIVE_TOL
 from sparseclass.swap import reoptimize
 from oracles import (
     brute_auc,
@@ -152,16 +153,21 @@ def test_c03_pruning_decision_equivalence():
             trial.set_coefficient(data, j, 0.0)
             for j2 in rng.choice([c for c in range(p) if c not in (0, 3)],
                                  size=2, replace=False):
-                fn = sc.try_add_quad if lam2 > 0.0 else sc.try_add_lincut
-                res = fn(trial, data, hp, int(j2), loss_best)
+                # the swap search's own evaluator, with j2 the only candidate
+                stats = sc.FitStats()
+                found = logeng.find_swap(trial, data, hp, set(range(p)) - {int(j2)},
+                                         sc.smooth_logistic_loss(trial, data, lam2),
+                                         loss_best - OBJECTIVE_TOL,
+                                         "quad" if lam2 > 0.0 else "lin", stats)
+                assert stats.candidates == 1
                 probe = sc.coordinate_probe(trial, data, int(j2), lam2)
-                w_hat = logeng.iterate_threshold(probe, 0.0, hp.max_inner_iter)
-                exhaustive = probe.value_at(w_hat) < loss_best - hp.objective_tol
-                assert res.accepted == exhaustive
-                if res.accepted:
-                    assert res.coefficient == pytest.approx(w_hat, abs=1e-6)
+                w_hat = logeng.iterate_threshold(probe, 0.0, logeng.LINE_SEARCH_STEPS)
+                exhaustive = probe.value_at(w_hat) < loss_best - OBJECTIVE_TOL
+                assert (found is not None) == exhaustive
+                if found is not None:
+                    assert found[1] == pytest.approx(w_hat, abs=1e-6)
                     accepted += 1
-                if res.cut_pruned:
+                if stats.cut_prunes:
                     pruned += 1
                 invocations += 1
     assert accepted > 0 and pruned > 0

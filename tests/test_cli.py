@@ -243,6 +243,16 @@ class TestExitCodes:
                                    "--lambda0", "1", "--data", str(data_path)])
         assert code == 3
 
+    def test_quad_cut_with_a_zero_in_the_ridge_grid_exits_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        data_path = tmp_path / "train.csv"
+        _write_dataset(data_path, rng)
+        code, out, err = _run(capsys, ["path", "--cut", "quad", "--lambda2-grid", "0,0.001",
+                                       "--lambda0-grid", "1", "--data", str(data_path)])
+        assert code == 3
+        assert out == ""
+        assert "lambda2 > 0" in err
+
     def test_predict_schema_mismatch_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
         data_path = tmp_path / "train.csv"

@@ -137,6 +137,9 @@ class TestThresholdStep:
 
 
 class TestFindNewCoefficient:
+    """``iterate_threshold`` from the current coefficient, for as many steps
+    as a swap candidate's line search takes."""
+
     def test_fixed_point_at_optimum(self):
         rng = np.random.default_rng(2)
         data, state = _instance(rng, n=60, p=5)
@@ -147,7 +150,9 @@ class TestFindNewCoefficient:
         t = logeng.iterate_threshold(probe, 0.0, 400)
         state.set_coefficient(data, j, t)
         assert abs(sc.grad_j(state, data, j, hp.lambda2)) < 1e-10
-        assert sc.find_new_coefficient(state, data, j, hp) == pytest.approx(t, abs=1e-9)
+        probe = sc.coordinate_probe(state, data, j, hp.lambda2)
+        got = logeng.iterate_threshold(probe, t, logeng.LINE_SEARCH_STEPS)
+        assert got == pytest.approx(t, abs=1e-9)
 
     def test_close_to_grid_minimizer(self):
         rng = np.random.default_rng(14)
@@ -155,8 +160,9 @@ class TestFindNewCoefficient:
             data, state = _instance(rng, n=40, p=5)
             hp = sc.HyperParams(lambda0=0.0, lambda2=1e-3)
             j = int(rng.integers(data.p))
-            got = sc.find_new_coefficient(state, data, j, hp)
             wj = float(state.w[j])
+            probe = sc.coordinate_probe(state, data, j, hp.lambda2)
+            got = logeng.iterate_threshold(probe, wj, logeng.LINE_SEARCH_STEPS)
             u = data.signed[:, j]
             base = state.margins - wj * u
             fvec = logistic_curve(base, u, hp.lambda2,

@@ -99,6 +99,10 @@ class TestPathSpec:
         with pytest.raises(sc.ConfigError):
             sc.PathSpec(lambda0_grid=(2.0, 2.0))
 
+    def test_ridge_grid_must_not_be_empty(self):
+        with pytest.raises(sc.ConfigError):
+            sc.PathSpec(lambda0_grid=(3.0, 2.0), lambda2_grid=())
+
     def test_grid_must_be_positive(self):
         with pytest.raises(sc.ConfigError):
             sc.PathSpec(lambda0_grid=(1.0, 0.0))
@@ -190,6 +194,18 @@ class TestFitPath:
         assert result.entries[0].error is None
         assert "boom" in result.entries[1].error
         assert result.entries[2].error is None
+
+    def test_quad_cut_checked_against_every_ridge_before_fitting(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("warm start ran")
+
+        monkeypatch.setattr(pathmod, "warm_start", never)
+        data = _data(np.random.default_rng(6))
+        spec = sc.PathSpec(lambda0_grid=(1.0,), lambda2_grid=(0.0, 1e-3))
+        with pytest.raises(sc.ConfigError, match="lambda2 > 0"):
+            pathmod.fit_path(data, spec, cut="quad")
+        with pytest.raises(sc.ConfigError, match="lambda2 > 0"):
+            pathmod.fit_one(data, sc.HyperParams(lambda0=1.0), cut="quad")
 
     def test_sparsity_trend_reported(self, capsys):
         rng = np.random.default_rng(5)

@@ -12,7 +12,7 @@ import sparseclass as sc
 from sparseclass import logistic as logeng
 from sparseclass import swap
 from sparseclass.swap import reoptimize
-from sparseclass.core import EPS, engine
+from sparseclass.core import EPS, OBJECTIVE_TOL, engine
 from oracles import (direct_exponential_objective, direct_logistic_objective, grid_minimize,
                      logistic_curve, reference_swap_visit, scalar_try_add, screen_allowance)
 
@@ -238,6 +238,17 @@ class TestObjectiveNeverRises:
 
 
 class TestTryAdd:
+    @staticmethod
+    def _find_one(trial, data, hp, j2, loss_best, cut):
+        """``logistic.find_swap`` with every feature but ``j2`` forbidden:
+        the result (None or (j2, coefficient)) and the visit's counters."""
+        stats = sc.FitStats()
+        found = logeng.find_swap(trial, data, hp, set(range(data.p)) - {j2},
+                                 sc.smooth_logistic_loss(trial, data, hp.lambda2),
+                                 loss_best - OBJECTIVE_TOL, cut, stats)
+        assert stats.candidates == 1
+        return found, stats
+
     def _probe_oracle_min(self, state, data, j2, lam2):
         u = data.signed[:, j2]
         fvec = logistic_curve(state.margins, u, lam2, float(state.w @ state.w))
@@ -263,29 +274,30 @@ class TestTryAdd:
         loss_best = sc.smooth_logistic_loss(state, data, hp.lambda2)
         trial = state.copy()
         trial.set_coefficient(data, 0, 0.0)
-        res = sc.try_add_quad(trial, data, hp, 2, loss_best)
-        assert not res.accepted and res.cut_pruned
+        found, stats = self._find_one(trial, data, hp, 2, loss_best, "quad")
+        assert found is None and stats.cut_prunes == 1
         _, fmin = self._probe_oracle_min(trial, data, 2, hp.lambda2)
         assert fmin > loss_best - 1e-8
 
-    def test_strong_candidate_accepted_near_grid_minimizer(self):
+    def test_strong_candidate_accepted_near_grid_minimizer(self, monkeypatch):
         rng = np.random.default_rng(8)
         data = self._three_column_instance(rng)
         # enough line-search steps to pin the coefficient down tightly
-        hp = sc.HyperParams(lambda0=0.1, lambda2=1e-3, max_inner_iter=80)
+        monkeypatch.setattr(logeng, "LINE_SEARCH_STEPS", 80)
+        hp = sc.HyperParams(lambda0=0.1, lambda2=1e-3)
         # incumbent support is the junk column; swapping in the signal's twin
         # is a large improvement
         state = _restricted_fit(data, [2], hp)
         loss_best = sc.smooth_logistic_loss(state, data, hp.lambda2)
         trial = state.copy()
         trial.set_coefficient(data, 2, 0.0)
-        res = sc.try_add_quad(trial, data, hp, 1, loss_best)
-        assert res.accepted
+        found, _ = self._find_one(trial, data, hp, 1, loss_best, "quad")
+        assert found is not None and found[0] == 1
         xmin, _ = self._probe_oracle_min(trial, data, 1, hp.lambda2)
-        assert res.coefficient == pytest.approx(xmin, abs=1e-3)
+        assert found[1] == pytest.approx(xmin, abs=1e-3)
 
-    @pytest.mark.parametrize("lam2,fn", [(0.0, sc.try_add_lincut), (1e-3, sc.try_add_quad)])
-    def test_decisions_match_exhaustive_line_search(self, lam2, fn):
+    @pytest.mark.parametrize("lam2,cut", [(0.0, "lin"), (1e-3, "quad")])
+    def test_decisions_match_exhaustive_line_search(self, lam2, cut):
         rng = np.random.default_rng(9)
         hits = {True: 0, False: 0}
         for trial_idx in range(120):
@@ -306,14 +318,15 @@ class TestTryAdd:
             trial = state.copy()
             trial.set_coefficient(data, j, 0.0)
             j2 = int(rng.choice([c for c in range(p) if c not in (0, 3)]))
-            res = fn(trial, data, hp, j2, loss_best)
+            found, _ = self._find_one(trial, data, hp, j2, loss_best, cut)
+            accepted = found is not None
             probe = sc.coordinate_probe(trial, data, j2, hp.lambda2)
-            w_hat = logeng.iterate_threshold(probe, 0.0, hp.max_inner_iter)
-            exhaustive = probe.value_at(w_hat) < loss_best - hp.objective_tol
-            assert res.accepted == exhaustive
-            if res.accepted:
-                assert res.coefficient == pytest.approx(w_hat, abs=1e-6)
-            hits[res.accepted] += 1
+            w_hat = logeng.iterate_threshold(probe, 0.0, logeng.LINE_SEARCH_STEPS)
+            exhaustive = probe.value_at(w_hat) < loss_best - OBJECTIVE_TOL
+            assert accepted == exhaustive
+            if accepted:
+                assert found[1] == pytest.approx(w_hat, abs=1e-6)
+            hits[accepted] += 1
         assert hits[True] > 0 and hits[False] > 0
 
 
@@ -396,7 +409,7 @@ class TestBlockEvaluation:
         settled = sc.fit_swap_1opt(start, data, hp, cut=cut)
         for state in (start, settled):
             loss_best = sc.smooth_logistic_loss(state, data, lam2)
-            threshold = loss_best - hp.objective_tol
+            threshold = loss_best - OBJECTIVE_TOL
             for j in sorted(state.support)[:2]:
                 self._screen_visit(state, data, hp, j, cut, threshold)
 
@@ -436,14 +449,14 @@ class TestBlockEvaluation:
                           if c not in state.support and lip[c] > 0.0])
         probe = logeng.BlockProbe(trial.margins, data.signed.T[cands], lam2, base_sq)
         res = logeng.screen_block(probe, grads[cands], lip[cands], f0, threshold,
-                                  cut == "quad", hp.max_inner_iter)
+                                  cut == "quad", logeng.LINE_SEARCH_STEPS)
         branches = Counter()
         for i, c in enumerate(cands):
             scalar = logeng.CoordinateProbe(trial.margins, data.signed[:, c], lam2=lam2,
                                             base_sq=base_sq, lipschitz=float(lip[c]),
                                             f0=f0)
             step, branch, accepted, w_hat = scalar_try_add(scalar, float(grads[c]),
-                                                           threshold, hp, cut == "quad")
+                                                           threshold, cut == "quad")
             got = ("pruned" if res.pruned[i]
                    else "searched" if res.searched[i] else "rejected")
             assert (got, bool(res.accepted[i])) == (step, accepted), c
