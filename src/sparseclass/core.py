@@ -474,12 +474,15 @@ def engine(loss: str):
     ``sparseclass.exponential``.  This is the one place where a loss name
     chooses code.
 
-    Every engine defines three constants: ``PROBABILITY_SCALE``, the s of
+    Every engine defines four constants: ``PROBABILITY_SCALE``, the s of
     the probability link sigmoid(s * f); ``TAKES_RIDGE``, whether the loss
-    takes a ridge penalty; and ``BINARIZE_ENCODING``, the dummy encoding
-    its fits on binarized data use (``"-1/+1"`` where the engine needs
-    -1/+1 features).  It also defines ``new_state(data)``, ``smooth_loss(state, data,
-    hp)``, ``sweep(state, data, hp, lam0, coords)`` (one coordinate pass,
+    takes a ridge penalty; ``BINARIZE_ENCODING``, the dummy encoding its
+    fits on binarized data use (``"-1/+1"`` where the engine needs -1/+1
+    features); and ``WARM_START_SOLVE``, whether ``path.warm_start`` runs
+    the engine's ``reoptimize`` on a support that has settled (true where
+    that is an exact solve, not more sweeps).  It also defines
+    ``new_state(data)``, ``smooth_loss(state, data, hp)``,
+    ``sweep(state, data, hp, lam0, coords)`` (one coordinate pass,
     returning the largest move), ``refit_intercept(state, data, stats)``
     (returning the shift, counting a stop at an iteration cap in
     ``stats.cap_hits``), ``find_swap(trial, data, hp, forbidden, f0,

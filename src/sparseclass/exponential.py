@@ -25,10 +25,12 @@ from .core import (
 )
 
 # Engine constants (see ``core.engine``): the probability is sigmoid(2f),
-# the loss takes no ridge, and it needs -1/+1 features.
+# the loss takes no ridge, it needs -1/+1 features, and its exact support
+# solve (``reoptimize``) serves the warm start too.
 PROBABILITY_SCALE = 2.0
 TAKES_RIDGE = False
 BINARIZE_ENCODING = "-1/+1"
+WARM_START_SOLVE = True
 
 # Weighted fractions are kept this far from {0, 1} so perfectly separating
 # columns get a large finite coefficient instead of an infinite one.

@@ -29,10 +29,13 @@ from .core import (
     zero_certificate,
 )
 
-# Engine constants (see ``core.engine``).
+# Engine constants (see ``core.engine``).  ``reoptimize`` here is cyclic
+# coordinate descent on the support, not an exact solve, so the warm start
+# does not call it.
 PROBABILITY_SCALE = 1.0
 TAKES_RIDGE = True
 BINARIZE_ENCODING = "0/1"
+WARM_START_SOLVE = False
 
 # Surrogate steps K of a swap candidate's line search (``find_swap`` passes
 # them to ``screen_block``).

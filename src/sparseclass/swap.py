@@ -80,6 +80,11 @@ class FailureQueue:
         return sorted(support, key=lambda j: (self.counts[j], j))
 
 
+def check_ordering(ordering: str) -> None:
+    if ordering not in ORDERINGS:
+        raise ConfigError(f"ordering must be one of {ORDERINGS}")
+
+
 def resolve_cut(cut: str, hp: HyperParams) -> str:
     """Pick the screening bound: quadratic needs a ridge, auto follows it."""
     if cut not in CUTS:
@@ -150,8 +155,7 @@ def fit_swap_1opt(initial, data: DesignMatrix, hp: HyperParams,
     in ``stats.cap_hits``.  The input state should already be
     coordinate-wise optimal (warm-started).
     """
-    if ordering not in ORDERINGS:
-        raise ConfigError(f"ordering must be one of {ORDERINGS}")
+    check_ordering(ordering)
     cut = resolve_cut(cut, hp)
     state = initial
     queue = FailureQueue(data.p)

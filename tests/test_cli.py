@@ -156,6 +156,33 @@ class TestFitPredict:
         np.testing.assert_allclose(scores, card.score_rows(columns), rtol=0, atol=1e-12)
         np.testing.assert_allclose(scores, state.scores(data), rtol=0, atol=1e-12)
 
+    def test_readme_scorecard_fit_ends_at_a_fixed_point(self, tmp_path, capsys, monkeypatch):
+        # The README's scorecard example: 5,000 dummies at lambda0 = 5.
+        # Its warm start must end at a coordinate-wise fixed point, not at
+        # the sweep cap.
+        from sparseclass import exponential as expeng
+        from sparseclass import path as pathmod
+        warm_start, starts = pathmod.warm_start, []
+
+        def recording(data, hp, init=None, stats=None):
+            state = warm_start(data, hp, init=init, stats=stats)
+            starts.append((state, data, hp))
+            return state
+
+        monkeypatch.setattr(pathmod, "warm_start", recording)
+        raw_path = tmp_path / "raw.csv"
+        code, _, _ = _run(capsys, ["synth", "--n", "1000", "--p", "25", "--k", "5",
+                                   "--rho", "0.5", "--seed", "3", "--out", str(raw_path)])
+        assert code == 0
+        code, out, _ = _run(capsys, ["fit", "--data", str(raw_path), "--loss", "exponential",
+                                     "--lambda0", "5", "--binarize", "--max-thresholds", "200"])
+        assert code == 0
+        assert json.loads(out)["cap_hits"] == 0
+        [(state, data, hp)] = starts
+        assert data.p == 5000
+        move = expeng.cd_sweep(state.copy(), data, hp.lambda0, range(data.p))
+        assert move <= 1e-10
+
     def test_label01_ingestion(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         data_path = tmp_path / "train.csv"

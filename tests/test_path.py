@@ -91,6 +91,36 @@ class TestWarmStart:
             move = expeng.cd_sweep(extra, data, hp.lambda0, range(data.p))
             assert move <= 1e-10
 
+    def test_support_solve_undone_at_the_box(self, monkeypatch):
+        # Separable instances: the exact solve of a settled support drives a
+        # coefficient onto the box.  The warm start must undo it and end no
+        # worse, and at no more sweep caps, than with support solves off.
+        # Seeds 53 and 55 at lambda0 = 0.5 end at the sweep cap either way.
+        from sparseclass import exponential as expeng
+        solve = expeng.reoptimize
+        boxed = []
+
+        def recording(state, data, hp, stats):
+            solve(state, data, hp, stats)
+            boxed.append(np.abs(state.w).max(initial=0.0) >= expeng.COEF_BOUND)
+
+        monkeypatch.setattr(expeng, "reoptimize", recording)
+        settled = pathmod.SUPPORT_SETTLED_SWEEPS
+        for seed in (40, 41, 53, 55):
+            data = _data(np.random.default_rng(seed), n=80, p=300, binary=True)
+            for lam0 in (0.5, 2.0):
+                hp = sc.HyperParams(lambda0=lam0, loss="exponential")
+                runs = []
+                for k in (settled, pathmod.WARM_START_MAX_SWEEPS + 1):
+                    monkeypatch.setattr(pathmod, "SUPPORT_SETTLED_SWEEPS", k)
+                    stats = sc.FitStats()
+                    state = sc.warm_start(data, hp, stats=stats)
+                    runs.append((sc.objective(state, data, hp), stats.cap_hits))
+                (obj, caps), (obj_off, caps_off) = runs
+                assert obj <= obj_off * (1.0 + 1e-12), (seed, lam0)
+                assert caps <= caps_off, (seed, lam0)
+        assert any(boxed)
+
 
 class TestPathSpec:
     def test_grid_must_descend(self):
@@ -206,6 +236,15 @@ class TestFitPath:
             pathmod.fit_path(data, spec, cut="quad")
         with pytest.raises(sc.ConfigError, match="lambda2 > 0"):
             pathmod.fit_one(data, sc.HyperParams(lambda0=1.0), cut="quad")
+
+    def test_ordering_checked_before_the_warm_start(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("warm start ran")
+
+        monkeypatch.setattr(pathmod, "warm_start", never)
+        data = _data(np.random.default_rng(6))
+        with pytest.raises(sc.ConfigError, match="ordering"):
+            pathmod.fit_one(data, sc.HyperParams(lambda0=1.0), ordering="bogus")
 
     def test_sparsity_trend_reported(self, capsys):
         rng = np.random.default_rng(5)
