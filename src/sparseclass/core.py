@@ -30,8 +30,15 @@ SCREEN_MIN_RUN = 8
 EPS = float(np.finfo(np.float64).eps)
 
 # The most sweeps (logistic) or Newton iterations (exponential) that one
-# support reoptimization (an engine's ``reoptimize``) may take.
+# support reoptimization (an engine's ``reoptimize``) may take, and the most
+# Newton iterations of ``newton_solve``.
 REOPT_MAX_SWEEPS = 100
+
+# Armijo fraction of the predicted decrease that a step of ``newton_solve``
+# must achieve, and the halvings after which a step that achieves none ends
+# the solve.
+ARMIJO = 1e-4
+MAX_HALVINGS = 40
 
 # Objective tolerance: a swap must lower the smooth loss by more than this,
 # and the logistic support reoptimization stops once a sweep gains less.
@@ -446,6 +453,100 @@ def zero_certificate(state, data: DesignMatrix, screen, current, slack, level):
     return screened
 
 
+def newton_solve(state, data: DesignMatrix, terms, bound: float, lam2: float,
+                 tol: float) -> bool:
+    """Minimize a smooth loss over the support coefficients of ``state``
+    (each kept in [-bound, bound]) and the free intercept by damped
+    projected Newton steps, from the current state.  The result is written
+    back with the state's cache rebuilt (``refresh``); returns whether it is
+    certified.
+
+    With beta the support coefficients then the intercept and a_i row i of
+    A = [Z_S, y], the loss is f(beta) = sum_i loss(a_i . beta) +
+    lam2 |beta_S|^2.  ``terms(m)`` maps the margins m = A beta to the loss
+    sum, the gradient weights u (the gradient is -A^T u) and the curvature
+    weights v (the Hessian is A^T diag(v) A), with the ridge added to both.
+    A coefficient at its bound whose gradient points out of the box is held
+    there (``_newton_direction``).  Each Newton step is projected onto the
+    box and halved until f falls by an ``ARMIJO`` fraction of the decrease
+    the gradient predicts, rounding allowed for.  The solve is certified
+    when every projected-gradient entry (the gradient with held coordinates
+    zeroed) is at most ``tol`` * f.  It also stops, uncertified, after
+    ``REOPT_MAX_SWEEPS`` iterations or when ``MAX_HALVINGS`` halvings do
+    not lower f.
+    """
+    support = sorted(state.support)
+    n, k = data.n, len(support)
+    a = np.empty((n, k + 1))
+    a[:, :k] = data.signed[:, support]
+    a[:, k] = data.y
+    lo = np.append(np.full(k, -bound), -np.inf)
+    hi = np.append(np.full(k, bound), np.inf)
+    # the margins' rounding grows with (k + 1) * max|a| * |beta|_1
+    scale = (k + 1) * float(np.abs(a).max(initial=0.0))
+
+    def value(b):
+        f, u, v = terms(a @ b)
+        if lam2:
+            f += lam2 * float(b[:k] @ b[:k])
+        return f, u, v
+
+    beta = np.clip(np.append(state.w[support], state.intercept), lo, hi)
+    f, u, v = value(beta)
+    certified = False
+    for _ in range(REOPT_MAX_SWEEPS):
+        g = -(a.T @ u)
+        if lam2:
+            g[:k] += 2.0 * lam2 * beta[:k]
+        held = ((beta <= lo) & (g > 0.0)) | ((beta >= hi) & (g < 0.0))
+        if np.abs(np.where(held, 0.0, g)).max() <= tol * f:
+            certified = True
+            break
+        hess = a.T @ (a * v[:, None])
+        # a ridge of 1e-12 * f keeps the system definite when support
+        # columns are collinear
+        diag = np.diag_indices_from(hess)
+        hess[diag] += 1e-12 * f
+        if lam2:
+            hess[diag[0][:k], diag[1][:k]] += 2.0 * lam2
+        d = _newton_direction(hess, g, beta, lo, hi, held)
+        # rounding of f and of a trial's f: the sum (n), the loss terms and
+        # the margins (each loss term moves by at most its own size per unit
+        # of margin)
+        slack = 2.0 * EPS * (n + 2 + scale * float(np.abs(beta).sum())) * f
+        step = 1.0
+        for _ in range(MAX_HALVINGS):
+            trial = np.clip(beta - step * d, lo, hi)
+            f_trial, u_trial, v_trial = value(trial)
+            if f_trial <= f + ARMIJO * float(g @ (trial - beta)) + slack:
+                break
+            step *= 0.5
+        else:
+            break
+        beta, f, u, v = trial, f_trial, u_trial, v_trial
+    for j, coef in zip(support, beta[:k].tolist()):
+        state._put(j, coef)
+    state.intercept = float(beta[k])
+    state.refresh(data)
+    return certified
+
+
+def _newton_direction(hess, g, beta, lo, hi, held) -> np.ndarray:
+    """The Newton direction of ``newton_solve`` (the step is minus it): zero
+    on the coordinates ``held`` and on every coordinate at a bound that the
+    Newton step on the others would push out of the box, which joins
+    ``held``; the solution of the Newton system on the rest."""
+    d = np.zeros(beta.size)
+    while True:
+        free = ~held
+        d[:] = 0.0
+        d[free] = np.linalg.solve(hess[np.ix_(free, free)], g[free])
+        out = free & (((beta <= lo) & (d > 0.0)) | ((beta >= hi) & (d < 0.0)))
+        if not out.any():
+            return d
+        held = held | out
+
+
 def log1p_exp_neg_sum(margins) -> float:
     """sum_i log(1 + exp(-m_i)), overflow-safe via the |m| factorization."""
     e = np.exp(-np.abs(margins))
@@ -478,19 +579,21 @@ def engine(loss: str):
     the probability link sigmoid(s * f); ``TAKES_RIDGE``, whether the loss
     takes a ridge penalty; ``BINARIZE_ENCODING``, the dummy encoding its
     fits on binarized data use (``"-1/+1"`` where the engine needs -1/+1
-    features); and ``WARM_START_SOLVE``, whether ``path.warm_start`` runs
-    the engine's ``reoptimize`` on a support that has settled (true where
-    that is an exact solve, not more sweeps).  It also defines
-    ``new_state(data)``, ``smooth_loss(state, data, hp)``,
-    ``sweep(state, data, hp, lam0, coords)`` (one coordinate pass,
-    returning the largest move), ``refit_intercept(state, data, stats)``
-    (returning the shift, counting a stop at an iteration cap in
+    features); and ``SUPPORT_SETTLED_SWEEPS``, the sweeps in a row that
+    must leave the support unchanged before ``path.warm_start`` solves it
+    exactly.  It also defines ``new_state(data)``, ``smooth_loss(state,
+    data, hp)``, ``sweep(state, data, hp, lam0, coords)`` (one coordinate
+    pass, returning the largest move), ``refit_intercept(state, data,
+    stats)`` (returning the shift, counting a stop at an iteration cap in
     ``stats.cap_hits``), ``find_swap(trial, data, hp, forbidden, f0,
     threshold, cut, stats)`` (the first acceptable replacement feature and
-    its coefficient, or None) and ``reoptimize(state, data, hp, stats)``
+    its coefficient, or None), ``reoptimize(state, data, hp, stats)``
     (minimizes the smooth loss over the support coefficients and the
     intercept in place, counting a stop at ``REOPT_MAX_SWEEPS`` in
-    ``stats.cap_hits``).
+    ``stats.cap_hits``) and ``solve_support(state, data, hp)`` (the warm
+    start's exact solve of the support and the intercept by
+    ``newton_solve``, in place, returning whether the warm start may keep
+    it).
     """
     if loss not in LOSSES:
         raise ConfigError(f"unknown loss {loss!r}")

@@ -15,22 +15,23 @@ import numpy as np
 
 from .core import (
     EPS,
-    REOPT_MAX_SWEEPS,
     CoefState,
     DataError,
     DesignMatrix,
     HyperParams,
+    newton_solve,
     sweep_visits,
     zero_certificate,
 )
+from .swap import FitStats
 
 # Engine constants (see ``core.engine``): the probability is sigmoid(2f),
-# the loss takes no ridge, it needs -1/+1 features, and its exact support
-# solve (``reoptimize``) serves the warm start too.
+# the loss takes no ridge, it needs -1/+1 features, and the warm start
+# solves a support that 3 sweeps in a row left unchanged.
 PROBABILITY_SCALE = 2.0
 TAKES_RIDGE = False
 BINARIZE_ENCODING = "-1/+1"
-WARM_START_SOLVE = True
+SUPPORT_SETTLED_SWEEPS = 3
 
 # Weighted fractions are kept this far from {0, 1} so perfectly separating
 # columns get a large finite coefficient instead of an infinite one.
@@ -41,15 +42,11 @@ SEPARATION_EPS = 1e-10
 # 1 - d rounds near d = 1).
 COEF_BOUND = 0.5 * math.log((1.0 - SEPARATION_EPS) / SEPARATION_EPS)
 
-# ``reoptimize`` stops once every projected-gradient entry is at most this
-# fraction of the loss H.  On -1/+1 columns every Hessian diagonal entry is
-# H, so an entry g is one coordinate step g / H <= 1e-9 from its optimum.
+# A support solve is certified once every projected-gradient entry is at
+# most this fraction of the loss H.  On -1/+1 columns every Hessian diagonal
+# entry is H, so an entry g is one coordinate step g / H <= 1e-9 from its
+# optimum.
 REOPT_GRAD_TOL = 1e-9
-
-# Armijo fraction of the predicted decrease that a Newton step must achieve,
-# and the halvings after which a step that achieves none ends the solve.
-ARMIJO = 1e-4
-MAX_HALVINGS = 40
 
 # Exact weight/margin recomputation cadence; multiplicative updates drift.
 WEIGHT_REFRESH_EVERY = 64
@@ -335,80 +332,38 @@ def find_swap(trial: ExpState, data: DesignMatrix, hp: HyperParams, forbidden: s
     return None
 
 
+def _terms(m):
+    """The loss sum and the weights c = exp(-m), which are both the gradient
+    and the curvature weights of ``core.newton_solve``."""
+    with np.errstate(over="ignore"):
+        c = np.exp(-m)
+    return float(c.sum()), c, c
+
+
 def reoptimize(state: ExpState, data: DesignMatrix, hp: HyperParams, stats) -> None:
     """Exact minimization of H over the support coefficients (each kept in
-    [-COEF_BOUND, COEF_BOUND]) and the free intercept: damped projected
-    Newton steps, from the current state.
+    [-COEF_BOUND, COEF_BOUND]) and the free intercept by
+    ``core.newton_solve``, from the current state, with the weights rebuilt
+    exactly.
 
     With beta the support coefficients then the intercept and a_i row i of
     A = [Z_S, y], H = sum_i exp(-a_i . beta), its gradient is -A^T c and
-    its Hessian A^T diag(c) A, for c_i = exp(-a_i . beta).  A coefficient
-    at its bound whose gradient points out of the box is held there
-    (``_newton_direction``).  Each Newton step is projected onto the box
-    and halved until H falls by an ``ARMIJO`` fraction of the decrease the
-    gradient predicts, rounding allowed for.  The solve is certified when
-    every projected-gradient entry (the gradient with held coordinates
-    zeroed) is at most ``REOPT_GRAD_TOL`` * H.  It also stops after
-    ``REOPT_MAX_SWEEPS`` iterations or when ``MAX_HALVINGS`` halvings do not
-    lower H; such a stop is counted in ``stats.cap_hits``.  The result is
-    written back with the weights rebuilt exactly.
+    its Hessian A^T diag(c) A, for c_i = exp(-a_i . beta).  The solve is
+    certified when every projected-gradient entry is at most
+    ``REOPT_GRAD_TOL`` * H; a solve that ends short of that, at
+    ``core.REOPT_MAX_SWEEPS`` iterations or when ``core.MAX_HALVINGS``
+    halvings do not lower H, is counted in ``stats.cap_hits``.
     """
-    support = sorted(state.support)
-    k = len(support)
-    a = np.empty((data.n, k + 1))
-    a[:, :k] = data.signed[:, support]
-    a[:, k] = data.y
-    lo = np.append(np.full(k, -COEF_BOUND), -np.inf)
-    hi = np.append(np.full(k, COEF_BOUND), np.inf)
-    beta = np.clip(np.append(state.w[support], state.intercept), lo, hi)
-    c = np.exp(-(a @ beta))
-    H = float(c.sum())
-    certified = False
-    for _ in range(REOPT_MAX_SWEEPS):
-        g = -(a.T @ c)
-        held = ((beta <= lo) & (g > 0.0)) | ((beta >= hi) & (g < 0.0))
-        if np.abs(np.where(held, 0.0, g)).max() <= REOPT_GRAD_TOL * H:
-            certified = True
-            break
-        hess = a.T @ (a * c[:, None])
-        # a ridge of 1e-12 * H keeps the system definite when support
-        # columns are collinear
-        hess[np.diag_indices_from(hess)] += 1e-12 * H
-        d = _newton_direction(hess, g, beta, lo, hi, held)
-        # rounding of H and of a trial's H: the sum (n), the exponentials
-        # and the margins, whose error grows with (k + 1) * |beta|_1
-        slack = 2.0 * EPS * (data.n + 2 + (k + 1) * float(np.abs(beta).sum())) * H
-        step = 1.0
-        for _ in range(MAX_HALVINGS):
-            trial = np.clip(beta - step * d, lo, hi)
-            with np.errstate(over="ignore"):
-                c_trial = np.exp(-(a @ trial))
-            H_trial = float(c_trial.sum())
-            if H_trial <= H + ARMIJO * float(g @ (trial - beta)) + slack:
-                break
-            step *= 0.5
-        else:
-            break
-        beta, c, H = trial, c_trial, H_trial
-    if not certified and stats is not None:
+    if not newton_solve(state, data, _terms, COEF_BOUND, 0.0, REOPT_GRAD_TOL) \
+            and stats is not None:
         stats.cap_hits += 1
-    for j, value in zip(support, beta[:k].tolist()):
-        state._put(j, value)
-    state.intercept = float(beta[k])
-    state.refresh(data)
 
 
-def _newton_direction(hess, g, beta, lo, hi, held) -> np.ndarray:
-    """The Newton direction of ``reoptimize`` (the step is minus it): zero on
-    the coordinates ``held`` and on every coordinate at a bound that the
-    Newton step on the others would push out of the box, which joins
-    ``held``; the solution of the Newton system on the rest."""
-    d = np.zeros(beta.size)
-    while True:
-        free = ~held
-        d[:] = 0.0
-        d[free] = np.linalg.solve(hess[np.ix_(free, free)], g[free])
-        out = free & (((beta <= lo) & (d > 0.0)) | ((beta >= hi) & (d < 0.0)))
-        if not out.any():
-            return d
-        held = held | out
+def solve_support(state: ExpState, data: DesignMatrix, hp: HyperParams) -> bool:
+    """The warm start's support solve: ``reoptimize``, which counts an
+    uncertified end in its stats.  Returns whether the solve is certified
+    and leaves no coefficient on the box, where a support that separates
+    the data drives it."""
+    stats = FitStats()
+    reoptimize(state, data, hp, stats)
+    return stats.cap_hits == 0 and np.abs(state.w).max(initial=0.0) < COEF_BOUND

@@ -24,18 +24,24 @@ from .core import (
     ModelState,
     _candidate_order,
     log1p_exp_neg_sum,
+    newton_solve,
     smooth_logistic_loss,
     sweep_visits,
     zero_certificate,
 )
 
-# Engine constants (see ``core.engine``).  ``reoptimize`` here is cyclic
-# coordinate descent on the support, not an exact solve, so the warm start
-# does not call it.
+# Engine constants (see ``core.engine``).  The warm start solves a support
+# that SUPPORT_SETTLED_SWEEPS sweeps in a row left unchanged; fewer lock in
+# wide supports (CHANGES.md has the measurements).
 PROBABILITY_SCALE = 1.0
 TAKES_RIDGE = True
 BINARIZE_ENCODING = "0/1"
-WARM_START_SOLVE = False
+SUPPORT_SETTLED_SWEEPS = 20
+
+# A support solve is certified once every gradient entry is at most this
+# fraction of the smooth loss.  The test is relative: on separable data the
+# loss tends to zero along with the gradient, and no point is optimal.
+SOLVE_GRAD_TOL = 1e-9
 
 # Surrogate steps K of a swap candidate's line search (``find_swap`` passes
 # them to ``screen_block``).
@@ -592,6 +598,24 @@ def reoptimize(state: ModelState, data: DesignMatrix, hp: HyperParams, stats) ->
     else:
         if stats is not None:
             stats.cap_hits += 1
+
+
+def _row_terms(m):
+    """The loss sum, sigmoid(-m) and sigmoid'(m) of margins ``m``, from one
+    exponential (overflow-safe through |m|): the value, gradient weights
+    and curvature weights of ``core.newton_solve``."""
+    e = np.exp(-np.abs(m))
+    value = float((np.maximum(-m, 0.0) + np.log1p(e)).sum())
+    q = np.where(m >= 0.0, e, 1.0) / (1.0 + e)
+    return value, q, e / (1.0 + e) ** 2
+
+
+def solve_support(state: ModelState, data: DesignMatrix, hp: HyperParams) -> bool:
+    """The warm start's support solve: exact minimization of the smooth loss
+    (ridge included) over the support coefficients and the free intercept,
+    with no box, by ``core.newton_solve``, from the current state, with the
+    margins rebuilt; returns whether it is certified (``SOLVE_GRAD_TOL``)."""
+    return newton_solve(state, data, _row_terms, math.inf, hp.lambda2, SOLVE_GRAD_TOL)
 
 
 def find_swap(trial: ModelState, data: DesignMatrix, hp: HyperParams, forbidden: set[int],

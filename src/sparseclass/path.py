@@ -11,18 +11,11 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
-import numpy as np
-
 from .core import ConfigError, DesignMatrix, HyperParams, engine, objective
-from .exponential import COEF_BOUND
 from .swap import FitStats, check_ordering, fit_swap_1opt, resolve_cut
 
 WARM_START_MAX_SWEEPS = 500
 SWEEP_STABLE_TOL = 1e-10
-
-# Sweeps that must leave the support unchanged before ``warm_start`` solves
-# it exactly (engines with ``WARM_START_SOLVE``).
-SUPPORT_SETTLED_SWEEPS = 3
 
 
 @dataclass(frozen=True)
@@ -74,14 +67,14 @@ def warm_start(data: DesignMatrix, hp: HyperParams, init=None,
     """Cyclic thresholding sweeps (sparsity penalty active) until no
     coefficient moves, starting from ``init`` or from zero.
 
-    Under an engine with ``WARM_START_SOLVE`` (the exponential loss), once
-    ``SUPPORT_SETTLED_SWEEPS`` sweeps in a row leave the support unchanged,
-    the engine's ``reoptimize`` solves that support and the intercept
-    exactly, and the sweeps go on (the active-set scheme of Hazimeh and
-    Mazumder).  A solve that leaves a coefficient on the box
-    +-``exponential.COEF_BOUND``, as on a separable support, is undone,
-    and that warm start runs no more solves.  A solve's own iteration cap
-    is not counted.
+    Once the engine's ``SUPPORT_SETTLED_SWEEPS`` sweeps in a row leave the
+    support unchanged, the engine's ``solve_support`` minimizes the smooth
+    loss over that support and the intercept exactly, and the sweeps go on
+    (the active-set scheme of Hazimeh and Mazumder).  A support that the
+    warm start has already solved is not solved again.  A solve that the
+    engine rejects (one that is not certified, as on a separable support,
+    or one that leaves an exponential coefficient on its box) is undone,
+    and that warm start runs no more solves.
 
     The returned state cannot be improved by any single thresholding step,
     unless the sweep cap was hit first (counted in ``stats.cap_hits``); the
@@ -90,23 +83,21 @@ def warm_start(data: DesignMatrix, hp: HyperParams, init=None,
     eng = engine(hp.loss)
     state = eng.new_state(data) if init is None else init.copy()
     eng.refit_intercept(state, data, stats)
-    solve = eng.WARM_START_SOLVE
-    support, settled = None, 0
+    settle = eng.SUPPORT_SETTLED_SWEEPS
+    support = solved = None
+    settled = 0
     for _ in range(WARM_START_MAX_SWEEPS):
         move = eng.sweep(state, data, hp, hp.lambda0, range(data.p))
         shift = eng.refit_intercept(state, data, stats)
         if move <= SWEEP_STABLE_TOL and abs(shift) <= SWEEP_STABLE_TOL:
             break
-        if not solve:
-            continue
         settled = settled + 1 if state.support == support else 0
         support = set(state.support)
-        if settled >= SUPPORT_SETTLED_SWEEPS:
+        if settled >= settle and support != solved:
             before = state.copy()
-            eng.reoptimize(state, data, hp, None)
-            if np.abs(state.w).max(initial=0.0) >= COEF_BOUND:
-                state, solve = before, False
-            settled = 0
+            if not eng.solve_support(state, data, hp):
+                state, settle = before, math.inf
+            solved, settled = support, 0
     else:
         if stats is not None:
             stats.cap_hits += 1

@@ -196,6 +196,29 @@ def newton_fit_logistic(x, y, support, lam2, max_iter=200, tol=1e-11):
     return w_full, float(beta[k]), cur
 
 
+def scipy_fit_logistic(x, y, support, lam2, start):
+    """The smooth logistic loss (ridge on the coefficients, none on the
+    intercept) minimized over ``support`` plus the intercept by SciPy's
+    BFGS from ``start`` (the coefficients, then the intercept).  Returns the
+    minimum and the minimizer."""
+    from scipy.optimize import minimize
+
+    support = sorted(support)
+    k = len(support)
+    z = y[:, None] * np.column_stack([x[:, support], np.ones(x.shape[0])])
+
+    def loss(b):
+        m = z @ b
+        q = expit(-m)
+        g = -(z.T @ q)
+        g[:k] += 2.0 * lam2 * b[:k]
+        return float(np.logaddexp(0.0, -m).sum() + lam2 * float(b[:k] @ b[:k])), g
+
+    res = minimize(loss, np.asarray(start, dtype=np.float64), jac=True, method="BFGS",
+                   options={"gtol": 1e-10, "maxiter": 10_000})
+    return float(res.fun), res.x
+
+
 def newton_fit_exponential(x, y, support, max_iter=200, tol=1e-11, clamp=30.0):
     """Full Newton fit of the exponential loss on ``support`` plus intercept."""
     support = sorted(support)

@@ -255,9 +255,9 @@ class TestEngines:
 
     def test_engines_define_the_loss_constants(self):
         from sparseclass import exponential, logistic
-        got = [(m.PROBABILITY_SCALE, m.TAKES_RIDGE, m.BINARIZE_ENCODING, m.WARM_START_SOLVE)
+        got = [(m.PROBABILITY_SCALE, m.TAKES_RIDGE, m.BINARIZE_ENCODING, m.SUPPORT_SETTLED_SWEEPS)
                for m in (logistic, exponential)]
-        assert got == [(1.0, True, "0/1", False), (2.0, False, "-1/+1", True)]
+        assert got == [(1.0, True, "0/1", 20), (2.0, False, "-1/+1", 3)]
 
     def test_states_keep_their_traced_methods(self):
         # The benchmark's tracer counts calls by patching these methods in

@@ -9,7 +9,7 @@ from scipy.special import expit
 import sparseclass as sc
 from sparseclass import logistic as logeng
 from sparseclass.core import EPS, ScreenRef
-from oracles import central_difference, grid_minimize, logistic_curve
+from oracles import central_difference, grid_minimize, logistic_curve, scipy_fit_logistic
 
 
 class PolyProbe:
@@ -433,6 +433,32 @@ class TestSweepAndIntercept:
         state = sc.fit_one(data, hp)
         assert state.w[2] == 0.0
         assert 2 not in state.support
+
+
+class TestSupportSolve:
+    @pytest.mark.parametrize("lam2", [1e-3, 1e-5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_scipy_oracle(self, seed, lam2):
+        rng = np.random.default_rng(700 + seed)
+        n, p = int(rng.integers(80, 240)), 12
+        x = rng.standard_normal((n, p))
+        y = np.where(rng.random(n) < expit(0.8 * (x[:, 0] - x[:, 1])), 1.0, -1.0)
+        data = sc.DesignMatrix.from_arrays(x, y)
+        state = sc.ModelState.zeros(data)
+        for j in rng.choice(p, size=int(rng.integers(0, 7)), replace=False):
+            state.set_coefficient(data, int(j), float(rng.standard_normal()))
+        state.set_intercept(data, float(rng.standard_normal()))
+        hp = sc.HyperParams(lambda0=1.0, lambda2=lam2)
+        support = sorted(state.support)
+        ref, beta = scipy_fit_logistic(x, data.y, support, lam2,
+                                       np.append(state.w[support], state.intercept))
+        assert logeng.solve_support(state, data, hp)
+        assert sorted(state.support) == support
+        assert logeng.smooth_loss(state, data, hp) == pytest.approx(ref, rel=1e-9)
+        np.testing.assert_allclose(np.append(state.w[support], state.intercept), beta,
+                                   rtol=0, atol=1e-6)
+        # the margins are rebuilt exactly from the coefficients
+        np.testing.assert_array_equal(state.margins, data.y * state.linear_scores(data))
 
 
 def _record_screens(monkeypatch, eng):

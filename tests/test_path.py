@@ -72,6 +72,49 @@ class TestWarmStart:
             move = logeng.cd_sweep(extra, data, hp.lambda0, hp.lambda2, lip, range(data.p))
             assert move <= 1e-10
 
+    def test_logistic_fixed_point_on_a_c06_instance(self):
+        # Acceptance c06's first random instance, where sweeps alone end at
+        # the 500-sweep cap short of a fixed point.
+        rng = np.random.default_rng(7000)
+        x = rng.standard_normal((300, 200))
+        w = np.zeros(200)
+        w[rng.choice(200, size=8, replace=False)] = 1.2
+        y = np.where(rng.random(300) < expit(x @ w), 1.0, -1.0)
+        data = sc.DesignMatrix.from_arrays(x, y)
+        hp = sc.HyperParams(lambda0=0.15, lambda2=1e-3)
+        stats = sc.FitStats()
+        state = sc.warm_start(data, hp, stats=stats)
+        assert stats.cap_hits == 0
+        lip = logeng.lipschitz_all(data, hp.lambda2)
+        move = logeng.cd_sweep(state.copy(), data, hp.lambda0, hp.lambda2, lip, range(data.p))
+        assert move <= 1e-10
+
+    def test_uncertified_logistic_solve_is_undone(self, monkeypatch):
+        # The separable instance of test_cap_hits_counted: the loss tends to
+        # zero, so the relative stop test of the support solve never holds.
+        # The warm start must end bit for bit as with support solves off.
+        x = np.array([[1.0], [2.0], [-1.0], [-2.0]])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        data = sc.DesignMatrix.from_arrays(x, y)
+        hp = sc.HyperParams(lambda0=0.0, lambda2=0.0)
+        solve = logeng.solve_support
+        certified = []
+
+        def recording(state, data, hp):
+            certified.append(solve(state, data, hp))
+            return certified[-1]
+
+        monkeypatch.setattr(logeng, "solve_support", recording)
+        runs = []
+        for k in (logeng.SUPPORT_SETTLED_SWEEPS, pathmod.WARM_START_MAX_SWEEPS + 1):
+            monkeypatch.setattr(logeng, "SUPPORT_SETTLED_SWEEPS", k)
+            stats = sc.FitStats()
+            state = sc.warm_start(data, hp, stats=stats)
+            runs.append((state.w.tolist(), state.intercept, state.margins.tolist(),
+                         stats.cap_hits))
+        assert certified == [False]
+        assert runs[0] == runs[1]
+
     def test_exponential_fixed_point_certificate(self):
         from sparseclass import exponential as expeng
         # p=300 leaves zero runs long enough for the screened sweep.  It
@@ -105,14 +148,14 @@ class TestWarmStart:
             boxed.append(np.abs(state.w).max(initial=0.0) >= expeng.COEF_BOUND)
 
         monkeypatch.setattr(expeng, "reoptimize", recording)
-        settled = pathmod.SUPPORT_SETTLED_SWEEPS
+        settled = expeng.SUPPORT_SETTLED_SWEEPS
         for seed in (40, 41, 53, 55):
             data = _data(np.random.default_rng(seed), n=80, p=300, binary=True)
             for lam0 in (0.5, 2.0):
                 hp = sc.HyperParams(lambda0=lam0, loss="exponential")
                 runs = []
                 for k in (settled, pathmod.WARM_START_MAX_SWEEPS + 1):
-                    monkeypatch.setattr(pathmod, "SUPPORT_SETTLED_SWEEPS", k)
+                    monkeypatch.setattr(expeng, "SUPPORT_SETTLED_SWEEPS", k)
                     stats = sc.FitStats()
                     state = sc.warm_start(data, hp, stats=stats)
                     runs.append((sc.objective(state, data, hp), stats.cap_hits))
