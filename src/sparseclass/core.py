@@ -29,10 +29,18 @@ SCREEN_MIN_RUN = 8
 # Unit roundoff scale for the rounding allowances of zero certificates.
 EPS = float(np.finfo(np.float64).eps)
 
-# The most sweeps (logistic) or Newton iterations (exponential) that one
-# support reoptimization (an engine's ``reoptimize``) may take, and the most
-# Newton iterations of ``newton_solve``.
+# The most Newton iterations of one support solve (``newton_solve``).  The
+# name, which perfbench's tracer reads, says sweeps, but no support solve
+# sweeps any more: it caps only Newton iterations.
 REOPT_MAX_SWEEPS = 100
+
+# A support solve is certified once every projected-gradient entry is at
+# most this fraction of the smooth loss f.  The test is relative: on
+# separable data the loss tends to zero along with the gradient, and no
+# point is optimal.  On -1/+1 columns under the exponential loss every
+# Hessian diagonal entry is f, so an entry g is one coordinate step
+# g / f <= 1e-9 from its optimum.
+NEWTON_GRAD_TOL = 1e-9
 
 # Armijo fraction of the predicted decrease that a step of ``newton_solve``
 # must achieve, and the halvings after which a step that achieves none ends
@@ -40,8 +48,7 @@ REOPT_MAX_SWEEPS = 100
 ARMIJO = 1e-4
 MAX_HALVINGS = 40
 
-# Objective tolerance: a swap must lower the smooth loss by more than this,
-# and the logistic support reoptimization stops once a sweep gains less.
+# Objective tolerance: a swap must lower the smooth loss by more than this.
 OBJECTIVE_TOL = 1e-8
 
 
@@ -357,8 +364,8 @@ def sweep_visits(coords, w: np.ndarray, screen):
     caller has updated it.  All coordinates outside such runs are yielded.
 
     ``coords`` itself is returned when ``screen`` is None, when ``coords``
-    is not a unit-step range (the lists of a sweep over the support alone)
-    or when it has no such run.
+    is not a unit-step range (a coordinate list, which only tests pass) or
+    when it has no such run.
     """
     if screen is None or not (isinstance(coords, range) and coords.step == 1):
         return coords
@@ -453,8 +460,7 @@ def zero_certificate(state, data: DesignMatrix, screen, current, slack, level):
     return screened
 
 
-def newton_solve(state, data: DesignMatrix, terms, bound: float, lam2: float,
-                 tol: float) -> bool:
+def newton_solve(state, data: DesignMatrix, terms, bound: float, lam2: float) -> bool:
     """Minimize a smooth loss over the support coefficients of ``state``
     (each kept in [-bound, bound]) and the free intercept by damped
     projected Newton steps, from the current state.  The result is written
@@ -471,9 +477,9 @@ def newton_solve(state, data: DesignMatrix, terms, bound: float, lam2: float,
     box and halved until f falls by an ``ARMIJO`` fraction of the decrease
     the gradient predicts, rounding allowed for.  The solve is certified
     when every projected-gradient entry (the gradient with held coordinates
-    zeroed) is at most ``tol`` * f.  It also stops, uncertified, after
-    ``REOPT_MAX_SWEEPS`` iterations or when ``MAX_HALVINGS`` halvings do
-    not lower f.
+    zeroed) is at most ``NEWTON_GRAD_TOL`` * f.  It also stops,
+    uncertified, after ``REOPT_MAX_SWEEPS`` iterations or when
+    ``MAX_HALVINGS`` halvings do not lower f.
     """
     support = sorted(state.support)
     n, k = data.n, len(support)
@@ -499,7 +505,7 @@ def newton_solve(state, data: DesignMatrix, terms, bound: float, lam2: float,
         if lam2:
             g[:k] += 2.0 * lam2 * beta[:k]
         held = ((beta <= lo) & (g > 0.0)) | ((beta >= hi) & (g < 0.0))
-        if np.abs(np.where(held, 0.0, g)).max() <= tol * f:
+        if np.abs(np.where(held, 0.0, g)).max() <= NEWTON_GRAD_TOL * f:
             certified = True
             break
         hess = a.T @ (a * v[:, None])
@@ -575,25 +581,25 @@ def engine(loss: str):
     ``sparseclass.exponential``.  This is the one place where a loss name
     chooses code.
 
-    Every engine defines four constants: ``PROBABILITY_SCALE``, the s of
+    Every engine defines five constants: ``PROBABILITY_SCALE``, the s of
     the probability link sigmoid(s * f); ``TAKES_RIDGE``, whether the loss
     takes a ridge penalty; ``BINARIZE_ENCODING``, the dummy encoding its
     fits on binarized data use (``"-1/+1"`` where the engine needs -1/+1
-    features); and ``SUPPORT_SETTLED_SWEEPS``, the sweeps in a row that
-    must leave the support unchanged before ``path.warm_start`` solves it
-    exactly.  It also defines ``new_state(data)``, ``smooth_loss(state,
+    features); ``SUPPORT_SETTLED_SWEEPS``, the sweeps in a row that must
+    leave the support unchanged before ``path.warm_start`` solves it
+    exactly; and ``COEF_BOUND``, the box [-COEF_BOUND, COEF_BOUND] of the
+    support coefficients in a support solve (``math.inf`` for no box).  It
+    also defines six functions: ``new_state(data)``, ``smooth_loss(state,
     data, hp)``, ``sweep(state, data, hp, lam0, coords)`` (one coordinate
     pass, returning the largest move), ``refit_intercept(state, data,
     stats)`` (returning the shift, counting a stop at an iteration cap in
     ``stats.cap_hits``), ``find_swap(trial, data, hp, forbidden, f0,
     threshold, cut, stats)`` (the first acceptable replacement feature and
-    its coefficient, or None), ``reoptimize(state, data, hp, stats)``
-    (minimizes the smooth loss over the support coefficients and the
-    intercept in place, counting a stop at ``REOPT_MAX_SWEEPS`` in
-    ``stats.cap_hits``) and ``solve_support(state, data, hp)`` (the warm
-    start's exact solve of the support and the intercept by
-    ``newton_solve``, in place, returning whether the warm start may keep
-    it).
+    its coefficient, or None) and ``solve_support(state, data, hp)``, the
+    one support solve: exact minimization of the smooth loss over the
+    support coefficients, kept in the box, and the intercept by
+    ``newton_solve``, in place, returning whether it is certified.  The
+    warm start and the swap search (``swap.reoptimize``) both call it.
     """
     if loss not in LOSSES:
         raise ConfigError(f"unknown loss {loss!r}")

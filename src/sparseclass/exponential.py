@@ -23,11 +23,11 @@ from .core import (
     sweep_visits,
     zero_certificate,
 )
-from .swap import FitStats
 
 # Engine constants (see ``core.engine``): the probability is sigmoid(2f),
 # the loss takes no ridge, it needs -1/+1 features, and the warm start
-# solves a support that 3 sweeps in a row left unchanged.
+# solves a support that 3 sweeps in a row left unchanged.  The fifth,
+# COEF_BOUND, follows SEPARATION_EPS below.
 PROBABILITY_SCALE = 2.0
 TAKES_RIDGE = False
 BINARIZE_ENCODING = "-1/+1"
@@ -41,12 +41,6 @@ SEPARATION_EPS = 1e-10
 # ``analytic_coefficient`` (whose lower end lies 4e-8 inside -COEF_BOUND:
 # 1 - d rounds near d = 1).
 COEF_BOUND = 0.5 * math.log((1.0 - SEPARATION_EPS) / SEPARATION_EPS)
-
-# A support solve is certified once every projected-gradient entry is at
-# most this fraction of the loss H.  On -1/+1 columns every Hessian diagonal
-# entry is H, so an entry g is one coordinate step g / H <= 1e-9 from its
-# optimum.
-REOPT_GRAD_TOL = 1e-9
 
 # Exact weight/margin recomputation cadence; multiplicative updates drift.
 WEIGHT_REFRESH_EVERY = 64
@@ -261,8 +255,8 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
     (measurements at the constant).  A run whose every column provably
     stays zero, by its distance from the state's screening reference, is
     skipped without a product (``_certificate``,
-    ``core.zero_certificate``).  Lists (the swap search's sweeps over a
-    support) and ``lam0 = 0`` sweeps go coordinate by coordinate.
+    ``core.zero_certificate``).  Coordinate lists, which only tests pass,
+    and ``lam0 = 0`` sweeps go coordinate by coordinate.
     """
     z_all = data.signed
 
@@ -340,30 +334,16 @@ def _terms(m):
     return float(c.sum()), c, c
 
 
-def reoptimize(state: ExpState, data: DesignMatrix, hp: HyperParams, stats) -> None:
+def solve_support(state: ExpState, data: DesignMatrix, hp: HyperParams) -> bool:
     """Exact minimization of H over the support coefficients (each kept in
     [-COEF_BOUND, COEF_BOUND]) and the free intercept by
     ``core.newton_solve``, from the current state, with the weights rebuilt
-    exactly.
+    exactly; returns whether it is certified (``core.NEWTON_GRAD_TOL``).
 
     With beta the support coefficients then the intercept and a_i row i of
     A = [Z_S, y], H = sum_i exp(-a_i . beta), its gradient is -A^T c and
-    its Hessian A^T diag(c) A, for c_i = exp(-a_i . beta).  The solve is
-    certified when every projected-gradient entry is at most
-    ``REOPT_GRAD_TOL`` * H; a solve that ends short of that, at
-    ``core.REOPT_MAX_SWEEPS`` iterations or when ``core.MAX_HALVINGS``
-    halvings do not lower H, is counted in ``stats.cap_hits``.
+    its Hessian A^T diag(c) A, for c_i = exp(-a_i . beta).  A solve ends
+    uncertified at ``core.REOPT_MAX_SWEEPS`` iterations or when
+    ``core.MAX_HALVINGS`` halvings do not lower H.
     """
-    if not newton_solve(state, data, _terms, COEF_BOUND, 0.0, REOPT_GRAD_TOL) \
-            and stats is not None:
-        stats.cap_hits += 1
-
-
-def solve_support(state: ExpState, data: DesignMatrix, hp: HyperParams) -> bool:
-    """The warm start's support solve: ``reoptimize``, which counts an
-    uncertified end in its stats.  Returns whether the solve is certified
-    and leaves no coefficient on the box, where a support that separates
-    the data drives it."""
-    stats = FitStats()
-    reoptimize(state, data, hp, stats)
-    return stats.cap_hits == 0 and np.abs(state.w).max(initial=0.0) < COEF_BOUND
+    return newton_solve(state, data, _terms, COEF_BOUND, 0.0)

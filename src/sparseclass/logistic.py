@@ -16,8 +16,6 @@ from scipy.special import expit
 
 from .core import (
     EPS,
-    OBJECTIVE_TOL,
-    REOPT_MAX_SWEEPS,
     ConfigError,
     DesignMatrix,
     HyperParams,
@@ -37,11 +35,7 @@ PROBABILITY_SCALE = 1.0
 TAKES_RIDGE = True
 BINARIZE_ENCODING = "0/1"
 SUPPORT_SETTLED_SWEEPS = 20
-
-# A support solve is certified once every gradient entry is at most this
-# fraction of the smooth loss.  The test is relative: on separable data the
-# loss tends to zero along with the gradient, and no point is optimal.
-SOLVE_GRAD_TOL = 1e-9
+COEF_BOUND = math.inf
 
 # Surrogate steps K of a swap candidate's line search (``find_swap`` passes
 # them to ``screen_block``).
@@ -435,8 +429,8 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
     (measurements at the constant).  A run whose every column provably
     stays zero, by its distance from the state's screening reference, is
     skipped without a product (``_certificate``,
-    ``core.zero_certificate``).  Lists (the swap search's sweeps over a
-    support) and ``lam0 = 0`` sweeps go coordinate by coordinate.
+    ``core.zero_certificate``).  Coordinate lists, which only tests pass,
+    and ``lam0 = 0`` sweeps go coordinate by coordinate.
     """
     z = data.signed
     q = expit(-state.margins)
@@ -582,24 +576,6 @@ def sweep(state: ModelState, data: DesignMatrix, hp: HyperParams, lam0: float, c
     return cd_sweep(state, data, lam0, hp.lambda2, lipschitz_all(data, hp.lambda2), coords)
 
 
-def reoptimize(state: ModelState, data: DesignMatrix, hp: HyperParams, stats) -> None:
-    """Cyclic coordinate descent on the current support (penalty-free steps)
-    with an intercept refit per sweep, until the per-sweep objective change
-    drops below ``core.OBJECTIVE_TOL`` or the sweep cap is hit (counted in
-    ``stats.cap_hits``)."""
-    prev = smooth_loss(state, data, hp)
-    for _ in range(REOPT_MAX_SWEEPS):
-        refit_intercept(state, data, stats)
-        sweep(state, data, hp, 0.0, sorted(state.support))
-        cur = smooth_loss(state, data, hp)
-        if prev - cur < OBJECTIVE_TOL:
-            break
-        prev = cur
-    else:
-        if stats is not None:
-            stats.cap_hits += 1
-
-
 def _row_terms(m):
     """The loss sum, sigmoid(-m) and sigmoid'(m) of margins ``m``, from one
     exponential (overflow-safe through |m|): the value, gradient weights
@@ -611,11 +587,11 @@ def _row_terms(m):
 
 
 def solve_support(state: ModelState, data: DesignMatrix, hp: HyperParams) -> bool:
-    """The warm start's support solve: exact minimization of the smooth loss
-    (ridge included) over the support coefficients and the free intercept,
-    with no box, by ``core.newton_solve``, from the current state, with the
-    margins rebuilt; returns whether it is certified (``SOLVE_GRAD_TOL``)."""
-    return newton_solve(state, data, _row_terms, math.inf, hp.lambda2, SOLVE_GRAD_TOL)
+    """Exact minimization of the smooth loss (ridge included) over the
+    support coefficients and the free intercept, with no box, by
+    ``core.newton_solve``, from the current state, with the margins
+    rebuilt; returns whether it is certified (``core.NEWTON_GRAD_TOL``)."""
+    return newton_solve(state, data, _row_terms, COEF_BOUND, hp.lambda2)
 
 
 def find_swap(trial: ModelState, data: DesignMatrix, hp: HyperParams, forbidden: set[int],

@@ -11,6 +11,8 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
+import numpy as np
+
 from .core import ConfigError, DesignMatrix, HyperParams, engine, objective
 from .swap import FitStats, check_ordering, fit_swap_1opt, resolve_cut
 
@@ -71,10 +73,10 @@ def warm_start(data: DesignMatrix, hp: HyperParams, init=None,
     support unchanged, the engine's ``solve_support`` minimizes the smooth
     loss over that support and the intercept exactly, and the sweeps go on
     (the active-set scheme of Hazimeh and Mazumder).  A support that the
-    warm start has already solved is not solved again.  A solve that the
-    engine rejects (one that is not certified, as on a separable support,
-    or one that leaves an exponential coefficient on its box) is undone,
-    and that warm start runs no more solves.
+    warm start has already solved is not solved again.  A solve that is
+    not certified (as on a separable support), or that leaves a coefficient
+    on the engine's ``COEF_BOUND`` box, where a support that separates the
+    data drives it, is undone, and that warm start runs no more solves.
 
     The returned state cannot be improved by any single thresholding step,
     unless the sweep cap was hit first (counted in ``stats.cap_hits``); the
@@ -95,7 +97,8 @@ def warm_start(data: DesignMatrix, hp: HyperParams, init=None,
         support = set(state.support)
         if settled >= settle and support != solved:
             before = state.copy()
-            if not eng.solve_support(state, data, hp):
+            if not (eng.solve_support(state, data, hp)
+                    and np.abs(state.w).max(initial=0.0) < eng.COEF_BOUND):
                 state, settle = before, math.inf
             solved, settled = support, 0
     else:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# REOPT_MAX_SWEEPS, the cap of every engine's ``reoptimize``, is also read
-# from here (perfbench's tracer counts reoptimizations that reach it).
+# REOPT_MAX_SWEEPS, the Newton iteration cap of every support solve, is also
+# read from here by perfbench's tracer.
 from .core import OBJECTIVE_TOL, REOPT_MAX_SWEEPS, ConfigError, DesignMatrix, HyperParams, engine
 
 ORDERINGS = ("dynamic", "sequential")
@@ -37,11 +37,11 @@ class FitStats:
     loss, ``cut_prunes`` among them dismissed without a line search (by
     the cut at zero, the reach bound or the bracket-curvature cut of
     ``logistic.screen_block``) and ``line_searches`` run.
-    ``cap_hits`` counts the warm-start, reoptimization and logistic
-    intercept-refit loops that ended at their sweep or iteration cap
-    without meeting their stop test (or, under the exponential loss, ended
-    short of it: see ``exponential.reoptimize``), and swap searches that
-    ended at ``SWAP_MAX_PASSES``.
+    ``cap_hits`` counts the warm starts and logistic intercept refits that
+    ended at their sweep or iteration cap without meeting their stop test,
+    the swap search's support solves (``reoptimize``) that ended
+    uncertified, at the Newton iteration cap or when no halving lowered the
+    loss, and swap searches that ended at ``SWAP_MAX_PASSES``.
     """
 
     swap_evals: int = 0
@@ -101,12 +101,13 @@ def resolve_cut(cut: str, hp: HyperParams) -> str:
 def reoptimize(state, data: DesignMatrix, hp: HyperParams,
                stats: FitStats | None = None) -> None:
     """Minimize the smooth loss over the support coefficients and the
-    intercept, in place, with the loss engine's ``reoptimize``: cyclic
-    coordinate descent under the logistic loss, a box-constrained Newton
-    solve under the exponential loss.  Either stops after at most
-    ``REOPT_MAX_SWEEPS`` sweeps or iterations; a stop there is counted in
-    ``stats.cap_hits``."""
-    engine(hp.loss).reoptimize(state, data, hp, stats)
+    intercept, in place, with the loss engine's ``solve_support`` (a damped
+    Newton solve, boxed under the exponential loss).  A solve that ends
+    uncertified, after ``REOPT_MAX_SWEEPS`` Newton iterations or when no
+    halving lowers the loss, is counted in ``stats.cap_hits``; this is the
+    one place that counts it."""
+    if not engine(hp.loss).solve_support(state, data, hp) and stats is not None:
+        stats.cap_hits += 1
 
 
 # --- delete-or-swap ----------------------------------------------------------

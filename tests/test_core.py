@@ -243,6 +243,7 @@ class TestEngines:
         "sweep": ["state", "data", "hp", "lam0", "coords"],
         "refit_intercept": ["state", "data", "stats"],
         "find_swap": ["trial", "data", "hp", "forbidden", "f0", "threshold", "cut", "stats"],
+        "solve_support": ["state", "data", "hp"],
     }
 
     def test_engines_define_the_same_functions(self):
@@ -253,11 +254,19 @@ class TestEngines:
                 got = list(inspect.signature(getattr(module, name)).parameters)
                 assert got == params, (module.__name__, name)
 
+    def test_engines_have_one_support_solver(self):
+        # ``solve_support`` is each engine's only support solve; the swap
+        # search and the warm start both call it.
+        from sparseclass import exponential, logistic
+        for module in (logistic, exponential):
+            assert not hasattr(module, "reoptimize"), module.__name__
+
     def test_engines_define_the_loss_constants(self):
         from sparseclass import exponential, logistic
-        got = [(m.PROBABILITY_SCALE, m.TAKES_RIDGE, m.BINARIZE_ENCODING, m.SUPPORT_SETTLED_SWEEPS)
-               for m in (logistic, exponential)]
-        assert got == [(1.0, True, "0/1", 20), (2.0, False, "-1/+1", 3)]
+        got = [(m.PROBABILITY_SCALE, m.TAKES_RIDGE, m.BINARIZE_ENCODING, m.SUPPORT_SETTLED_SWEEPS,
+                m.COEF_BOUND) for m in (logistic, exponential)]
+        bound = 0.5 * math.log((1.0 - 1e-10) / 1e-10)
+        assert got == [(1.0, True, "0/1", 20, math.inf), (2.0, False, "-1/+1", 3, bound)]
 
     def test_states_keep_their_traced_methods(self):
         # The benchmark's tracer counts calls by patching these methods in

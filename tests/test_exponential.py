@@ -8,7 +8,7 @@ import pytest
 import sparseclass as sc
 from sparseclass import exponential as expeng
 from sparseclass import swap
-from sparseclass.core import EPS
+from sparseclass.core import EPS, NEWTON_GRAD_TOL
 from oracles import (exp_curve, grid_minimize, newton_fit_exponential, reference_exp_find_swap,
                      reference_signed_products)
 from test_logistic import _count_skips, _record_screens
@@ -454,7 +454,7 @@ def _projected_gradient(state, data):
 def _certified(state, data):
     H, pg = _projected_gradient(state, data)
     # the solver's test, plus the rounding of this recomputation
-    return float(np.abs(pg).max()) <= expeng.REOPT_GRAD_TOL * H * (1.0 + 1e-6) + 1e-12 * H
+    return float(np.abs(pg).max()) <= NEWTON_GRAD_TOL * H * (1.0 + 1e-6) + 1e-12 * H
 
 
 class TestReoptimize:

@@ -8,7 +8,8 @@ from scipy.special import expit
 
 import sparseclass as sc
 from sparseclass import logistic as logeng
-from sparseclass.core import EPS, ScreenRef
+from sparseclass import swap
+from sparseclass.core import EPS, NEWTON_GRAD_TOL, ScreenRef
 from oracles import central_difference, grid_minimize, logistic_curve, scipy_fit_logistic
 
 
@@ -415,7 +416,7 @@ class TestSweepAndIntercept:
                             lambda st, d, stats=None: seen.append(stats) or refit(st, d, stats))
         stats = sc.FitStats()
         sc.warm_start(data, hp, stats=stats)
-        logeng.reoptimize(state, data, hp, stats)
+        swap.reoptimize(state, data, hp, stats)
         assert seen and all(s is stats for s in seen)
 
     def test_intercept_refit_empty_data(self):
@@ -459,6 +460,37 @@ class TestSupportSolve:
                                    rtol=0, atol=1e-6)
         # the margins are rebuilt exactly from the coefficients
         np.testing.assert_array_equal(state.margins, data.y * state.linear_scores(data))
+
+    @pytest.mark.parametrize("lam2", [1e-3, 1e-5])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_swap_search_refit_is_exact(self, seed, lam2):
+        # The refit after an accepted deletion or swap is the support solve:
+        # certified, at the oracle's minimum, with a gradient at the
+        # solver's stop test when recomputed from scratch.
+        data, truth = sc.gen_classification(
+            sc.SynthSpec(n=300, p=40, k=8, rho=0.9, seed=900 + seed))
+        rng = np.random.default_rng(seed)
+        state = sc.ModelState.zeros(data)
+        for j in sorted(truth):
+            state.set_coefficient(data, j, float(rng.standard_normal()))
+        hp = sc.HyperParams(lambda0=1.0, lambda2=lam2)
+        support = sorted(truth)
+        ref, _ = scipy_fit_logistic(data.x, data.y, support, lam2,
+                                    np.append(state.w[support], state.intercept))
+        stats = sc.FitStats()
+        swap.reoptimize(state, data, hp, stats)
+        assert stats.cap_hits == 0
+        assert sorted(state.support) == support
+        f = logeng.smooth_loss(state, data, hp)
+        assert f == pytest.approx(ref, rel=1e-9)
+        a = np.column_stack([data.signed[:, support], data.y])
+        q = expit(-(data.y * (data.x @ state.w + state.intercept)))
+        g = -(a.T @ q)
+        g[:-1] += 2.0 * lam2 * state.w[support]
+        # the solver's test, plus the rounding of its gradient and of this one
+        rounding = 2.0 * (data.n + 8) * EPS * (np.abs(a).T @ q + 2.0 * lam2 * np.append(
+            np.abs(state.w[support]), 0.0))
+        assert np.all(np.abs(g) <= NEWTON_GRAD_TOL * f * (1.0 + 1e-6) + rounding)
 
 
 def _record_screens(monkeypatch, eng):

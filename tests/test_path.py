@@ -140,14 +140,15 @@ class TestWarmStart:
         # worse, and at no more sweep caps, than with support solves off.
         # Seeds 53 and 55 at lambda0 = 0.5 end at the sweep cap either way.
         from sparseclass import exponential as expeng
-        solve = expeng.reoptimize
+        solve = expeng.solve_support
         boxed = []
 
-        def recording(state, data, hp, stats):
-            solve(state, data, hp, stats)
+        def recording(state, data, hp):
+            certified = solve(state, data, hp)
             boxed.append(np.abs(state.w).max(initial=0.0) >= expeng.COEF_BOUND)
+            return certified
 
-        monkeypatch.setattr(expeng, "reoptimize", recording)
+        monkeypatch.setattr(expeng, "solve_support", recording)
         settled = expeng.SUPPORT_SETTLED_SWEEPS
         for seed in (40, 41, 53, 55):
             data = _data(np.random.default_rng(seed), n=80, p=300, binary=True)
