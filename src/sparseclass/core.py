@@ -1,4 +1,4 @@
-"""Shared data model: datasets, coefficient states, hyperparameters, losses."""
+"""Shared data model: datasets, the coefficient state, hyperparameters, losses."""
 
 from __future__ import annotations
 
@@ -224,12 +224,11 @@ class ScreenRef:
     loss, the weights under the exponential loss) and ``g[j] = |z_j . v|``
     for every column of ``data.signed``, taken with one product.  A sweep
     measures how far its vector has moved from ``v``.  Copies of a state
-    share the reference; ``v`` and ``g`` never change, and ``memo`` is the
-    engine's cache of what it last derived from ``g``.  It holds its
+    share the reference, and ``v`` and ``g`` never change.  It holds its
     dataset weakly, so a kept state does not keep the data alive.
     """
 
-    __slots__ = ("data", "v", "g", "memo")
+    __slots__ = ("data", "v", "g")
 
     def __init__(self, data: DesignMatrix, v: np.ndarray):
         self.data = weakref.ref(data)
@@ -237,33 +236,34 @@ class ScreenRef:
         self.g = np.abs(data.signed.T @ self.v)
         self.v.setflags(write=False)
         self.g.setflags(write=False)
-        self.memo = None
 
     def belongs_to(self, data: DesignMatrix) -> bool:
         return self.data() is data
 
 
-class CoefState:
-    """Dense coefficient vector plus support set and intercept: the state
-    that every loss engine's state class extends with its per-observation
-    cache and the rules that keep that cache in step (``set_coefficient``,
-    ``set_intercept``, ``refresh`` and ``scores``).  A state belongs to one
-    solver run and is never shared mutably.
+class ModelState:
+    """Dense coefficient vector, support set and intercept, with the margin
+    cache that every loss engine reads.  A state belongs to one solver run
+    and is never shared mutably.
 
-    ``_updates`` counts the cache updates that set the refresh cadence.
-    ``ref`` is the state's screening reference (a ``ScreenRef`` or None);
-    the cache keeps no account of how far it has moved since, because the
-    engine's zero certificate measures that distance.  ``_lost`` counts the
-    screening since the reference that a fresh one would have saved (see
-    ``zero_certificate``).
+    ``margins[i]`` is y_i * (w . x_i + intercept), maintained incrementally
+    and rebuilt from scratch (``refresh``, sparse in |support|) every
+    ``MARGIN_REFRESH_EVERY`` coefficient updates, which ``_updates``
+    counts.  The exponential engine's state (``exponential.ExpState``)
+    derives its weights from the margins.  ``ref`` is the state's screening
+    reference (a ``ScreenRef`` or None); the state keeps no account of how
+    far it has moved since, because the engine's zero certificate measures
+    that distance.  ``_lost`` counts the screening since the reference that
+    a fresh one would have saved (see ``zero_certificate``).
     """
 
-    __slots__ = ("w", "support", "intercept", "_updates", "ref", "_lost")
+    __slots__ = ("w", "support", "intercept", "margins", "_updates", "ref", "_lost")
 
     def __init__(self, data: DesignMatrix):
         self.w = np.zeros(data.p)
         self.support = set()
         self.intercept = 0.0
+        self.margins = np.zeros(data.n)
         self._updates = 0
         self.ref = None
         self._lost = 0
@@ -273,12 +273,13 @@ class CoefState:
         return cls(data)
 
     def copy(self):
-        """An independent copy (the screening reference is shared); the
-        subclass copies its cache."""
+        """An independent copy (the screening reference is shared); a
+        subclass copies its own fields."""
         new = object.__new__(type(self))
         new.w = self.w.copy()
         new.support = set(self.support)
         new.intercept = self.intercept
+        new.margins = self.margins.copy()
         new._updates = self._updates
         new.ref = self.ref
         new._lost = self._lost
@@ -299,26 +300,6 @@ class CoefState:
         if support:
             return data.x[:, support] @ self.w[support] + self.intercept
         return np.full(data.n, self.intercept)
-
-
-class ModelState(CoefState):
-    """Coefficient state plus the margin cache of the logistic loss.
-
-    ``margins[i]`` is y_i * (w . x_i + intercept) and is maintained
-    incrementally; it is the single per-observation source of truth under
-    the logistic loss.
-    """
-
-    __slots__ = ("margins",)
-
-    def __init__(self, data: DesignMatrix):
-        super().__init__(data)
-        self.margins = np.zeros(data.n)
-
-    def copy(self) -> "ModelState":
-        new = super().copy()
-        new.margins = self.margins.copy()
-        return new
 
     def set_coefficient(self, data: DesignMatrix, j: int, value: float) -> None:
         value = float(value)
@@ -344,18 +325,19 @@ class ModelState(CoefState):
         self.margins = data.y * self.linear_scores(data)
 
     def scores(self, data: DesignMatrix) -> np.ndarray:
-        """Raw decision scores f_i = w . x_i + intercept."""
+        """Raw decision scores f_i = w . x_i + intercept, read from the
+        margin cache."""
         return data.y * self.margins
 
 
-def sweep_visits(coords, w: np.ndarray, screen):
-    """The coordinates of ``coords`` that a sweep must update one at a time.
+def sweep_visits(coords: range, w: np.ndarray, screen):
+    """The coordinates of ``coords``, a contiguous range, that a sweep must
+    update one at a time.
 
     A sweep visits ``coords`` in order; a zero coefficient that stays zero
     changes nothing, so visiting only the coordinates yielded here, in the
-    order yielded, makes the same decisions.  Only a warm-start sweep, a
-    contiguous range of coordinates with ``screen`` set, is screened: each
-    run of at least ``SCREEN_MIN_RUN`` positions whose coefficients are zero
+    order yielded, makes the same decisions.  With ``screen`` set, each run
+    of at least ``SCREEN_MIN_RUN`` positions whose coefficients are zero
     when the sweep starts goes to ``screen(cols)``, with ``cols`` a slice of
     the run.  It returns a mask, True where a coordinate may leave zero
     under the current state, or False when it rules every coordinate out
@@ -363,11 +345,10 @@ def sweep_visits(coords, w: np.ndarray, screen):
     coordinate is yielded, and screening resumes right after it once the
     caller has updated it.  All coordinates outside such runs are yielded.
 
-    ``coords`` itself is returned when ``screen`` is None, when ``coords``
-    is not a unit-step range (a coordinate list, which only tests pass) or
-    when it has no such run.
+    ``coords`` itself is returned when ``screen`` is None or when it has no
+    such run.
     """
-    if screen is None or not (isinstance(coords, range) and coords.step == 1):
+    if screen is None:
         return coords
     nonzero = np.flatnonzero(w[coords.start:coords.stop]).tolist()
     bounds = [-1, *nonzero, len(coords)]
@@ -590,16 +571,18 @@ def engine(loss: str):
     exactly; and ``COEF_BOUND``, the box [-COEF_BOUND, COEF_BOUND] of the
     support coefficients in a support solve (``math.inf`` for no box).  It
     also defines six functions: ``new_state(data)``, ``smooth_loss(state,
-    data, hp)``, ``sweep(state, data, hp, lam0, coords)`` (one coordinate
-    pass, returning the largest move), ``refit_intercept(state, data,
-    stats)`` (returning the shift, counting a stop at an iteration cap in
-    ``stats.cap_hits``), ``find_swap(trial, data, hp, forbidden, f0,
-    threshold, cut, stats)`` (the first acceptable replacement feature and
-    its coefficient, or None) and ``solve_support(state, data, hp)``, the
-    one support solve: exact minimization of the smooth loss over the
-    support coefficients, kept in the box, and the intercept by
-    ``newton_solve``, in place, returning whether it is certified.  The
-    warm start and the swap search (``swap.reoptimize``) both call it.
+    data, hp)``, ``sweep(state, data, hp)`` (one coordinate pass over every
+    feature at ``hp.lambda0``, returning the largest move),
+    ``refit_intercept(state, data, stats)`` (returning the shift, counting a
+    stop at an iteration cap in ``stats.cap_hits``), ``find_swap(trial,
+    data, hp, forbidden, f0, threshold, cut, stats)`` (the first acceptable
+    replacement feature and its coefficient, or None) and
+    ``solve_support(state, data, hp)``, the one support solve: exact
+    minimization of the smooth loss over the support coefficients, kept in
+    the box, and the intercept by ``newton_solve``, in place, returning
+    whether it is certified.  The warm start and the swap search
+    (``swap.reoptimize``) both call it.  Both engines' states are
+    ``ModelState``s.
     """
     if loss not in LOSSES:
         raise ConfigError(f"unknown loss {loss!r}")

@@ -1,8 +1,8 @@
 """Analytical coordinate updates for the exponential loss.
 
-On a -1/+1 feature matrix every 1-D line search has a closed form, and the
-per-observation weights exp(-margin) can be maintained multiplicatively, so
-no surrogate bounds or cut pruning are needed.
+On a -1/+1 feature matrix every 1-D line search has a closed form in the
+per-observation weights exp(-margin), which the state reads from its margin
+cache, so no surrogate bounds or cut pruning are needed.
 
 The engine functions (see ``core.engine``) are at the end of the module.
 """
@@ -15,10 +15,10 @@ import numpy as np
 
 from .core import (
     EPS,
-    CoefState,
     DataError,
     DesignMatrix,
     HyperParams,
+    ModelState,
     newton_solve,
     sweep_visits,
     zero_certificate,
@@ -42,17 +42,14 @@ SEPARATION_EPS = 1e-10
 # 1 - d rounds near d = 1).
 COEF_BOUND = 0.5 * math.log((1.0 - SEPARATION_EPS) / SEPARATION_EPS)
 
-# Exact weight/margin recomputation cadence; multiplicative updates drift.
-WEIGHT_REFRESH_EVERY = 64
 
+class ExpState(ModelState):
+    """The coefficient state plus the weights c_i = exp(-margin_i) and
+    their sum ``H``, the loss.
 
-class ExpState(CoefState):
-    """Coefficient state plus cached per-observation weights c_i = exp(-margin_i).
-
-    Coefficient and intercept changes rescale the weights multiplicatively,
-    as boosting does; every ``WEIGHT_REFRESH_EVERY`` updates the cache is
-    rebuilt exactly from the (sparse) coefficients.  ``H`` is the weight
-    sum, the loss.
+    The weights are read from the margin cache after every change of the
+    coefficients or the intercept and after every ``refresh``, so they
+    share its refresh cadence (``core.MARGIN_REFRESH_EVERY``).
     """
 
     __slots__ = ("c", "H")
@@ -61,8 +58,7 @@ class ExpState(CoefState):
         if not data.binary:
             raise DataError("the exponential loss requires a -1/+1 feature matrix")
         super().__init__(data)
-        self.c = np.ones(data.n)
-        self.H = float(data.n)
+        self._weigh()
 
     def copy(self) -> "ExpState":
         new = super().copy()
@@ -71,39 +67,24 @@ class ExpState(CoefState):
         return new
 
     def set_coefficient(self, data: DesignMatrix, j: int, value: float) -> None:
-        value = float(value)
-        delta = value - self.w[j]
-        if delta == 0.0:
-            return
-        z = data.signed[:, j]
-        self.c *= np.where(z > 0.0, math.exp(-delta), math.exp(delta))
-        self._put(j, value)
-        self._bump(data)
+        if value != self.w[j]:
+            super().set_coefficient(data, j, value)
+            self._weigh()
 
     def set_intercept(self, data: DesignMatrix, value: float) -> None:
-        value = float(value)
-        delta = value - self.intercept
-        if delta == 0.0:
-            return
-        self.c *= np.where(data.y > 0.0, math.exp(-delta), math.exp(delta))
-        self.intercept = value
-        self._bump(data)
-
-    def _bump(self, data: DesignMatrix) -> None:
-        self._updates += 1
-        if self._updates % WEIGHT_REFRESH_EVERY == 0:
-            self.refresh(data)
-        else:
-            self.H = float(self.c.sum())
+        if value != self.intercept:
+            super().set_intercept(data, value)
+            self._weigh()
 
     def refresh(self, data: DesignMatrix) -> None:
-        """Rebuild the weights exactly from the coefficients."""
-        self.c = np.exp(-(data.y * self.linear_scores(data)))
-        self.H = float(self.c.sum())
+        """Rebuild the margins from the coefficients, and the weights from
+        them."""
+        super().refresh(data)
+        self._weigh()
 
-    def scores(self, data: DesignMatrix) -> np.ndarray:
-        """Raw decision scores f_i = w . x_i + intercept (sparse in |support|)."""
-        return self.linear_scores(data)
+    def _weigh(self) -> None:
+        self.c = np.exp(-self.margins)
+        self.H = float(self.c.sum())
 
 
 def _reference(state: ExpState, z: np.ndarray, old: float) -> tuple[float, float]:
@@ -178,8 +159,8 @@ def exp_coordinate_update(state: ExpState, data: DesignMatrix, j: int, lam0: flo
 
     Zeroes the coefficient when its weighted -1 fraction, under the weights
     with the coordinate zeroed (``_reference``: one dot product), falls in
-    the zero interval; otherwise moves it to the closed-form optimum.  The
-    weight cache is updated in place.  Returns the new coefficient.
+    the zero interval; otherwise moves it to the closed-form optimum, which
+    updates the state's margins and weights.  Returns the new coefficient.
     """
     H_ref, d = _reference(state, data.signed[:, j], float(state.w[j]))
     lo, hi = zero_interval(H_ref, lam0)
@@ -240,12 +221,12 @@ def _certificate(state: ExpState, data: DesignMatrix, lam0: float):
 
 
 def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
-    """One pass of ``exp_coordinate_update`` over ``coords``; returns the
-    largest move.
+    """One pass of ``exp_coordinate_update`` over ``coords``, a contiguous
+    range; returns the largest move.
 
-    The decisions are those of the cyclic order.  A warm-start sweep (a
-    contiguous range at ``lam0 > 0``) screens its runs of zero coordinates
-    with one product ``Z[:, run].T @ c`` against the current weights
+    The decisions are those of the cyclic order.  A sweep at ``lam0 > 0``
+    screens its runs of zero coordinates with one product
+    ``Z[:, run].T @ c`` against the current weights
     (``core.sweep_visits``); every coordinate the screen flags, and every
     support coordinate, takes the scalar update.  Only the summation order
     of the screening products differs from the loop, so a zero coordinate
@@ -255,8 +236,8 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
     (measurements at the constant).  A run whose every column provably
     stays zero, by its distance from the state's screening reference, is
     skipped without a product (``_certificate``,
-    ``core.zero_certificate``).  Coordinate lists, which only tests pass,
-    and ``lam0 = 0`` sweeps go coordinate by coordinate.
+    ``core.zero_certificate``).  A ``lam0 = 0`` sweep goes coordinate by
+    coordinate.
     """
     z_all = data.signed
 
@@ -289,12 +270,12 @@ def new_state(data: DesignMatrix) -> ExpState:
 
 
 def smooth_loss(state: ExpState, data: DesignMatrix, hp: HyperParams) -> float:
-    """Sum of exp(-margin), read from the weight cache."""
+    """Sum of exp(-margin), the weight sum ``H``."""
     return state.H
 
 
-def sweep(state: ExpState, data: DesignMatrix, hp: HyperParams, lam0: float, coords) -> float:
-    return cd_sweep(state, data, lam0, coords)
+def sweep(state: ExpState, data: DesignMatrix, hp: HyperParams) -> float:
+    return cd_sweep(state, data, hp.lambda0, range(data.p))
 
 
 def find_swap(trial: ExpState, data: DesignMatrix, hp: HyperParams, forbidden: set[int],

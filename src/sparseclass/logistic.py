@@ -391,15 +391,10 @@ def _certificate(state: ModelState, data: DesignMatrix, lam0: float, lip: np.nda
     diff = np.empty(data.n)
 
     def slack(ref):
-        # Consecutive sweeps at one penalty reuse the caps (``ref.memo``).
-        memo = ref.memo
-        if memo is None or memo[0] != lam0 or not np.array_equal(memo[1], lip):
-            thr = np.sqrt(2.0 * lam0 * lip) * (1.0 - 1e-9)
-            norms = np.sqrt(data.column_sq_sums)
-            caps = np.divide(thr - ref.g, norms, out=np.full(ref.g.shape, np.inf),
-                             where=norms > 0.0)
-            memo = ref.memo = (lam0, lip, caps)
-        return memo[2]
+        thr = np.sqrt(2.0 * lam0 * lip) * (1.0 - 1e-9)
+        norms = np.sqrt(data.column_sq_sums)
+        return np.divide(thr - ref.g, norms, out=np.full(ref.g.shape, np.inf),
+                         where=norms > 0.0)
 
     def level(q):
         # ||q - v|| as np.linalg.norm computes it, in a reused buffer
@@ -411,15 +406,16 @@ def _certificate(state: ModelState, data: DesignMatrix, lam0: float, lip: np.nda
 
 def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
              lip: np.ndarray, coords) -> float:
-    """One pass of surrogate-threshold steps over ``coords``.
+    """One pass of surrogate-threshold steps over ``coords``, a contiguous
+    range.
 
     Equivalent to calling ``threshold_step`` coordinate by coordinate, with
     the sigmoid vector reused between steps that change nothing.  Returns
     the largest coefficient move.
 
-    The decisions are those of the cyclic order.  A warm-start sweep (a
-    contiguous range at ``lam0 > 0``) screens its runs of zero coordinates
-    with one product ``Z[:, run].T @ q`` against the current sigmoid vector
+    The decisions are those of the cyclic order.  A sweep at ``lam0 > 0``
+    screens its runs of zero coordinates with one product
+    ``Z[:, run].T @ q`` against the current sigmoid vector
     (``core.sweep_visits``); every coordinate the screen flags, and every
     support coordinate, takes the scalar step below.  Only the summation
     order of the screening products differs from the loop, so a zero
@@ -429,8 +425,8 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
     (measurements at the constant).  A run whose every column provably
     stays zero, by its distance from the state's screening reference, is
     skipped without a product (``_certificate``,
-    ``core.zero_certificate``).  Coordinate lists, which only tests pass,
-    and ``lam0 = 0`` sweeps go coordinate by coordinate.
+    ``core.zero_certificate``).  A ``lam0 = 0`` sweep goes coordinate by
+    coordinate.
     """
     z = data.signed
     q = expit(-state.margins)
@@ -572,8 +568,9 @@ def smooth_loss(state: ModelState, data: DesignMatrix, hp: HyperParams) -> float
     return smooth_logistic_loss(state, data, hp.lambda2)
 
 
-def sweep(state: ModelState, data: DesignMatrix, hp: HyperParams, lam0: float, coords) -> float:
-    return cd_sweep(state, data, lam0, hp.lambda2, lipschitz_all(data, hp.lambda2), coords)
+def sweep(state: ModelState, data: DesignMatrix, hp: HyperParams) -> float:
+    return cd_sweep(state, data, hp.lambda0, hp.lambda2, lipschitz_all(data, hp.lambda2),
+                    range(data.p))
 
 
 def _row_terms(m):

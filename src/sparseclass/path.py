@@ -89,7 +89,7 @@ def warm_start(data: DesignMatrix, hp: HyperParams, init=None,
     support = solved = None
     settled = 0
     for _ in range(WARM_START_MAX_SWEEPS):
-        move = eng.sweep(state, data, hp, hp.lambda0, range(data.p))
+        move = eng.sweep(state, data, hp)
         shift = eng.refit_intercept(state, data, stats)
         if move <= SWEEP_STABLE_TOL and abs(shift) <= SWEEP_STABLE_TOL:
             break

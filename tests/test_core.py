@@ -191,7 +191,7 @@ class TestStateMaintenance:
                                            np.where(rng.random(30) < 0.5, 1.0, -1.0))
         state = _random_state(data, rng, k=3, cls=cls)
         sc.core.engine("exponential" if cls is sc.ExpState else "logistic").sweep(
-            state, data, sc.HyperParams(), 1.0, range(data.p))
+            state, data, sc.HyperParams(lambda0=1.0))
         assert state.ref is not None
         slots = [s for k in cls.__mro__ for s in getattr(k, "__slots__", ())]
 
@@ -240,7 +240,7 @@ class TestEngines:
     FUNCTIONS = {
         "new_state": ["data"],
         "smooth_loss": ["state", "data", "hp"],
-        "sweep": ["state", "data", "hp", "lam0", "coords"],
+        "sweep": ["state", "data", "hp"],
         "refit_intercept": ["state", "data", "stats"],
         "find_swap": ["trial", "data", "hp", "forbidden", "f0", "threshold", "cut", "stats"],
         "solve_support": ["state", "data", "hp"],
