@@ -48,27 +48,83 @@ def _fmt(x: float) -> str:
 
 # --- CSV / model file handling ---------------------------------------------
 
-def _read_table(path: str) -> tuple[list[str], np.ndarray]:
-    """The header names, which must be distinct, and the numeric rows of a
-    CSV file."""
+# Bytes read per step of the body scan in ``_read_table``.
+SCAN_CHUNK_BYTES = 4 << 20
+
+# The bytes a CSV body may hold: number characters, commas and whitespace.
+_NUMBER_BYTES = b"0123456789.+-eE, \t\r\n"
+
+
+def _read_table(path: str, columns=None) -> tuple[list[str], np.ndarray]:
+    """Read a CSV file with a header row of distinct names: the names of the
+    parsed columns, in file order, and their numeric rows.
+
+    ``columns`` names the columns to parse, every column when None; names
+    the header lacks are skipped. The last column is always parsed, so a
+    row short of the header's width fails the parse. Before the parse, one
+    streamed pass over the whole body checks that it holds only number
+    characters (digits, ``.+-eE``, commas and whitespace), which rejects
+    ``nan``, ``inf`` and ``#`` lines anywhere, and counts its commas, which
+    must come to the header's width less one per row. The parsed columns
+    must be finite. A token of number characters that is not a number,
+    such as ``1-2``, or that overflows, such as ``1e999``, is caught only
+    in a parsed column."""
     try:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh), None)
-            raw = np.loadtxt(fh, delimiter=",", ndmin=2) if header else None
+        with open(path, "rb") as fh:
+            header = next(csv.reader([fh.readline().decode()]), None)
+            if not header:
+                raise DataError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            if len(set(header)) != len(header):
+                raise DataError(f"{path}: column names must be distinct")
+            body = fh.tell()
+            commas, has_rows = 0, False
+            while chunk := fh.read(SCAN_CHUNK_BYTES):
+                if chunk.translate(None, _NUMBER_BYTES):
+                    raise _scan_error(path, fh, body)
+                commas += chunk.count(b",")
+                has_rows = has_rows or bool(chunk.strip())
+            if not has_rows:
+                raise DataError(f"{path}: no data rows")
+            fh.seek(body)
+            names = header
+            usecols = None
+            if columns is not None:
+                usecols = [i for i, name in enumerate(header)
+                           if name in columns or i == len(header) - 1]
+                names = [header[i] for i in usecols]
+            try:
+                raw = np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2, comments=None)
+            except ValueError as exc:
+                raise DataError(f"{path}: malformed numeric data ({exc})") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed numeric data ({exc})") from exc
-    if not header:
-        raise DataError(f"{path}: empty file")
-    if raw.size == 0:
-        raise DataError(f"{path}: no data rows")
-    if raw.shape[1] != len(header):
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: header is not UTF-8 text ({exc})") from exc
+    if commas != raw.shape[0] * (len(header) - 1):
         raise DataError(f"{path}: row width does not match header")
-    header = [h.strip() for h in header]
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: column names must be distinct")
-    return header, raw
+    if not np.isfinite(raw).all():
+        raise DataError(f"{path}: non-finite values (nan or inf)")
+    return names, raw
+
+
+def _scan_error(path: str, fh, body: int) -> DataError:
+    """The error for the first body line of ``fh`` (open in binary mode,
+    its body starting at byte ``body``) that holds a byte other than a
+    number character: a non-finite value when its first such field reads
+    as ``nan`` or ``inf``, malformed data otherwise."""
+    fh.seek(body)
+    for lineno, line in enumerate(fh, start=2):
+        if line.translate(None, _NUMBER_BYTES):
+            break
+    field = next(f for f in line.split(b",") if f.translate(None, _NUMBER_BYTES))
+    text = field.strip().decode(errors="replace")
+    try:
+        non_finite = not np.isfinite(float(text))
+    except ValueError:
+        non_finite = False
+    what = "non-finite value" if non_finite else "malformed numeric data"
+    return DataError(f"{path}: line {lineno}: {what} {text!r}")
 
 
 def read_csv(path: str) -> DesignMatrix:
@@ -189,7 +245,7 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    data = _read_predict_data(args.data)
+    data = _read_predict_data(args.data, {t.feature for t in model.terms})
     scores = model.score_rows(data)
     _check_finite(scores)
     probs = probability_from_scores(scores, model.loss)
@@ -200,13 +256,13 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _read_predict_data(path: str) -> dict[str, np.ndarray]:
-    """Prediction input: header plus numeric columns; a label column is
-    allowed and ignored."""
-    header, raw = _read_table(path)
-    if not np.isfinite(raw).all():
-        raise DataError(f"{path}: non-finite values (nan or inf)")
-    return {name: raw[:, i] for i, name in enumerate(header)}
+def _read_predict_data(path: str, names) -> dict[str, np.ndarray]:
+    """Prediction input, checked whole as ``_read_table`` does: the parsed
+    columns by name, which are those of ``names`` the header has (the
+    features a model reads) and the last column, which gives the row count
+    when ``names`` is empty. A label column is allowed and ignored."""
+    parsed, raw = _read_table(path, names)
+    return {name: raw[:, i] for i, name in enumerate(parsed)}
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:

@@ -454,6 +454,133 @@ class TestExitCodes:
         assert out == ""
 
 
+def _reference_predict(model, data_path) -> str:
+    """``predict`` output rebuilt from a parse of every column of the file:
+    score, probability and label of each row, each value written by
+    ``_fmt``."""
+    from sparseclass.cli import _fmt
+    header = data_path.read_text().splitlines()[0].split(",")
+    raw = np.loadtxt(data_path, delimiter=",", skiprows=1, ndmin=2)
+    scores = model.score_rows({name: raw[:, i] for i, name in enumerate(header)})
+    probs = sc.probability_from_scores(scores, model.loss)
+    rows = [f"{_fmt(s)},{_fmt(p)},{1 if s >= 0.0 else -1}" for s, p in zip(scores, probs)]
+    return "\n".join(["score,probability,label", *rows]) + "\n"
+
+
+class TestPredictColumns:
+    """``predict`` parses only the columns its model reads, after one check
+    of the whole file."""
+
+    # reads x1 only
+    X1_CARD = sc.Scorecard("logistic", 1.0, 0.0, -0.25,
+                           (ScorecardTerm("x1", "<=", 0.0, 1.5),), kind="scorecard")
+    PLAIN = "x1,x2,x3,y\n0.5,1.5,-2,1\n-0.25,2.5,3e-3,-1\n1e2,-0.0,4,1\n"
+    MODELS = {
+        "linear": sc.Scorecard("logistic", 1.0, 0.0, 0.25,
+                               (ScorecardTerm("x2", None, None, 1.5),
+                                ScorecardTerm("x4", None, None, -0.75)), kind="linear"),
+        "scorecard": sc.Scorecard("exponential", 1.0, 0.0, -0.125,
+                                  (ScorecardTerm("x1", "<=", 0.3, 0.5),
+                                   ScorecardTerm("x1", "<=", -0.4, 0.25),
+                                   ScorecardTerm("x4", ">=", -0.2, -1.25)), kind="scorecard"),
+        "no-terms": sc.Scorecard("logistic", 1.0, 0.0, 0.5, (), kind="linear"),
+    }
+    LAYOUTS = {
+        "features": ["x1", "x2", "x3", "x4", "x5"],
+        "with-y": ["x1", "x2", "x3", "x4", "x5", "y"],
+        "permuted": ["y", "x4", "x1", "x5", "x3", "x2"],
+        "extra": ["z1", "x1", "x2", "z2", "x3", "x4", "x5", "y"],
+    }
+
+    def _predict(self, capsys, tmp_path, model, text):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(model.to_json())
+        data_path = tmp_path / "x.csv"
+        data_path.write_bytes(text.encode("latin-1"))  # one byte per character
+        return _run(capsys, ["predict", "--model", str(model_path), "--data", str(data_path)])
+
+    @pytest.mark.parametrize("row,message", [
+        ("-0.25,2.5,-1", "malformed numeric data"),     # x3 missing
+        ("-0.25,2.5,3e-3,-1,7", "row width does not match header"),
+        ("-0.25,nan,3e-3,-1", "line 3: non-finite value 'nan'"),
+        ("-0.25,2.5,-inf,-1", "line 3: non-finite value '-inf'"),
+        ("-0.25,abc,3e-3,-1", "line 3: malformed numeric data 'abc'"),
+        ("1e999,2.5,3e-3,-1", "non-finite values (nan or inf)"),
+        ("nan,2.5,3e-3,-1", "line 3: non-finite value 'nan'"),
+        ("# 1,2,3,4", "line 3: malformed numeric data '# 1'"),
+    ], ids=["short", "long", "nan-unread", "inf-unread", "abc-unread", "1e999-read",
+            "nan-read", "comment"])
+    def test_bad_row_exits_2(self, tmp_path, capsys, row, message):
+        lines = self.PLAIN.splitlines()
+        lines[2] = row
+        code, out, err = self._predict(capsys, tmp_path, self.X1_CARD, "\n".join(lines) + "\n")
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'x.csv'}: ") and err.count("\n") == 1
+        assert message in err
+        assert out == ""
+
+    def test_header_without_rows_exits_2(self, tmp_path, capsys):
+        code, out, err = self._predict(capsys, tmp_path, self.X1_CARD, "x1,x2,x3,y\n\n")
+        assert code == 2
+        assert err == f"error: {tmp_path / 'x.csv'}: no data rows\n"
+        assert out == ""
+
+    def test_header_not_utf8_exits_2(self, tmp_path, capsys):
+        code, out, err = self._predict(capsys, tmp_path, self.X1_CARD, "x1,\xff\n1,2\n")
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'x.csv'}: header is not UTF-8 text (")
+        assert out == ""
+
+    def test_comment_line_is_malformed_in_training_data(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        data_path.write_text("x1,y\n1,1\n-1,-1\n# a comment\n2,1\n-2,-1\n")
+        code, out, err = _run(capsys, ["fit", "--lambda0", "0.01", "--data", str(data_path)])
+        assert code == 2
+        assert err == f"error: {data_path}: line 4: malformed numeric data '# a comment'\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("text", [
+        PLAIN.replace("\n", "\n\n"),
+        PLAIN.replace("\n", "\r\n"),
+        PLAIN.replace("\n", "\r\n\r\n"),
+        PLAIN.rstrip("\n"),
+    ], ids=["blank-lines", "crlf", "crlf-blank-lines", "no-final-newline"])
+    def test_line_endings_keep_the_output(self, tmp_path, capsys, text):
+        code, want, _ = self._predict(capsys, tmp_path, self.X1_CARD, self.PLAIN)
+        assert code == 0
+        assert self._predict(capsys, tmp_path, self.X1_CARD, text) == (0, want, "")
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_output_matches_a_parse_of_every_column(self, tmp_path, capsys, kind, layout):
+        from sparseclass.cli import _fmt
+        names = self.LAYOUTS[layout]
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((40, len(names)))
+        x[::7, 1] = -0.0
+        text = "\n".join([",".join(names), *(",".join(_fmt(v) for v in row) for row in x)])
+        model = self.MODELS[kind]
+        code, out, err = self._predict(capsys, tmp_path, model, text + "\n")
+        assert (code, err) == (0, "")
+        assert out == _reference_predict(model, tmp_path / "x.csv")
+
+    def test_readme_card_on_its_raw_csv(self, tmp_path, capsys):
+        raw_path, card_path = tmp_path / "raw.csv", tmp_path / "card.json"
+        code, _, _ = _run(capsys, ["synth", "--n", "1000", "--p", "25", "--k", "5",
+                                   "--rho", "0.5", "--seed", "3", "--out", str(raw_path)])
+        assert code == 0
+        code, _, _ = _run(capsys, ["fit", "--data", str(raw_path), "--loss", "exponential",
+                                   "--lambda0", "5", "--binarize", "--max-thresholds", "200",
+                                   "--out", str(card_path)])
+        assert code == 0
+        card = sc.Scorecard.from_json(card_path.read_text())
+        assert 0 < len({t.feature for t in card.terms}) < 25
+        code, out, _ = _run(capsys, ["predict", "--model", str(card_path),
+                                     "--data", str(raw_path)])
+        assert code == 0
+        assert out == _reference_predict(card, raw_path)
+
+
 class TestPathCommand:
     def test_reference_grid_row_count(self, tmp_path, capsys):
         rng = np.random.default_rng(9)
