@@ -66,9 +66,10 @@ def _read_table(path: str, columns=None) -> tuple[list[str], np.ndarray]:
     characters (digits, ``.+-eE``, commas and whitespace), which rejects
     ``nan``, ``inf`` and ``#`` lines anywhere, and counts its commas, which
     must come to the header's width less one per row. The parsed columns
-    must be finite. A token of number characters that is not a number,
-    such as ``1-2``, or that overflows, such as ``1e999``, is caught only
-    in a parsed column."""
+    must be finite. A line of only spaces or tabs is malformed, while an
+    empty line is skipped. A token of number characters that is not a
+    number, such as ``1-2``, or that overflows, such as ``1e999``, is
+    caught only in a parsed column."""
     try:
         with open(path, "rb") as fh:
             header = next(csv.reader([fh.readline().decode()]), None)
@@ -96,7 +97,7 @@ def _read_table(path: str, columns=None) -> tuple[list[str], np.ndarray]:
             try:
                 raw = np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2, comments=None)
             except ValueError as exc:
-                raise DataError(f"{path}: malformed numeric data ({exc})") from exc
+                raise _parse_error(path, fh, body, exc) from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -125,6 +126,19 @@ def _scan_error(path: str, fh, body: int) -> DataError:
         non_finite = False
     what = "non-finite value" if non_finite else "malformed numeric data"
     return DataError(f"{path}: line {lineno}: {what} {text!r}")
+
+
+def _parse_error(path: str, fh, body: int, exc: ValueError) -> DataError:
+    """The error for a body of ``fh`` (open in binary mode, its body
+    starting at byte ``body``) that numpy could not parse: its first line
+    of only spaces or tabs, which numpy reads as a row of one field where
+    it skips an empty line, or else numpy's message ``exc``."""
+    fh.seek(body)
+    for lineno, line in enumerate(fh, start=2):
+        text = line.rstrip(b"\r\n")
+        if text and not text.strip():
+            return DataError(f"{path}: line {lineno}: malformed numeric data {text.decode()!r}")
+    return DataError(f"{path}: malformed numeric data ({exc})")
 
 
 def read_csv(path: str) -> DesignMatrix:
@@ -248,10 +262,17 @@ def cmd_predict(args) -> int:
     data = _read_predict_data(args.data, {t.feature for t in model.terms})
     scores = model.score_rows(data)
     _check_finite(scores)
-    probs = probability_from_scores(scores, model.loss)
-    labels = np.where(scores >= 0.0, 1.0, -1.0)
+    # A scorecard's scores take few distinct values.  Each is formatted
+    # once, keyed on its bits so that -0.0 and 0.0 stay apart; the
+    # probability and the label are functions of those bits.
+    _, first, inverse = np.unique(scores.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    distinct = scores[first]
+    probs = probability_from_scores(distinct, model.loss)
+    labels = np.where(distinct >= 0.0, 1.0, -1.0)
+    table = list(_format_rows("%.17g,%.17g,%d", (distinct, probs, labels)))
     lines = ["score,probability,label"]
-    lines += _format_rows("%.17g,%.17g,%d", (scores, probs, labels))
+    lines += map(table.__getitem__, inverse.tolist())
     _emit(lines, args.out)
     return EXIT_OK
 

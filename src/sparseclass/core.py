@@ -70,7 +70,8 @@ class ThresholdIndex:
     ``>=``, so the rows where a dummy is 1 come first.  Dummy column j
     belongs to row ``feature[j]`` and is 1 on the first ``prefix[j]`` rows
     of that order (at least one, as thresholds are realized values) and 0,
-    or -1 when ``plus_minus``, elsewhere.
+    or -1 when ``plus_minus``, elsewhere.  Columns come grouped by raw
+    feature, so ``feature`` never decreases.
     """
 
     order: np.ndarray
@@ -116,6 +117,8 @@ class DesignMatrix:
             if p and not (0 <= idx.feature.min() and idx.feature.max() < idx.order.shape[0]
                           and 1 <= idx.prefix.min() and idx.prefix.max() <= n):
                 raise DataError("threshold index entries out of range")
+            if np.any(np.diff(idx.feature) < 0):
+                raise DataError("threshold index columns are not grouped by feature")
             for a in (idx.order, idx.feature, idx.prefix):
                 a.setflags(write=False)
         self.x.setflags(write=False)
@@ -163,28 +166,51 @@ class DesignMatrix:
         z.setflags(write=False)
         return z
 
-    def signed_products(self, v: np.ndarray) -> np.ndarray:
-        """``signed.T @ v``: z_j . v for every column j.
+    def signed_products(self, v: np.ndarray, cols: slice | None = None) -> np.ndarray:
+        """``signed.T @ v``: z_j . v for every column j, or for the columns
+        of the slice ``cols``.
 
         Without a threshold index this is that product.  With one, each
         raw feature's u = y * v is summed cumulatively along its sort order,
         and dummy j reads the sum s_j of its first ``prefix[j]`` entries:
         z_j . v is s_j for 0/1 dummies and 2 s_j - sum(u) for -1/+1 ones.
-        That is O(n d) for d raw features instead of O(n p).  A dummy that
-        is 1 on every row reads the one shared sum(u), so such columns tie
-        exactly.  On dummies every entry of either way lies within
+        Only the raw features that the columns belong to are summed, so
+        that is O(n d) for d such features instead of O(n p).  A dummy
+        that is 1 on every row reads the one shared sum(u), so such columns
+        tie exactly.  On dummies every entry of either way lies within
         3 n EPS sum|v| of the exact product, so the two can differ by that
-        much.
+        much (``prefix_sum_allowance``).
         """
         idx = self.threshold_index
         if idx is None:
-            return self.signed.T @ v
+            return self.signed.T @ v if cols is None else self.signed[:, cols].T @ v
+        feature, prefix = idx.feature, idx.prefix
+        if cols is not None:
+            feature, prefix = feature[cols], prefix[cols]
+        if not feature.size:
+            return np.empty(0)
         u = self.y * v
         total = u.sum()
-        sums = np.cumsum(u[idx.order], axis=1)
+        # the columns' raw features are the index rows feature[0] to feature[-1]
+        first = int(feature[0])
+        sums = np.cumsum(u[idx.order[first:int(feature[-1]) + 1]], axis=1)
         sums[:, -1] = total
-        s = sums[idx.feature, idx.prefix - 1]
+        s = sums[feature - first, prefix - 1]
         return 2.0 * s - total if idx.plus_minus else s
+
+    def prefix_sum_allowance(self, v: np.ndarray) -> float:
+        """What a test that reads ``signed_products(v)`` must allow on top
+        of one that reads the matrix product: 0.0 without a threshold
+        index, where the two are the same product, and (4 n + 16) EPS
+        sum|v| on dummies with one.  That bounds how far each prefix-sum
+        entry lies from any other summation of the same column's product,
+        a per-column ``np.dot`` or the matrix product: 3 n EPS sum|v| for
+        the prefix sum, n EPS sum|v| for the other one (|z_ij| <= 1), and
+        16 EPS sum|v| for the rounding of the sum of |v| and of the test
+        that adds the allowance."""
+        if self.threshold_index is None:
+            return 0.0
+        return EPS * (4 * self.n + 16) * float(np.abs(v).sum())
 
     @cached_property
     def column_sq_sums(self) -> np.ndarray:
@@ -222,18 +248,23 @@ class ScreenRef:
     """A screening reference for coordinate sweeps: a copy ``v`` of the
     state's per-observation vector (the sigmoid vector under the logistic
     loss, the weights under the exponential loss) and ``g[j] = |z_j . v|``
-    for every column of ``data.signed``, taken with one product.  A sweep
-    measures how far its vector has moved from ``v``.  Copies of a state
-    share the reference, and ``v`` and ``g`` never change.  It holds its
-    dataset weakly, so a kept state does not keep the data alive.
+    for every column of ``data.signed``, taken with one
+    ``DesignMatrix.signed_products`` (prefix sums on threshold dummies).
+    ``err`` is that product's ``prefix_sum_allowance``: on dummies each g_j
+    may lie that much further from the exact product than a matrix
+    product's would.  A sweep measures how far its vector has moved from
+    ``v``.  Copies of a state share the reference, and ``v``, ``g`` and
+    ``err`` never change.  It holds its dataset weakly, so a kept state
+    does not keep the data alive.
     """
 
-    __slots__ = ("data", "v", "g")
+    __slots__ = ("data", "v", "g", "err")
 
     def __init__(self, data: DesignMatrix, v: np.ndarray):
         self.data = weakref.ref(data)
         self.v = np.array(v)
-        self.g = np.abs(data.signed.T @ self.v)
+        self.g = np.abs(data.signed_products(self.v))
+        self.err = data.prefix_sum_allowance(self.v)
         self.v.setflags(write=False)
         self.g.setflags(write=False)
 
@@ -301,16 +332,21 @@ class ModelState:
             return data.x[:, support] @ self.w[support] + self.intercept
         return np.full(data.n, self.intercept)
 
-    def set_coefficient(self, data: DesignMatrix, j: int, value: float) -> None:
+    def set_coefficient(self, data: DesignMatrix, j: int, value: float) -> bool:
+        """Set coefficient j and update the margins; returns whether the
+        update rebuilt them (``refresh``), as every ``MARGIN_REFRESH_EVERY``-th
+        one does."""
         value = float(value)
         delta = value - float(self.w[j])
         if delta == 0.0:
-            return
+            return False
         self.margins += delta * data.signed[:, j]
         self._put(j, value)
         self._updates += 1
         if self._updates % MARGIN_REFRESH_EVERY == 0:
             self.refresh(data)
+            return True
+        return False
 
     def set_intercept(self, data: DesignMatrix, value: float) -> None:
         value = float(value)

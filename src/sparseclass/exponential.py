@@ -47,9 +47,10 @@ class ExpState(ModelState):
     """The coefficient state plus the weights c_i = exp(-margin_i) and
     their sum ``H``, the loss.
 
-    The weights are read from the margin cache after every change of the
-    coefficients or the intercept and after every ``refresh``, so they
-    share its refresh cadence (``core.MARGIN_REFRESH_EVERY``).
+    The weights are read from the margin cache once after every change of
+    the coefficients or the intercept, by ``refresh`` when the change
+    rebuilds the margins, so they share its refresh cadence
+    (``core.MARGIN_REFRESH_EVERY``).
     """
 
     __slots__ = ("c", "H")
@@ -66,10 +67,13 @@ class ExpState(ModelState):
         new.H = self.H
         return new
 
-    def set_coefficient(self, data: DesignMatrix, j: int, value: float) -> None:
-        if value != self.w[j]:
-            super().set_coefficient(data, j, value)
-            self._weigh()
+    def set_coefficient(self, data: DesignMatrix, j: int, value: float) -> bool:
+        if value == self.w[j]:
+            return False
+        if super().set_coefficient(data, j, value):
+            return True  # ``refresh`` has weighed
+        self._weigh()
+        return False
 
     def set_intercept(self, data: DesignMatrix, value: float) -> None:
         if value != self.intercept:
@@ -194,12 +198,14 @@ def _certificate(state: ExpState, data: DesignMatrix, lam0: float):
     (no coordinate leaves zero when lam0 >= 2H; the certificate then
     certifies nothing and the screen decides).  With z_j in {-1, +1},
     |z_j . c - z_j . v| <= ||c - v||_1 for the reference's weights v.  The
-    caps are thr(H) - g_j for H at the sweep's first screen.  The level is
-    ||c - v||_1, measured, plus what thr has lost since then, as H moves,
-    and rounding: at most eps * H' per unit below for the two products
-    behind a test (2n), the weight sum (n) and the scalar test (16), where
-    H' = H + 2 * ||c - v||_1 bounds the weight sums of c and v.  The
-    threshold is shaved and the distance grown by a relative 1e-9.
+    caps are thr(H) - g_j - err for H at the sweep's first screen, where
+    the reference's ``err`` is the further rounding of its prefix sums on
+    threshold dummies (0 elsewhere).  The level is ||c - v||_1, measured,
+    plus what thr has lost since then, as H moves, and rounding: at most
+    eps * H' per unit below for the two products behind a test (2n), the
+    weight sum (n) and the scalar test (16), where H' = H + 2 * ||c - v||_1
+    bounds the weight sums of c and v.  The threshold is shaved and the
+    distance grown by a relative 1e-9.
     """
     def thr(H):
         return math.sqrt(max(lam0 * (2.0 * H - lam0), 0.0)) * (1.0 - 1e-9)
@@ -210,7 +216,7 @@ def _certificate(state: ExpState, data: DesignMatrix, lam0: float):
     def slack(ref):
         nonlocal thr0
         thr0 = thr(state.H)
-        return thr0 - ref.g
+        return thr0 - ref.g - ref.err
 
     def level(c):
         dist = float(np.abs(c - state.ref.v).sum())
@@ -227,28 +233,35 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
     The decisions are those of the cyclic order.  A sweep at ``lam0 > 0``
     screens its runs of zero coordinates with one product
     ``Z[:, run].T @ c`` against the current weights
-    (``core.sweep_visits``); every coordinate the screen flags, and every
-    support coordinate, takes the scalar update.  Only the summation order
-    of the screening products differs from the loop, so a zero coordinate
-    can be decided differently only when its test lies within rounding of
-    its threshold.  Runs shorter than ``core.SCREEN_MIN_RUN`` (8) stay in
-    the loop: a screen costs about as much as six loop visits
-    (measurements at the constant).  A run whose every column provably
-    stays zero, by its distance from the state's screening reference, is
-    skipped without a product (``_certificate``,
+    (``core.sweep_visits``, ``DesignMatrix.signed_products``); every
+    coordinate the screen flags, and every support coordinate, takes the
+    scalar update.  Only the summation order of the screening products
+    differs from the loop, so a zero coordinate can be decided differently
+    only when its test lies within rounding of its threshold; on threshold
+    dummies, whose products are prefix sums, the screen flags every column
+    within their ``prefix_sum_allowance`` of its threshold, so there the
+    sweep is the loop's bit for bit.  Runs shorter than
+    ``core.SCREEN_MIN_RUN`` (8) stay in the loop: a screen costs about as
+    much as six loop visits (measurements at the constant).  A run whose
+    every column provably stays zero, by its distance from the state's
+    screening reference, is skipped without a product (``_certificate``,
     ``core.zero_certificate``).  A ``lam0 = 0`` sweep goes coordinate by
     coordinate.
     """
-    z_all = data.signed
-
     def screen(cols):
-        # The zero test of ``exp_coordinate_update`` at w_j = 0.  Rounding
-        # can put d a hair outside [0, 1], where the scalar test clips it;
-        # such a column is flagged and the scalar test decides.
+        # The zero test of ``exp_coordinate_update`` at w_j = 0, whose d
+        # falls as z_j . c grows, for every product within ``tol`` of the
+        # screen's: the scalar test's d lies in [d_lo, d_hi], as each of
+        # its steps rounds monotonically.  Rounding can put d a hair outside
+        # [0, 1], where the scalar test clips it; such a column is flagged
+        # and the scalar test decides.
         H = state.H
         lo, hi = zero_interval(H, lam0)
-        d = 0.5 * (H - z_all[:, cols].T @ state.c) / H
-        return ~((lo <= d) & (d <= hi))
+        dots = data.signed_products(state.c, cols)
+        tol = data.prefix_sum_allowance(state.c)
+        d_lo = 0.5 * (H - (dots + tol)) / H
+        d_hi = 0.5 * (H - (dots - tol)) / H
+        return ~((lo <= d_lo) & (d_hi <= hi))
 
     if lam0 > 0.0:
         screen = zero_certificate(state, data, screen, lambda: state.c,

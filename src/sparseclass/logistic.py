@@ -384,8 +384,10 @@ def _certificate(state: ModelState, data: DesignMatrix, lam0: float, lip: np.nda
     its cap (threshold - g_j) / ||z_j||; zero columns never move and get an
     infinite cap.  The level is ||q - v||, measured, plus rounding: at most
     eps * sqrt(n) per unit below for the two products behind a test (2n)
-    and the scalar arithmetic (8).  The threshold is shaved and the
-    distance grown by a relative 1e-9 against their own rounding.
+    and the scalar arithmetic (8).  The caps also give up the reference's
+    ``err``, the further rounding of its prefix sums on threshold dummies
+    (0 elsewhere), over each column's norm.  The threshold is shaved and
+    the distance grown by a relative 1e-9 against their own rounding.
     """
     rounding = EPS * math.sqrt(data.n) * (2 * data.n + 8)
     diff = np.empty(data.n)
@@ -393,7 +395,7 @@ def _certificate(state: ModelState, data: DesignMatrix, lam0: float, lip: np.nda
     def slack(ref):
         thr = np.sqrt(2.0 * lam0 * lip) * (1.0 - 1e-9)
         norms = np.sqrt(data.column_sq_sums)
-        return np.divide(thr - ref.g, norms, out=np.full(ref.g.shape, np.inf),
+        return np.divide(thr - ref.g - ref.err, norms, out=np.full(ref.g.shape, np.inf),
                          where=norms > 0.0)
 
     def level(q):
@@ -416,15 +418,18 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
     The decisions are those of the cyclic order.  A sweep at ``lam0 > 0``
     screens its runs of zero coordinates with one product
     ``Z[:, run].T @ q`` against the current sigmoid vector
-    (``core.sweep_visits``); every coordinate the screen flags, and every
-    support coordinate, takes the scalar step below.  Only the summation
-    order of the screening products differs from the loop, so a zero
-    coordinate can be decided differently only when its test lies within
-    rounding of its threshold.  Runs shorter than ``core.SCREEN_MIN_RUN``
-    (8) stay in the loop: a screen costs about as much as six loop visits
-    (measurements at the constant).  A run whose every column provably
-    stays zero, by its distance from the state's screening reference, is
-    skipped without a product (``_certificate``,
+    (``core.sweep_visits``, ``DesignMatrix.signed_products``); every
+    coordinate the screen flags, and every support coordinate, takes the
+    scalar step below.  Only the summation order of the screening products
+    differs from the loop, so a zero coordinate can be decided differently
+    only when its test lies within rounding of its threshold; on threshold
+    dummies, whose products are prefix sums, the screen flags every column
+    within their ``prefix_sum_allowance`` of its threshold, so there the
+    sweep is the loop's bit for bit.  Runs shorter than
+    ``core.SCREEN_MIN_RUN`` (8) stay in the loop: a screen costs about as
+    much as six loop visits (measurements at the constant).  A run whose
+    every column provably stays zero, by its distance from the state's
+    screening reference, is skipped without a product (``_certificate``,
     ``core.zero_certificate``).  A ``lam0 = 0`` sweep goes coordinate by
     coordinate.
     """
@@ -433,11 +438,15 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
     max_move = 0.0
 
     def screen(cols):
-        # The scalar step below with w_j = 0.  Inert columns (L = 0) have a
-        # zero gradient; dividing by 1 instead keeps them at zero.
+        # The scalar step below with w_j = 0, for the largest |z_j . q|
+        # within ``tol`` of the screen's product: each step of the scalar
+        # test rounds monotonically, so it leaves zero no column that this
+        # test keeps there.  Inert columns (L = 0) have a zero gradient;
+        # dividing by 1 instead keeps them at zero.
         L = lip[cols]
         L = np.where(L > 0.0, L, 1.0)
-        c = (z[:, cols].T @ q) / L
+        tol = data.prefix_sum_allowance(q)
+        c = (np.abs(data.signed_products(q, cols)) + tol) / L
         return ~(c * c < 2.0 * lam0 / L)
 
     if lam0 > 0.0:

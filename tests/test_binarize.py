@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import sparseclass as sc
-from sparseclass.core import EPS, ThresholdIndex, engine
+from sparseclass.core import EPS, ScreenRef, ThresholdIndex, engine
 from sparseclass.binarize import ScorecardTerm, dump_json
 from oracles import reference_binarize, reference_signed_products
 
@@ -162,6 +163,23 @@ class TestSignedProducts:
         v = np.exp(np.random.default_rng(3).standard_normal(300))
         assert copy.signed_products(v).tobytes() == (copy.signed.T @ v).tobytes()
 
+    @pytest.mark.parametrize("direction,encoding,max_thresholds", CONFIGS)
+    def test_column_slices_read_the_full_products(self, direction, encoding, max_thresholds):
+        out, _ = sc.binarize(_mixed(300), direction=direction, encoding=encoding,
+                             max_thresholds=max_thresholds)
+        copy = sc.DesignMatrix.from_arrays(out.x, out.y, out.feature_names)
+        v = np.exp(np.random.default_rng(5).standard_normal(300))
+        full = out.signed_products(v)
+        groups = np.flatnonzero(np.diff(out.threshold_index.feature)) + 1
+        for a, b in [(0, out.p), (0, 0), (out.p // 3, out.p // 3 + 9), (1, out.p - 1),
+                     *zip([0, *groups], [*groups, out.p])]:
+            cols = slice(a, b)
+            assert out.signed_products(v, cols).tobytes() == full[cols].tobytes()
+            want = copy.signed[:, cols].T @ v
+            assert copy.signed_products(v, cols).tobytes() == want.tobytes()
+        assert copy.prefix_sum_allowance(v) == 0.0
+        assert out.prefix_sum_allowance(v) == EPS * (4 * 300 + 16) * float(v.sum())
+
     def test_the_index_is_locked_and_checked(self):
         out, _ = sc.binarize(_mixed(40), direction=">=", encoding="-1/+1")
         idx = out.threshold_index
@@ -169,7 +187,8 @@ class TestSignedProducts:
             assert not a.flags.writeable
         assert "threshold_index" not in repr(out)
         bad = [dict(order=idx.order[:, 1:]), dict(prefix=idx.prefix[1:]),
-               dict(prefix=np.zeros_like(idx.prefix)), dict(feature=idx.feature + 99)]
+               dict(prefix=np.zeros_like(idx.prefix)), dict(feature=idx.feature + 99),
+               dict(feature=idx.feature[::-1])]
         for change in bad:
             fields = dict(order=idx.order, feature=idx.feature, prefix=idx.prefix,
                           plus_minus=True) | change
@@ -182,6 +201,140 @@ class TestSignedProducts:
         out, _ = sc.binarize(_mixed(n), direction=direction, encoding=encoding,
                              max_thresholds=max_thresholds)
         assert out.binary == bool(np.all(np.abs(out.x) == 1.0))
+
+
+SCREEN_CASES = [(loss, encoding, direction)
+                for loss, encoding in (("logistic", "0/1"), ("logistic", "-1/+1"),
+                                       ("exponential", "-1/+1"))
+                for direction in ("<=", ">=")]
+
+
+class TestScreensOnDummies:
+    """The sweeps' screens and zero certificates read prefix sums on
+    threshold dummies.  Near every column's threshold, each column that
+    the scalar step, with its per-column ``np.dot``, moves off zero must be
+    flagged and never certified, and a sweep must equal the loop of scalar
+    steps bit for bit."""
+
+    @staticmethod
+    def _start(loss, encoding, direction):
+        rng = np.random.default_rng(17)
+        n = 300
+        x = rng.standard_normal((n, 5))
+        y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-x[:, 0] + x[:, 1])), 1.0, -1.0)
+        data, _ = sc.binarize(sc.DesignMatrix.from_arrays(x, y), direction=direction,
+                              encoding=encoding, max_thresholds=60)
+        eng = engine(loss)
+        state = eng.new_state(data)
+        eng.refit_intercept(state, data)
+        for j in (5, 130):
+            state.set_coefficient(data, j, 0.3)
+        return data, eng, state
+
+    @staticmethod
+    def _scalar_tests(loss, state, data):
+        """What each column's scalar step tests, with one ``np.dot`` per
+        column: the -1 fraction d (exponential) or the step c (logistic)
+        at w_j = 0; the lambda0 at which the test meets its threshold; and
+        the change of lambda0 that moves the threshold by about one
+        rounding unit of the test."""
+        if loss == "exponential":
+            expeng = engine(loss)
+            d = np.array([expeng._reference(state, data.signed[:, j], 0.0)[1]
+                          for j in range(data.p)])
+            H = state.H
+            dots = 2.0 * H * (0.5 - d)
+            crit = dots * dots / (H + np.sqrt(H * H - dots * dots))
+            # the half-width of the zero interval grows by (H - lam0) /
+            # (4 H^2 half) per unit of lambda0
+            return d, crit, 2.0 * EPS * H * H * np.abs(0.5 - d) / (H - crit)
+        lip = engine(loss).lipschitz_all(data)
+        c = np.array([-sc.grad_j(state, data, j) / lip[j] for j in range(data.p)])
+        crit = 0.5 * c * c * lip
+        return c, crit, EPS * crit
+
+    @staticmethod
+    def _leaves(loss, state, data, test, lam0):
+        if loss == "exponential":
+            lo, hi = engine(loss).zero_interval(state.H, lam0)
+            return ~((lo <= test) & (test <= hi))
+        return ~(test * test < 2.0 * lam0 / engine(loss).lipschitz_all(data))
+
+    @staticmethod
+    def _sweep(loss, state, data, lam0, coords):
+        eng = engine(loss)
+        if loss == "exponential":
+            return eng.cd_sweep(state, data, lam0, coords)
+        return eng.cd_sweep(state, data, lam0, 0.0, eng.lipschitz_all(data), coords)
+
+    @pytest.mark.parametrize("loss,encoding,direction", SCREEN_CASES)
+    def test_screens_and_certificates_keep_every_column_that_leaves(
+            self, loss, encoding, direction, monkeypatch):
+        data, eng, start = self._start(loss, encoding, direction)
+        # the screen and the certificate of a sweep, taken without running one
+        made = []
+        certify = eng.zero_certificate
+
+        def recording(state, data, screen, *rest):
+            made[:] = screen, certify(state, data, screen, *rest)
+            return made[1]
+
+        monkeypatch.setattr(eng, "zero_certificate", recording)
+        groups = np.flatnonzero(np.diff(data.threshold_index.feature)) + 1
+        slices = [slice(a, b) for a, b in zip([0, *groups], [*groups, data.p])]
+        slices.append(slice(0, data.p))
+        # a state moved by an intercept shift from the start's reference
+        moved = start.copy()
+        ref = ScreenRef(data, start.c if loss == "exponential" else expit(-start.margins))
+        moved.ref = ref
+        moved.set_intercept(data, moved.intercept + 1e-3)
+        flips, certified = 0, {}
+        for state in (start, moved):
+            test, crit, step = self._scalar_tests(loss, state, data)
+            for j in range(data.p):
+                was = None
+                for k in (-2, -1, 0, 1, 2):
+                    lam0 = crit[j] + k * step[j]
+                    leaves = self._leaves(loss, state, data, test, lam0)
+                    was, flips = leaves[j], flips + (was is not None and was != leaves[j])
+                    state._lost = 0
+                    self._sweep(loss, state, data, lam0, range(0))
+                    screen, screened = made
+                    for cols in slices:
+                        flagged = screen(cols)
+                        assert np.all(flagged[leaves[cols]])
+                        # columns far from their threshold are decided exactly
+                        far = np.abs(crit[cols] - lam0) > 1e-6 * lam0
+                        assert np.array_equal(flagged[far], leaves[cols][far])
+                        if screened(cols) is False:
+                            certified[state] = certified.get(state, 0) + 1
+                            assert not leaves[cols].any()
+        assert flips > data.p  # the scans crossed the thresholds
+        # certificates ruled out runs, the moved state's from its distance
+        assert certified.get(start) and certified.get(moved) and moved.ref is ref
+
+    @pytest.mark.parametrize("loss,encoding,direction", SCREEN_CASES)
+    def test_sweeps_equal_the_loop_of_scalar_steps(self, loss, encoding, direction):
+        data, eng, start = self._start(loss, encoding, direction)
+        _, crit, step = self._scalar_tests(loss, start, data)
+        top = np.argsort(-crit)
+        hp = sc.HyperParams(loss=loss)
+        for lam0 in (crit[top[0]] - step[top[0]], crit[top[0]], crit[top[2]] + step[top[2]],
+                     0.5 * crit[top[10]], 0.2):
+            state, oracle = start.copy(), start.copy()
+            for _ in range(4):
+                self._sweep(loss, state, data, lam0, range(data.p))
+                for j in range(data.p):
+                    if loss == "exponential":
+                        eng.exp_coordinate_update(oracle, data, j, lam0)
+                    else:
+                        step = sc.threshold_step(oracle, data, j,
+                                                 sc.HyperParams(lambda0=lam0, loss=loss))
+                        oracle.set_coefficient(data, j, step)
+                np.testing.assert_array_equal(state.w, oracle.w)
+                np.testing.assert_array_equal(state.margins, oracle.margins)
+                assert state.support == oracle.support
+            assert eng.smooth_loss(state, data, hp) == eng.smooth_loss(oracle, data, hp)
 
 
 def _fit_on_dummies(data, tmap, rng, encoding):

@@ -531,6 +531,23 @@ class TestPredictColumns:
         assert err.startswith(f"error: {tmp_path / 'x.csv'}: header is not UTF-8 text (")
         assert out == ""
 
+    @pytest.mark.parametrize("blank", ["  ", "\t", " \t \r"])
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_line_of_spaces_is_malformed(self, tmp_path, capsys, command, blank):
+        data_path = tmp_path / "d.csv"
+        data_path.write_text(f"x1,y\n1,1\n{blank}\n-1,-1\n")
+        if command == "fit":
+            argv = ["fit", "--lambda0", "0.01", "--data", str(data_path)]
+        else:
+            model_path = tmp_path / "model.json"
+            model_path.write_text(self.X1_CARD.to_json())
+            argv = ["predict", "--model", str(model_path), "--data", str(data_path)]
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        text = blank.rstrip("\r")
+        assert err == f"error: {data_path}: line 3: malformed numeric data {text!r}\n"
+        assert out == ""
+
     def test_comment_line_is_malformed_in_training_data(self, tmp_path, capsys):
         data_path = tmp_path / "d.csv"
         data_path.write_text("x1,y\n1,1\n-1,-1\n# a comment\n2,1\n-2,-1\n")
@@ -579,6 +596,69 @@ class TestPredictColumns:
                                      "--data", str(raw_path)])
         assert code == 0
         assert out == _reference_predict(card, raw_path)
+
+
+def _per_row_predict(scores, loss) -> str:
+    """``predict`` output with every row formatted on its own, as by
+    ``_format_rows`` over all rows."""
+    from sparseclass.cli import _format_rows
+    probs = sc.probability_from_scores(scores, loss)
+    labels = np.where(scores >= 0.0, 1.0, -1.0)
+    rows = _format_rows("%.17g,%.17g,%d", (scores, probs, labels))
+    return "\n".join(["score,probability,label", *rows]) + "\n"
+
+
+class TestPredictDistinctScores:
+    """``predict`` formats each distinct score once; its output must be
+    that of formatting every row on its own, byte for byte."""
+
+    def _check(self, capsys, tmp_path, model, columns):
+        names = list(columns)
+        x = np.column_stack([columns[name] for name in names])
+        data_path, model_path = tmp_path / "x.csv", tmp_path / "model.json"
+        data_path.write_text("\n".join([",".join(names), *(",".join(repr(float(v)) for v in row)
+                                                           for row in x)]) + "\n")
+        model_path.write_text(model.to_json())
+        code, out, err = _run(capsys, ["predict", "--model", str(model_path),
+                                       "--data", str(data_path)])
+        assert (code, err) == (0, "")
+        scores = model.score_rows(columns)
+        assert out == _per_row_predict(scores, model.loss)
+        return scores
+
+    def test_scorecard_with_repeated_scores(self, tmp_path, capsys):
+        rng = np.random.default_rng(41)
+        columns = {"a": rng.integers(0, 5, 2000) * 0.5, "b": rng.standard_normal(2000)}
+        card = sc.Scorecard("exponential", 1.0, 0.0, -0.1,
+                            (ScorecardTerm("a", "<=", 1.0, 0.3),
+                             ScorecardTerm("a", "<=", 0.5, -0.7),
+                             ScorecardTerm("b", ">=", 0.2, 1.1)), kind="scorecard")
+        scores = self._check(capsys, tmp_path, card, columns)
+        assert np.unique(scores).size <= 6
+
+    def test_linear_model_with_distinct_scores(self, tmp_path, capsys):
+        rng = np.random.default_rng(42)
+        columns = {"a": rng.standard_normal(500), "b": rng.standard_normal(500)}
+        model = sc.Scorecard("logistic", 1.0, 0.0, 0.25,
+                             (ScorecardTerm("a", None, None, 1.5),
+                              ScorecardTerm("b", None, None, -0.75)), kind="linear")
+        scores = self._check(capsys, tmp_path, model, columns)
+        assert np.unique(scores).size == scores.size
+
+    def test_card_without_terms(self, tmp_path, capsys):
+        columns = {"a": np.arange(7.0), "y": np.ones(7)}
+        model = sc.Scorecard("logistic", 1.0, 0.0, -0.5, (), kind="linear")
+        self._check(capsys, tmp_path, model, columns)
+
+    def test_zero_and_negative_zero_stay_apart(self, tmp_path, capsys):
+        # with intercept -0.0, a weight of -1 scores 0.0 as -0.0 and -0.0
+        # as 0.0
+        columns = {"a": np.array([0.0, 1.0, 0.0, -0.0, 2.0, 0.0])}
+        model = sc.Scorecard("logistic", 1.0, 0.0, -0.0,
+                             (ScorecardTerm("a", None, None, -1.0),), kind="linear")
+        scores = self._check(capsys, tmp_path, model, columns)
+        bits = set(scores.view(np.int64).tolist())
+        assert {np.float64(0.0).view(np.int64), np.float64(-0.0).view(np.int64)} <= bits
 
 
 class TestPathCommand:
