@@ -82,8 +82,8 @@ def _read_table(path: str, columns=None) -> tuple[list[str], np.ndarray]:
             commas, has_rows = 0, False
             while chunk := fh.read(SCAN_CHUNK_BYTES):
                 if chunk.translate(None, _NUMBER_BYTES):
-                    raise _scan_error(path, fh, body)
-                commas += chunk.count(b",")
+                    raise _line_error(path, fh, body)
+                commas += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord(",")))
                 has_rows = has_rows or bool(chunk.strip())
             if not has_rows:
                 raise DataError(f"{path}: no data rows")
@@ -97,7 +97,7 @@ def _read_table(path: str, columns=None) -> tuple[list[str], np.ndarray]:
             try:
                 raw = np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2, comments=None)
             except ValueError as exc:
-                raise _parse_error(path, fh, body, exc) from exc
+                raise _line_error(path, fh, body, exc) from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -109,32 +109,24 @@ def _read_table(path: str, columns=None) -> tuple[list[str], np.ndarray]:
     return names, raw
 
 
-def _scan_error(path: str, fh, body: int) -> DataError:
-    """The error for the first body line of ``fh`` (open in binary mode,
-    its body starting at byte ``body``) that holds a byte other than a
-    number character: a non-finite value when its first such field reads
-    as ``nan`` or ``inf``, malformed data otherwise."""
+def _line_error(path: str, fh, body: int, exc: ValueError | None = None) -> DataError:
+    """The error for the first body line of ``fh`` (open in binary mode, its
+    body starting at byte ``body``) that holds a byte other than a number
+    character, or only spaces or tabs, which numpy reads as a row of one
+    field where it skips an empty line.  A line of the first kind reports a
+    non-finite value when its first such field reads as ``nan`` or ``inf``,
+    malformed data otherwise.  With no such line, numpy's message ``exc``."""
     fh.seek(body)
     for lineno, line in enumerate(fh, start=2):
         if line.translate(None, _NUMBER_BYTES):
-            break
-    field = next(f for f in line.split(b",") if f.translate(None, _NUMBER_BYTES))
-    text = field.strip().decode(errors="replace")
-    try:
-        non_finite = not np.isfinite(float(text))
-    except ValueError:
-        non_finite = False
-    what = "non-finite value" if non_finite else "malformed numeric data"
-    return DataError(f"{path}: line {lineno}: {what} {text!r}")
-
-
-def _parse_error(path: str, fh, body: int, exc: ValueError) -> DataError:
-    """The error for a body of ``fh`` (open in binary mode, its body
-    starting at byte ``body``) that numpy could not parse: its first line
-    of only spaces or tabs, which numpy reads as a row of one field where
-    it skips an empty line, or else numpy's message ``exc``."""
-    fh.seek(body)
-    for lineno, line in enumerate(fh, start=2):
+            field = next(f for f in line.split(b",") if f.translate(None, _NUMBER_BYTES))
+            text = field.strip().decode(errors="replace")
+            try:
+                non_finite = not np.isfinite(float(text))
+            except ValueError:
+                non_finite = False
+            what = "non-finite value" if non_finite else "malformed numeric data"
+            return DataError(f"{path}: line {lineno}: {what} {text!r}")
         text = line.rstrip(b"\r\n")
         if text and not text.strip():
             return DataError(f"{path}: line {lineno}: malformed numeric data {text.decode()!r}")

@@ -109,20 +109,6 @@ def _reference(state: ExpState, z: np.ndarray, old: float) -> tuple[float, float
     return H_ref, min(max(neg_ref / H_ref, 0.0), 1.0)
 
 
-def d_minus(state: ExpState, data: DesignMatrix, j: int, exclude_own: bool = False) -> float:
-    """Weighted fraction of observations whose signed entry z_ij is -1.
-
-    With ``exclude_own`` the weights are those with coordinate j zeroed,
-    the reference weighting when updating a coordinate that is already in
-    the support; they come from rescaling the two weight masses
-    (``_reference``), not from a rebuilt weight vector.
-    """
-    if not data.binary:
-        raise DataError("the exponential loss requires a -1/+1 feature matrix")
-    old = float(state.w[j]) if exclude_own else 0.0
-    return _reference(state, data.signed[:, j], old)[1]
-
-
 def zero_interval(H_ref: float, lam0: float) -> tuple[float, float]:
     """Closed range of the -1 fraction inside which a coefficient cannot pay
     for its sparsity penalty and is set to zero.
@@ -151,11 +137,6 @@ def analytic_coefficient(d: float) -> float:
 def updated_loss(H_ref: float, d: float, x: float) -> float:
     """Loss after setting the coordinate to x under reference weighting."""
     return H_ref * ((1.0 - d) * math.exp(-x) + d * math.exp(x))
-
-
-def exp_line_search(state: ExpState, data: DesignMatrix, j: int) -> float:
-    """Penalty-free analytical line-search optimum for coordinate j."""
-    return analytic_coefficient(d_minus(state, data, j, exclude_own=True))
 
 
 def exp_coordinate_update(state: ExpState, data: DesignMatrix, j: int, lam0: float) -> float:

@@ -2,14 +2,21 @@
 
 Everything here is deliberately written from first principles (dense grids,
 pairwise counting, full Newton solves) and shares no code with the package
-paths under test.  The two exceptions are the sequential swap scans.
-``reference_swap_visit`` drives the package's scalar ``CoordinateProbe`` and
-``iterate_threshold``, which the swap search itself no longer calls, and the
-package's cut formulas, which the grid-minimum tests check on their own; it
-computes the curvature bound of its quadratic cuts and the rounding
-allowance of its prunes itself.
-``reference_exp_find_swap`` uses the package's closed-form exponential
-coefficient and loss, which the grid-minimum tests check too.
+paths under test, with these exceptions:
+
+- The scalar coordinate references ``grad_j``, ``threshold_step``,
+  ``coordinate_probe`` and ``d_minus``, which the vectorized sweeps and swap
+  searches replaced.  ``coordinate_probe`` builds the package's
+  ``CoordinateProbe``.  ``d_minus`` reads the package's
+  ``exponential._reference``, which ``exp_coordinate_update`` uses too; the
+  tests check it against a rebuilt weight vector.
+- The sequential swap scans.  ``reference_swap_visit`` drives the package's
+  scalar ``CoordinateProbe`` and ``iterate_threshold``, which the swap
+  search itself no longer calls, and the package's cut formulas, which the
+  grid-minimum tests check on their own; it computes the curvature bound of
+  its quadratic cuts and the rounding allowance of its prunes itself.
+  ``reference_exp_find_swap`` uses the package's closed-form exponential
+  coefficient and loss, which the grid-minimum tests check too.
 """
 
 from __future__ import annotations
@@ -269,6 +276,52 @@ def random_logistic_instance(rng, n, p, k=3, scale=1.2, binary=False):
     if np.all(y == y[0]):  # force both classes
         y[0] = -y[0]
     return x, y, set(int(i) for i in idx)
+
+
+# --- scalar coordinate steps ---------------------------------------------------
+
+def grad_j(state, data, j, lam2=0.0):
+    """Partial derivative of the smooth logistic loss along coordinate j."""
+    g = -float(data.signed[:, j] @ expit(-state.margins))
+    if lam2:
+        g += 2.0 * lam2 * float(state.w[j])
+    return g
+
+
+def threshold_step(state, data, j, hp):
+    """Candidate new coefficient for coordinate j under the quadratic
+    surrogate: c = w_j - grad_j/L_j when |c| clears sqrt(2*lambda0/L_j),
+    else 0.  ``logistic.cd_sweep`` is a loop of these steps, bit for bit."""
+    L = 0.25 * float(data.column_sq_sums[j]) + 2.0 * hp.lambda2
+    if L <= 0.0:
+        raise ValueError(f"coordinate {j} is inert (zero column, no ridge)")
+    c = float(state.w[j]) - grad_j(state, data, j, hp.lambda2) / L
+    if hp.lambda0 > 0.0 and c * c < 2.0 * hp.lambda0 / L:
+        return 0.0
+    return c
+
+
+def coordinate_probe(state, data, j, lam2=0.0):
+    """The package's ``CoordinateProbe`` for coordinate j of ``state`` with
+    that coordinate zeroed out; valid only while the state is unchanged."""
+    from sparseclass import logistic as logeng
+
+    u = data.signed[:, j]
+    wj = float(state.w[j])
+    base_margins = state.margins if wj == 0.0 else state.margins - wj * u
+    base_sq = float(state.w @ state.w) - wj * wj
+    return logeng.CoordinateProbe(base_margins, u, lam2=lam2, base_sq=base_sq,
+                                  lipschitz=0.25 * float(data.column_sq_sums[j]) + 2.0 * lam2)
+
+
+def d_minus(state, data, j, exclude_own=False):
+    """Weighted fraction of observations whose signed entry z_ij is -1, under
+    the exponential weights of ``state``; with ``exclude_own``, under the
+    weights with coordinate j zeroed (the package's ``_reference``)."""
+    from sparseclass import exponential as expeng
+
+    old = float(state.w[j]) if exclude_own else 0.0
+    return expeng._reference(state, data.signed[:, j], old)[1]
 
 
 # --- sequential scalar swap visit ---------------------------------------------

@@ -20,10 +20,14 @@ from sparseclass.core import OBJECTIVE_TOL
 from sparseclass.swap import reoptimize
 from oracles import (
     brute_auc,
+    coordinate_probe,
+    d_minus,
     exp_curve,
+    grad_j,
     grid_minimize,
     logistic_curve,
     random_logistic_instance,
+    threshold_step,
 )
 
 
@@ -67,10 +71,10 @@ def test_c01_thresholding_same_side_and_descent():
         hp = sc.HyperParams(lambda0=0.0, lambda2=lam2)
         state = _random_support_state(data, rng, k=3)
         for j in range(data.p):
-            g_before = sc.grad_j(state, data, j, lam2)
+            g_before = grad_j(state, data, j, lam2)
             loss_before = sc.smooth_logistic_loss(state, data, lam2)
-            state.set_coefficient(data, j, sc.threshold_step(state, data, j, hp))
-            g_after = sc.grad_j(state, data, j, lam2)
+            state.set_coefficient(data, j, threshold_step(state, data, j, hp))
+            g_after = grad_j(state, data, j, lam2)
             loss_after = sc.smooth_logistic_loss(state, data, lam2)
             assert g_before * g_after >= -1e-10
             assert loss_before - loss_after >= -1e-10
@@ -105,21 +109,22 @@ def test_c02_cut_soundness():
                 continue
         lam2 = float(rng.choice([0.0, 1e-3, 1e-2, 0.1])) if checked % 10 < 3 \
             else float(rng.choice([1e-3, 1e-2, 0.1]))
-        probe = sc.CoordinateProbe(base, u, lam2=lam2)
+        probe = logeng.CoordinateProbe(base, u, lam2=lam2)
         fvec = logistic_curve(base, u, lam2, 0.0)
         _, fmin = grid_minimize(fvec)
         if lam2 > 0.0:
             x1 = float(rng.uniform(-3, 3))
-            assert sc.quad_cut_one(x1, probe, lam2) <= fmin + 1e-8
+            assert logeng._quad_cut_one_val(*probe.eval_at(x1), lam2) <= fmin + 1e-8
         s0 = probe.slope_at(0.0)
         if s0 != 0.0:
             pair = _bracket(probe, s0)
             if pair is not None:
                 a, b = pair
-                lin = sc.lin_cut(a, b, probe)
+                anchors = (*probe.eval_at(a), a, *probe.eval_at(b), b)
+                lin = logeng._lin_cut_val(*anchors)
                 assert lin <= fmin + 1e-8
                 if lam2 > 0.0:
-                    two = sc.quad_cut_two(a, b, probe, lam2)
+                    two = logeng._quad_cut_two_val(*anchors, lam2)
                     assert two <= fmin + 1e-8
                     assert two >= lin - 1e-10
                     two_point += 1
@@ -160,7 +165,7 @@ def test_c03_pruning_decision_equivalence():
                                          loss_best - OBJECTIVE_TOL,
                                          "quad" if lam2 > 0.0 else "lin", stats)
                 assert stats.candidates == 1
-                probe = sc.coordinate_probe(trial, data, int(j2), lam2)
+                probe = coordinate_probe(trial, data, int(j2), lam2)
                 w_hat = logeng.iterate_threshold(probe, 0.0, logeng.LINE_SEARCH_STEPS)
                 exhaustive = probe.value_at(w_hat) < loss_best - OBJECTIVE_TOL
                 assert (found is not None) == exhaustive
@@ -201,13 +206,13 @@ def test_c04_exponential_interval_oracle():
         wj = float(state.w[j])
         if wj == 0.0:
             h_ref = state.H
-            d = sc.d_minus(state, datab, j)
+            d = d_minus(state, datab, j)
             c_ref = state.c.copy()
         else:
             scratch = state.copy()
             scratch.set_coefficient(datab, j, 0.0)
             h_ref = scratch.H
-            d = sc.d_minus(state, datab, j, exclude_own=True)
+            d = d_minus(state, datab, j, exclude_own=True)
             c_ref = scratch.c.copy()
         drop = h_ref - 2.0 * h_ref * math.sqrt(d * (1.0 - d))
         new = sc.exp_coordinate_update(state, datab, j, lam0)

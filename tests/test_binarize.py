@@ -11,7 +11,7 @@ from scipy.special import expit
 import sparseclass as sc
 from sparseclass.core import EPS, ScreenRef, ThresholdIndex, engine
 from sparseclass.binarize import ScorecardTerm, dump_json
-from oracles import reference_binarize, reference_signed_products
+from oracles import grad_j, reference_binarize, reference_signed_products, threshold_step
 
 
 def _toy(values, y=None):
@@ -249,7 +249,7 @@ class TestScreensOnDummies:
             # (4 H^2 half) per unit of lambda0
             return d, crit, 2.0 * EPS * H * H * np.abs(0.5 - d) / (H - crit)
         lip = engine(loss).lipschitz_all(data)
-        c = np.array([-sc.grad_j(state, data, j) / lip[j] for j in range(data.p)])
+        c = np.array([-grad_j(state, data, j) / lip[j] for j in range(data.p)])
         crit = 0.5 * c * c * lip
         return c, crit, EPS * crit
 
@@ -328,8 +328,8 @@ class TestScreensOnDummies:
                     if loss == "exponential":
                         eng.exp_coordinate_update(oracle, data, j, lam0)
                     else:
-                        step = sc.threshold_step(oracle, data, j,
-                                                 sc.HyperParams(lambda0=lam0, loss=loss))
+                        step = threshold_step(oracle, data, j,
+                                              sc.HyperParams(lambda0=lam0, loss=loss))
                         oracle.set_coefficient(data, j, step)
                 np.testing.assert_array_equal(state.w, oracle.w)
                 np.testing.assert_array_equal(state.margins, oracle.margins)

@@ -531,21 +531,43 @@ class TestPredictColumns:
         assert err.startswith(f"error: {tmp_path / 'x.csv'}: header is not UTF-8 text (")
         assert out == ""
 
-    @pytest.mark.parametrize("blank", ["  ", "\t", " \t \r"])
-    @pytest.mark.parametrize("command", ["fit", "predict"])
-    def test_line_of_spaces_is_malformed(self, tmp_path, capsys, command, blank):
+    def _read_with(self, capsys, tmp_path, command, text):
+        """Run ``fit`` or ``predict`` (with ``X1_CARD``) on a file holding
+        ``text``; returns the exit code, stdout, stderr and the file."""
         data_path = tmp_path / "d.csv"
-        data_path.write_text(f"x1,y\n1,1\n{blank}\n-1,-1\n")
+        data_path.write_text(text)
         if command == "fit":
             argv = ["fit", "--lambda0", "0.01", "--data", str(data_path)]
         else:
             model_path = tmp_path / "model.json"
             model_path.write_text(self.X1_CARD.to_json())
             argv = ["predict", "--model", str(model_path), "--data", str(data_path)]
-        code, out, err = _run(capsys, argv)
+        return (*_run(capsys, argv), data_path)
+
+    @pytest.mark.parametrize("blank", ["  ", "\t", " \t \r"])
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_line_of_spaces_is_malformed(self, tmp_path, capsys, command, blank):
+        code, out, err, data_path = self._read_with(capsys, tmp_path, command,
+                                                    f"x1,y\n1,1\n{blank}\n-1,-1\n")
         assert code == 2
         text = blank.rstrip("\r")
         assert err == f"error: {data_path}: line 3: malformed numeric data {text!r}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("first,second,message", [
+        ("  ", "nan,-1", "malformed numeric data '  '"),
+        ("nan,-1", "\t", "non-finite value 'nan'"),
+        ("1,abc", " ", "malformed numeric data 'abc'"),
+    ], ids=["spaces-then-nan", "nan-then-tab", "abc-then-space"])
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_the_earlier_of_two_bad_lines_is_named(self, tmp_path, capsys, command, first,
+                                                    second, message):
+        # a line of spaces and a line with a non-number byte: whichever
+        # comes first is reported, whatever its kind
+        code, out, err, data_path = self._read_with(
+            capsys, tmp_path, command, f"x1,y\n1,1\n{first}\n-1,-1\n{second}\n2,1\n")
+        assert code == 2
+        assert err == f"error: {data_path}: line 3: {message}\n"
         assert out == ""
 
     def test_comment_line_is_malformed_in_training_data(self, tmp_path, capsys):

@@ -18,6 +18,27 @@ def _random_state(data, rng, k=2, cls=sc.ModelState):
     return state
 
 
+class TestPackageSurface:
+    # the names a fit, a prediction or the CLI uses; the scalar coordinate
+    # references live in tests/oracles.py
+    NAMES = {
+        "ConfigError", "DataError", "DesignMatrix", "ExpState", "FailureQueue", "FitStats",
+        "HyperParams", "ModelState", "PathEntry", "PathResult", "PathSpec", "Scorecard",
+        "ScorecardTerm", "SupportComparison", "SwapOutcome", "SynthSpec", "ThresholdGroup",
+        "ThresholdMap", "accuracy", "auc", "binarize", "exp_coordinate_update",
+        "export_scorecard", "fit_one", "fit_path", "fit_swap_1opt", "gen_classification",
+        "objective", "planted_support", "predict_probability", "probability_from_scores",
+        "recovery_f1", "smooth_logistic_loss", "smooth_loss", "try_delete_or_swap",
+        "warm_start", "zero_interval",
+    }
+
+    def test_exports_are_exactly_the_fit_surface(self):
+        assert len(sc.__all__) == len(set(sc.__all__)) == 37
+        assert set(sc.__all__) == self.NAMES
+        for name in sc.__all__:
+            assert getattr(sc, name) is not None
+
+
 class TestDesignMatrix:
     def test_label_remap_from_01(self):
         data = sc.DesignMatrix.from_arrays([[1.0], [2.0]], [0, 1])

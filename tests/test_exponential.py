@@ -9,8 +9,8 @@ import sparseclass as sc
 from sparseclass import exponential as expeng
 from sparseclass import swap
 from sparseclass.core import EPS, NEWTON_GRAD_TOL
-from oracles import (exp_curve, grid_minimize, newton_fit_exponential, reference_exp_find_swap,
-                     reference_signed_products)
+from oracles import (d_minus, exp_curve, grid_minimize, newton_fit_exponential,
+                     reference_exp_find_swap, reference_signed_products)
 from test_logistic import _count_skips, _record_screens
 from test_path import _data
 
@@ -34,14 +34,14 @@ class TestDMinus:
         y = np.array([1.0, 1.0, 1.0, 1.0])
         data = sc.DesignMatrix.from_arrays(x, y)
         state = sc.ExpState.zeros(data)
-        assert sc.d_minus(state, data, 0) == pytest.approx(0.5)
+        assert d_minus(state, data, 0) == pytest.approx(0.5)
 
     def test_uniform_weights_quarter_negative(self):
         x = np.array([[1.0], [1.0], [1.0], [-1.0]])
         y = np.ones(4)
         data = sc.DesignMatrix.from_arrays(x, y)
         state = sc.ExpState.zeros(data)
-        assert sc.d_minus(state, data, 0) == pytest.approx(0.25)
+        assert d_minus(state, data, 0) == pytest.approx(0.25)
 
     def test_exclude_own_matches_scratch_recomputation(self):
         rng = np.random.default_rng(4)
@@ -49,7 +49,7 @@ class TestDMinus:
             data = _binary_data(rng)
             state = _random_exp_state(data, rng, k=3)
             j = int(next(iter(sorted(state.support))))
-            got = sc.d_minus(state, data, j, exclude_own=True)
+            got = d_minus(state, data, j, exclude_own=True)
             scratch = state.copy()
             scratch.set_coefficient(data, j, 0.0)
             scratch.refresh(data)
@@ -129,12 +129,12 @@ class TestCoordinateUpdate:
             wj = float(state.w[j])
             if wj == 0.0:
                 H_ref = state.H
-                d = sc.d_minus(state, data, j)
+                d = d_minus(state, data, j)
             else:
                 scratch = state.copy()
                 scratch.set_coefficient(data, j, 0.0)
                 H_ref = scratch.H
-                d = sc.d_minus(state, data, j, exclude_own=True)
+                d = d_minus(state, data, j, exclude_own=True)
             drop = H_ref - 2.0 * H_ref * math.sqrt(d * (1.0 - d))
             new = sc.exp_coordinate_update(state.copy(), data, j, lam0)
             assert (new == 0.0) == (drop <= lam0)
@@ -159,7 +159,7 @@ class TestLineSearch:
         y = np.ones(2)
         data = sc.DesignMatrix.from_arrays(x, y)
         state = sc.ExpState.zeros(data)
-        assert sc.exp_line_search(state, data, 0) == 0.0
+        assert expeng.analytic_coefficient(d_minus(state, data, 0, exclude_own=True)) == 0.0
 
     def test_matches_grid_minimum(self):
         rng = np.random.default_rng(23)
@@ -167,7 +167,7 @@ class TestLineSearch:
             data = _binary_data(rng, n=30, p=4)
             state = _random_exp_state(data, rng)
             j = int(rng.integers(data.p))
-            got = sc.exp_line_search(state, data, j)
+            got = expeng.analytic_coefficient(d_minus(state, data, j, exclude_own=True))
             scratch = state.copy()
             scratch.set_coefficient(data, j, 0.0)
             fvec = exp_curve(scratch.c, data.signed[:, j])
@@ -180,8 +180,8 @@ class TestLineSearch:
             data = _binary_data(rng, n=16, p=3)
             state = sc.ExpState.zeros(data)
             j = int(rng.integers(data.p))
-            x = sc.exp_line_search(state, data, j)
-            d = sc.d_minus(state, data, j)
+            x = expeng.analytic_coefficient(d_minus(state, data, j, exclude_own=True))
+            d = d_minus(state, data, j)
             if 1e-9 < d < 1 - 1e-9:
                 deriv = -(1 - d) * math.exp(-x) + d * math.exp(x)
                 assert abs(deriv) < 1e-10

@@ -1,4 +1,8 @@
-"""Logistic engine tests: gradients, curvature, thresholding, cuts."""
+"""Logistic engine tests: gradients, curvature, thresholding, cuts.
+
+The gradient, thresholding-step and probe tests check the scalar references
+in ``tests/oracles.py`` that the sweep tests below compare the engine with.
+"""
 
 import math
 
@@ -10,22 +14,25 @@ import sparseclass as sc
 from sparseclass import logistic as logeng
 from sparseclass import swap
 from sparseclass.core import EPS, NEWTON_GRAD_TOL, ScreenRef
-from oracles import central_difference, grid_minimize, logistic_curve, scipy_fit_logistic
+import oracles
+from oracles import (central_difference, coordinate_probe, grad_j, grid_minimize,
+                     logistic_curve, scipy_fit_logistic, threshold_step)
 
 
 class PolyProbe:
     """Minimal probe over an explicit convex function, for cut tests."""
 
-    def __init__(self, fn, dfn, lam2=0.0):
+    def __init__(self, fn, dfn):
         self.fn = fn
         self.dfn = dfn
-        self.lam2 = lam2
 
-    def value_at(self, t):
-        return float(self.fn(t))
+    def eval_at(self, t):
+        return float(self.fn(t)), float(self.dfn(t))
 
-    def slope_at(self, t):
-        return float(self.dfn(t))
+
+def _anchor(probe, x):
+    """Value, slope and point at ``x``: one anchor of the cut formulas."""
+    return (*probe.eval_at(x), x)
 
 
 def _instance(rng, n=30, p=6):
@@ -44,14 +51,14 @@ class TestGradient:
         y = np.array([1.0, -1.0, 1.0, -1.0])
         data = sc.DesignMatrix.from_arrays(x, y)
         state = sc.ModelState.zeros(data)
-        assert sc.grad_j(state, data, 0) == pytest.approx(0.0, abs=1e-15)
+        assert grad_j(state, data, 0) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_state_gradient_is_minus_half_margin_sum(self):
         x = np.array([[1.0], [1.0], [1.0], [-1.0]])
         y = np.array([1.0, 1.0, 1.0, 1.0])
         data = sc.DesignMatrix.from_arrays(x, y)  # sum y*x = 2
         state = sc.ModelState.zeros(data)
-        assert sc.grad_j(state, data, 0) == pytest.approx(-1.0, rel=1e-12)
+        assert grad_j(state, data, 0) == pytest.approx(-1.0, rel=1e-12)
 
     def test_matches_finite_difference(self):
         rng = np.random.default_rng(21)
@@ -66,7 +73,7 @@ class TestGradient:
                 return sc.smooth_logistic_loss(trial, data, hp.lambda2)
 
             num = central_difference(f, float(state.w[j]))
-            ana = sc.grad_j(state, data, j, hp.lambda2)
+            ana = grad_j(state, data, j, hp.lambda2)
             assert ana == pytest.approx(num, abs=1e-5)
 
 
@@ -75,13 +82,13 @@ class TestLipschitz:
         x = np.ones((100, 1))
         y = np.where(np.arange(100) % 2 == 0, 1.0, -1.0)
         data = sc.DesignMatrix.from_arrays(x, y)
-        assert sc.lipschitz_j(data, 0, 0.0) == 25.0
-        assert sc.lipschitz_j(data, 0, 0.001) == pytest.approx(25.002)
+        assert logeng.lipschitz_all(data, 0.0)[0] == 25.0
+        assert logeng.lipschitz_all(data, 0.001)[0] == pytest.approx(25.002)
 
     def test_zero_column_gives_ridge_only(self):
         data = sc.DesignMatrix.from_arrays(np.zeros((4, 1)), [1, -1, 1, -1])
-        assert sc.lipschitz_j(data, 0, 0.0) == 0.0
-        assert sc.lipschitz_j(data, 0, 0.5) == 1.0
+        assert logeng.lipschitz_all(data, 0.0)[0] == 0.0
+        assert logeng.lipschitz_all(data, 0.5)[0] == 1.0
 
     def test_gradient_increment_bounded(self):
         rng = np.random.default_rng(33)
@@ -95,13 +102,14 @@ class TestLipschitz:
                 base.set_coefficient(data, jj, float(rng.standard_normal()))
             moved = base.copy()
             moved.set_coefficient(data, j, float(base.w[j]) + d)
-            lhs = abs(sc.grad_j(moved, data, j, lam2) - sc.grad_j(base, data, j, lam2))
-            assert lhs <= sc.lipschitz_j(data, j, lam2) * abs(d) + 1e-9
+            lhs = abs(grad_j(moved, data, j, lam2) - grad_j(base, data, j, lam2))
+            assert lhs <= logeng.lipschitz_all(data, lam2)[j] * abs(d) + 1e-9
 
 
 class TestThresholdStep:
     def _simple_data(self):
-        x = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        # a balanced column with L = sum(x^2) / 4 = 4
+        x = np.array([[2.0], [2.0], [-2.0], [-2.0]])
         y = np.array([1.0, -1.0, 1.0, -1.0])
         return sc.DesignMatrix.from_arrays(x, y)
 
@@ -109,32 +117,30 @@ class TestThresholdStep:
         data = self._simple_data()
         state = sc.ModelState.zeros(data)
         hp = sc.HyperParams(lambda0=0.5, lambda2=0.0)
-        assert sc.threshold_step(state, data, 0, hp) == 0.0
+        assert threshold_step(state, data, 0, hp) == 0.0
 
     def test_plain_surrogate_step(self, monkeypatch):
         data = self._simple_data()
         state = sc.ModelState.zeros(data)
         state.set_coefficient(data, 0, 1.0)
         hp = sc.HyperParams(lambda0=0.0, lambda2=0.0)
-        monkeypatch.setattr(logeng, "grad_j", lambda *a, **k: 2.0)
-        monkeypatch.setattr(logeng, "lipschitz_j", lambda *a, **k: 4.0)
-        assert logeng.threshold_step(state, data, 0, hp) == pytest.approx(0.5)
+        monkeypatch.setattr(oracles, "grad_j", lambda *a, **k: 2.0)
+        assert threshold_step(state, data, 0, hp) == pytest.approx(0.5)
 
     def test_threshold_zeroes_small_step(self, monkeypatch):
         data = self._simple_data()
         state = sc.ModelState.zeros(data)
         hp = sc.HyperParams(lambda0=2.0, lambda2=0.0)
         # c = 0.9 with L = 4 -> sqrt(2*2/4) = 1 > |c| -> zeroed
-        monkeypatch.setattr(logeng, "grad_j", lambda *a, **k: -3.6)
-        monkeypatch.setattr(logeng, "lipschitz_j", lambda *a, **k: 4.0)
-        assert logeng.threshold_step(state, data, 0, hp) == 0.0
+        monkeypatch.setattr(oracles, "grad_j", lambda *a, **k: -3.6)
+        assert threshold_step(state, data, 0, hp) == 0.0
 
     def test_inert_coordinate_raises(self):
         data = sc.DesignMatrix.from_arrays(np.zeros((4, 1)), [1, -1, 1, -1])
         state = sc.ModelState.zeros(data)
         hp = sc.HyperParams(lambda0=0.0, lambda2=0.0)
         with pytest.raises(ValueError):
-            sc.threshold_step(state, data, 0, hp)
+            threshold_step(state, data, 0, hp)
 
 
 class TestFindNewCoefficient:
@@ -147,11 +153,11 @@ class TestFindNewCoefficient:
         hp = sc.HyperParams(lambda0=0.0, lambda2=1e-2)
         j = 1
         # drive coordinate j to its 1-D optimum first
-        probe = sc.coordinate_probe(state, data, j, hp.lambda2)
+        probe = coordinate_probe(state, data, j, hp.lambda2)
         t = logeng.iterate_threshold(probe, 0.0, 400)
         state.set_coefficient(data, j, t)
-        assert abs(sc.grad_j(state, data, j, hp.lambda2)) < 1e-10
-        probe = sc.coordinate_probe(state, data, j, hp.lambda2)
+        assert abs(grad_j(state, data, j, hp.lambda2)) < 1e-10
+        probe = coordinate_probe(state, data, j, hp.lambda2)
         got = logeng.iterate_threshold(probe, t, logeng.LINE_SEARCH_STEPS)
         assert got == pytest.approx(t, abs=1e-9)
 
@@ -162,7 +168,7 @@ class TestFindNewCoefficient:
             hp = sc.HyperParams(lambda0=0.0, lambda2=1e-3)
             j = int(rng.integers(data.p))
             wj = float(state.w[j])
-            probe = sc.coordinate_probe(state, data, j, hp.lambda2)
+            probe = coordinate_probe(state, data, j, hp.lambda2)
             got = logeng.iterate_threshold(probe, wj, logeng.LINE_SEARCH_STEPS)
             u = data.signed[:, j]
             base = state.margins - wj * u
@@ -176,7 +182,7 @@ class TestFindNewCoefficient:
         for _ in range(100):
             data, state = _instance(rng, n=20, p=4)
             j = int(rng.integers(data.p))
-            probe = sc.coordinate_probe(state, data, j, 1e-3)
+            probe = coordinate_probe(state, data, j, 1e-3)
             t = float(state.w[j])
             prev = probe.value_at(t)
             for _ in range(10):
@@ -194,10 +200,10 @@ class TestSameSideDescent:
             lam2 = 0.0 if rng.random() < 0.5 else 1e-3
             hp = sc.HyperParams(lambda0=0.0, lambda2=lam2)
             j = int(rng.integers(data.p))
-            g_before = sc.grad_j(state, data, j, lam2)
+            g_before = grad_j(state, data, j, lam2)
             loss_before = sc.smooth_logistic_loss(state, data, lam2)
-            state.set_coefficient(data, j, sc.threshold_step(state, data, j, hp))
-            g_after = sc.grad_j(state, data, j, lam2)
+            state.set_coefficient(data, j, threshold_step(state, data, j, hp))
+            g_after = grad_j(state, data, j, lam2)
             loss_after = sc.smooth_logistic_loss(state, data, lam2)
             assert g_before * g_after >= -1e-10
             assert loss_before - loss_after >= -1e-10
@@ -209,7 +215,7 @@ class TestSurrogateDominance:
         data, state = _instance(rng, n=25, p=5)
         lam2 = 1e-3
         for j in range(data.p):
-            probe = sc.coordinate_probe(state, data, j, lam2)
+            probe = coordinate_probe(state, data, j, lam2)
             wj = float(state.w[j])
             fw = probe.value_at(wj)
             gw = probe.slope_at(wj)
@@ -222,20 +228,15 @@ class TestSurrogateDominance:
 class TestLinCut:
     def test_symmetric_parabola(self):
         probe = PolyProbe(lambda t: t * t, lambda t: 2 * t)
-        assert sc.lin_cut(-1.0, 1.0, probe) == pytest.approx(-1.0)
+        assert logeng._lin_cut_val(*_anchor(probe, -1.0), *_anchor(probe, 1.0)) == pytest.approx(-1.0)
 
     def test_quartic(self):
         probe = PolyProbe(lambda t: t ** 4 + t * t, lambda t: 4 * t ** 3 + 2 * t)
-        assert sc.lin_cut(-1.0, 1.0, probe) == pytest.approx(-4.0)
-
-    def test_same_sign_slopes_rejected(self):
-        probe = PolyProbe(lambda t: t * t, lambda t: 2 * t)
-        with pytest.raises(ValueError):
-            sc.lin_cut(1.0, 2.0, probe)
+        assert logeng._lin_cut_val(*_anchor(probe, -1.0), *_anchor(probe, 1.0)) == pytest.approx(-4.0)
 
     def test_both_slopes_zero_returns_value(self):
         probe = PolyProbe(lambda t: 3.0, lambda t: 0.0)
-        assert sc.lin_cut(-1.0, 1.0, probe) == 3.0
+        assert logeng._lin_cut_val(*_anchor(probe, -1.0), *_anchor(probe, 1.0)) == 3.0
 
     def test_bounds_random_probes(self):
         rng = np.random.default_rng(51)
@@ -244,14 +245,14 @@ class TestLinCut:
             n = int(rng.integers(8, 20))
             base = rng.standard_normal(n)
             u = rng.choice([-1.0, 1.0], size=n) if rng.random() < 0.5 else rng.standard_normal(n)
-            probe = sc.CoordinateProbe(base, u, lam2=0.0)
+            probe = logeng.CoordinateProbe(base, u, lam2=0.0)
             bracket = _find_bracket(probe)
             if bracket is None:
                 continue
             x1, x2 = bracket
             fvec = logistic_curve(base, u, 0.0, 0.0)
             _, fmin = grid_minimize(fvec)
-            assert sc.lin_cut(x1, x2, probe) <= fmin + 1e-8
+            assert logeng._lin_cut_val(*_anchor(probe, x1), *_anchor(probe, x2)) <= fmin + 1e-8
             checked += 1
 
 
@@ -273,25 +274,22 @@ def _find_bracket(probe, start=0.25):
 
 class TestQuadCuts:
     def test_one_point_exact_for_parabola(self):
-        probe = PolyProbe(lambda t: t * t, lambda t: 2 * t, lam2=1.0)
-        assert sc.quad_cut_one(1.0, probe, 1.0) == pytest.approx(0.0)
+        probe = PolyProbe(lambda t: t * t, lambda t: 2 * t)
+        assert logeng._quad_cut_one_val(*probe.eval_at(1.0), 1.0) == pytest.approx(0.0)
 
     def test_one_point_at_stationary_point(self):
-        probe = PolyProbe(lambda t: t * t + 2.0, lambda t: 2 * t, lam2=1.0)
-        assert sc.quad_cut_one(0.0, probe, 1.0) == pytest.approx(2.0)
-
-    def test_one_point_requires_ridge(self):
-        probe = PolyProbe(lambda t: t * t, lambda t: 2 * t)
-        with pytest.raises(sc.ConfigError):
-            sc.quad_cut_one(1.0, probe, 0.0)
+        probe = PolyProbe(lambda t: t * t + 2.0, lambda t: 2 * t)
+        assert logeng._quad_cut_one_val(*probe.eval_at(0.0), 1.0) == pytest.approx(2.0)
 
     def test_two_point_quartic(self):
-        probe = PolyProbe(lambda t: t ** 4 + t * t, lambda t: 4 * t ** 3 + 2 * t, lam2=1.0)
-        assert sc.quad_cut_two(-1.0, 1.0, probe, 1.0) == pytest.approx(-3.0)
+        probe = PolyProbe(lambda t: t ** 4 + t * t, lambda t: 4 * t ** 3 + 2 * t)
+        two = logeng._quad_cut_two_val(*_anchor(probe, -1.0), *_anchor(probe, 1.0), 1.0)
+        assert two == pytest.approx(-3.0)
 
     def test_two_point_degenerate_falls_back(self):
-        probe = PolyProbe(lambda t: t * t, lambda t: 2 * t, lam2=1.0)
-        assert sc.quad_cut_two(-1.0, 1.0, probe, 1.0) == pytest.approx(0.0)
+        probe = PolyProbe(lambda t: t * t, lambda t: 2 * t)
+        two = logeng._quad_cut_two_val(*_anchor(probe, -1.0), *_anchor(probe, 1.0), 1.0)
+        assert two == pytest.approx(0.0)
 
     def test_bounds_and_ordering_random_probes(self):
         rng = np.random.default_rng(77)
@@ -301,16 +299,16 @@ class TestQuadCuts:
             base = rng.standard_normal(n)
             u = rng.choice([-1.0, 1.0], size=n)
             lam2 = float(rng.choice([1e-3, 1e-2, 0.1]))
-            probe = sc.CoordinateProbe(base, u, lam2=lam2)
+            probe = logeng.CoordinateProbe(base, u, lam2=lam2)
             bracket = _find_bracket(probe)
             if bracket is None:
                 continue
             x1, x2 = bracket
             fvec = logistic_curve(base, u, lam2, 0.0)
             _, fmin = grid_minimize(fvec)
-            one = sc.quad_cut_one(x1, probe, lam2)
-            two = sc.quad_cut_two(x1, x2, probe, lam2)
-            lin = sc.lin_cut(x1, x2, probe)
+            one = logeng._quad_cut_one_val(*probe.eval_at(x1), lam2)
+            two = logeng._quad_cut_two_val(*_anchor(probe, x1), *_anchor(probe, x2), lam2)
+            lin = logeng._lin_cut_val(*_anchor(probe, x1), *_anchor(probe, x2))
             assert one <= fmin + 1e-8
             assert two <= fmin + 1e-8
             assert two >= lin - 1e-10
@@ -324,7 +322,7 @@ class TestSweepAndIntercept:
         hp = sc.HyperParams(lambda0=0.2, lambda2=1e-3)
         ref = state.copy()
         for j in range(data.p):
-            ref.set_coefficient(data, j, sc.threshold_step(ref, data, j, hp))
+            ref.set_coefficient(data, j, threshold_step(ref, data, j, hp))
         swept = state.copy()
         lip = logeng.lipschitz_all(data, hp.lambda2)
         logeng.cd_sweep(swept, data, hp.lambda0, hp.lambda2, lip, range(data.p))
@@ -370,7 +368,7 @@ class TestSweepAndIntercept:
                 if lip[j] <= 0.0:
                     continue
                 old = float(ref.w[j])
-                new = sc.threshold_step(ref, data, j, hp)
+                new = threshold_step(ref, data, j, hp)
                 ref.set_coefficient(data, j, new)
                 ref_move = max(ref_move, abs(new - old))
                 window = [float(state.w[i]) for i in coords[max(pos - 4, 0):pos]]
@@ -581,7 +579,7 @@ class TestCarriedScreen:
                     logeng.cd_sweep(state, data, lam0, lam2, lip, coords)
                     for j in coords:
                         if lip[j] > 0.0:
-                            oracle.set_coefficient(data, j, sc.threshold_step(oracle, data, j, hp))
+                            oracle.set_coefficient(data, j, threshold_step(oracle, data, j, hp))
                 logeng.refit_intercept(state, data)
                 logeng.refit_intercept(oracle, data)
                 np.testing.assert_array_equal(state.w, oracle.w)
@@ -637,7 +635,7 @@ class TestCarriedScreen:
         logeng.cd_sweep(state, other, 2.0, 0.0, lip, range(other.p))
         hp = sc.HyperParams(lambda0=2.0)
         for j in range(other.p):
-            oracle.set_coefficient(other, j, sc.threshold_step(oracle, other, j, hp))
+            oracle.set_coefficient(other, j, threshold_step(oracle, other, j, hp))
         assert state.ref is not first
         np.testing.assert_array_equal(state.w, oracle.w)
 

@@ -13,8 +13,9 @@ from sparseclass import logistic as logeng
 from sparseclass import swap
 from sparseclass.swap import reoptimize
 from sparseclass.core import EPS, OBJECTIVE_TOL, engine
-from oracles import (direct_exponential_objective, direct_logistic_objective, grid_minimize,
-                     logistic_curve, reference_swap_visit, scalar_try_add, screen_allowance)
+from oracles import (coordinate_probe, direct_exponential_objective, direct_logistic_objective,
+                     grad_j, grid_minimize, logistic_curve, reference_swap_visit, scalar_try_add,
+                     screen_allowance)
 
 
 def _planted(rng, n=120, p=8, idx=(1, 4), scale=1.4):
@@ -320,7 +321,7 @@ class TestTryAdd:
             j2 = int(rng.choice([c for c in range(p) if c not in (0, 3)]))
             found, _ = self._find_one(trial, data, hp, j2, loss_best, cut)
             accepted = found is not None
-            probe = sc.coordinate_probe(trial, data, j2, hp.lambda2)
+            probe = coordinate_probe(trial, data, j2, hp.lambda2)
             w_hat = logeng.iterate_threshold(probe, 0.0, logeng.LINE_SEARCH_STEPS)
             exhaustive = probe.value_at(w_hat) < loss_best - OBJECTIVE_TOL
             assert accepted == exhaustive
@@ -642,7 +643,7 @@ class TestFitSwap1Opt:
             # with one slot only the top-ranked candidate can ever enter
             trial = state.copy()
             trial.set_coefficient(data, 0, 0.0)
-            grads = [abs(sc.grad_j(trial, data, c, 0.0)) for c in (1, 2)]
+            grads = [abs(grad_j(trial, data, c, 0.0)) for c in (1, 2)]
             top = 1 if grads[0] >= grads[1] else 2
             assert out_one.added == top
 
@@ -675,3 +676,45 @@ class TestFitSwap1Opt:
         assert stats.cap_hits == 1
         assert 5 in out.support and 2 not in out.support
         assert stats.swap_evals < walks
+
+
+class TestSearchClaims:
+    """The paper's two claims about the swap search, on acceptance c07's
+    reference path (seed 0), where the search accepts changes: the
+    quadratic cut saves line searches over the tangent cut without
+    changing any answer, and failure-count ordering saves swap evaluations
+    over the sequential order.  Only the directions are asserted."""
+
+    GRID = (7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.8)
+
+    @pytest.fixture(scope="class")
+    def paths(self):
+        data, _ = sc.gen_classification(sc.SynthSpec(n=800, p=1000, k=25, rho=0.9, seed=0))
+        spec = sc.PathSpec(lambda0_grid=self.GRID, lambda2_grid=(1e-5,), loss="logistic",
+                           base=sc.HyperParams(loss="logistic", candidate_limit=50))
+        runs = {(ordering, cut): sc.fit_path(data, spec, ordering=ordering, cut=cut).entries
+                for ordering, cut in (("dynamic", "quad"), ("dynamic", "lin"),
+                                      ("sequential", "quad"))}
+        for entries in runs.values():
+            assert all(e.error is None for e in entries)
+        return runs
+
+    @staticmethod
+    def _total(entries, counter):
+        return sum(getattr(e, counter) for e in entries)
+
+    def test_cuts_give_the_same_answers(self, paths):
+        quad, lin = paths["dynamic", "quad"], paths["dynamic", "lin"]
+        assert [e.state.support for e in quad] == [e.state.support for e in lin]
+        assert [e.objective for e in quad] == [e.objective for e in lin]
+        assert self._total(quad, "candidates") == self._total(lin, "candidates")
+
+    def test_quad_cut_runs_fewer_line_searches(self, paths):
+        quad, lin = paths["dynamic", "quad"], paths["dynamic", "lin"]
+        assert self._total(quad, "line_searches") < self._total(lin, "line_searches")
+
+    def test_dynamic_ordering_makes_fewer_swap_evaluations(self, paths):
+        # a search that accepts nothing visits every support feature once in
+        # either order, so the two counts can differ only where it accepts
+        dynamic, sequential = paths["dynamic", "quad"], paths["sequential", "quad"]
+        assert self._total(dynamic, "swap_evals") < self._total(sequential, "swap_evals")
