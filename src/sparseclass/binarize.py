@@ -192,17 +192,17 @@ class Scorecard:
         if kind not in MODEL_KINDS:
             raise DataError(f"unknown model kind {kind!r}")
         if kind == "linear":
-            terms = (ScorecardTerm(str(t["feature"]), None, None, float(t["weight"]))
+            terms = (ScorecardTerm(_name(t["feature"]), None, None, _number(t["weight"]))
                      for t in obj["terms"])
         else:
-            terms = (ScorecardTerm(str(t["feature"]), _direction(t["op"]), float(t["threshold"]),
-                                   float(t["weight"]))
+            terms = (ScorecardTerm(_name(t["feature"]), _direction(t["op"]),
+                                   _number(t["threshold"]), _number(t["weight"]))
                      for t in obj["terms"])
         return cls(
             loss=str(obj["loss"]),
-            lambda0=float(obj["lambda0"]),
-            lambda2=float(obj["lambda2"]),
-            intercept=float(obj["intercept"]),
+            lambda0=_number(obj["lambda0"]),
+            lambda2=_number(obj["lambda2"]),
+            intercept=_number(obj["intercept"]),
             terms=tuple(terms),
             kind=kind,
         )
@@ -214,6 +214,23 @@ def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def _number(value) -> float:
+    # a ValueError, so a model file with a boolean, a string or null where a
+    # number is due reads as malformed; ``from_json`` parses every JSON
+    # number to a float
+    if type(value) is not float:
+        raise ValueError(f"{value!r} is not a number")
+    return value
+
+
+def _name(value) -> str:
+    # a ValueError, so a model file whose term names a feature by a number
+    # reads as malformed
+    if not isinstance(value, str):
+        raise ValueError(f"term feature {value!r} is not a string")
     return value
 
 

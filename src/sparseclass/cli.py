@@ -1,6 +1,7 @@
 """Command-line surface: fit, predict, path, bench, and synth subcommands.
 
-Exit codes: 0 ok, 2 input error, 3 configuration error, 4 numeric failure.
+Exit codes: 0 ok, 2 input error (an unwritable output among them), 3
+configuration error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -72,7 +74,8 @@ def _read_table(path: str, columns=None) -> tuple[list[str], np.ndarray]:
     caught only in a parsed column."""
     try:
         with open(path, "rb") as fh:
-            header = next(csv.reader([fh.readline().decode()]), None)
+            # a UTF-8 byte-order mark is no part of the first name
+            header = next(csv.reader([fh.readline().decode("utf-8-sig")]), None)
             if not header:
                 raise DataError(f"{path}: empty file")
             header = [h.strip() for h in header]
@@ -163,17 +166,29 @@ def _format_rows(fmt: str, columns):
         yield from (fmt % row for row in zip(*(c[start:stop].tolist() for c in columns)))
 
 
+@contextmanager
+def _output(path: str, newline: str | None = None):
+    """``path`` opened for writing text; a failure to open or write it is an
+    input error."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_csv(path: str, names, x: np.ndarray, y: np.ndarray) -> None:
     """Write a dataset with the label column last."""
     fmt = ",".join(["%.17g"] * (x.shape[1] + 1)) + "\n"
-    with open(path, "w", newline="") as fh:
+    with _output(path, newline="") as fh:
         fh.write(",".join([*names, LABEL_COLUMN]) + "\n")
         fh.writelines(_format_rows(fmt, [*x.T, y]))
 
 
 def load_model(path: str) -> Scorecard:
-    """Read a model file of either kind; a missing or malformed field or an
-    unknown kind or loss is an input error."""
+    """Read a model file of either kind; a missing or malformed field, an
+    unknown kind or loss, or a linear model that names a feature in two
+    terms is an input error."""
     try:
         with open(path) as fh:
             model = Scorecard.from_json(fh.read())
@@ -189,6 +204,12 @@ def load_model(path: str) -> Scorecard:
         raise DataError(f"{path}: malformed model file ({exc})") from exc
     if model.loss not in LOSSES:
         raise DataError(f"{path}: unknown loss {model.loss!r}")
+    if model.kind == "linear":
+        seen = set()
+        for t in model.terms:
+            if t.feature in seen:
+                raise DataError(f"{path}: linear model names feature {t.feature!r} twice")
+            seen.add(t.feature)
     return model
 
 
@@ -196,7 +217,7 @@ def _emit(lines: list[str], out: str | None) -> None:
     """Write CSV lines to the file ``out``, or to stdout without one."""
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w") as fh:
+        with _output(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -236,7 +257,7 @@ def cmd_fit(args) -> int:
     scores = state.scores(data)
     model_text = export_scorecard(state, tmap, data.feature_names, hp).to_json()
     if args.out:
-        with open(args.out, "w") as fh:
+        with _output(args.out) as fh:
             fh.write(model_text + "\n")
     print(dump_json({
         "objective": obj,
@@ -371,7 +392,7 @@ def cmd_synth(args) -> int:
         "indices": sorted(truth),
         "names": [data.feature_names[j] for j in sorted(truth)],
     }
-    with open(args.out + ".truth.json", "w") as fh:
+    with _output(args.out + ".truth.json") as fh:
         fh.write(dump_json(sidecar) + "\n")
     print(dump_json({"rows": data.n, "features": data.p, "truth_size": len(truth)}))
     return EXIT_OK

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import import_module
@@ -26,7 +25,9 @@ MARGIN_REFRESH_EVERY = 256
 # -4.5 us, r=6 -1.7, r=8 +3.5, r=16 +21, r=32 +55.
 SCREEN_MIN_RUN = 8
 
-# Unit roundoff scale for the rounding allowances of zero certificates.
+# Unit roundoff scale for rounding allowances: the Armijo test of
+# ``newton_solve``, ``DesignMatrix.prefix_sum_allowance`` and the cuts of
+# ``logistic.screen_block``.
 EPS = float(np.finfo(np.float64).eps)
 
 # The most Newton iterations of one support solve (``newton_solve``).  The
@@ -244,34 +245,6 @@ class HyperParams:
             raise ConfigError("candidate_limit must be positive or None")
 
 
-class ScreenRef:
-    """A screening reference for coordinate sweeps: a copy ``v`` of the
-    state's per-observation vector (the sigmoid vector under the logistic
-    loss, the weights under the exponential loss) and ``g[j] = |z_j . v|``
-    for every column of ``data.signed``, taken with one
-    ``DesignMatrix.signed_products`` (prefix sums on threshold dummies).
-    ``err`` is that product's ``prefix_sum_allowance``: on dummies each g_j
-    may lie that much further from the exact product than a matrix
-    product's would.  A sweep measures how far its vector has moved from
-    ``v``.  Copies of a state share the reference, and ``v``, ``g`` and
-    ``err`` never change.  It holds its dataset weakly, so a kept state
-    does not keep the data alive.
-    """
-
-    __slots__ = ("data", "v", "g", "err")
-
-    def __init__(self, data: DesignMatrix, v: np.ndarray):
-        self.data = weakref.ref(data)
-        self.v = np.array(v)
-        self.g = np.abs(data.signed_products(self.v))
-        self.err = data.prefix_sum_allowance(self.v)
-        self.v.setflags(write=False)
-        self.g.setflags(write=False)
-
-    def belongs_to(self, data: DesignMatrix) -> bool:
-        return self.data() is data
-
-
 class ModelState:
     """Dense coefficient vector, support set and intercept, with the margin
     cache that every loss engine reads.  A state belongs to one solver run
@@ -281,14 +254,10 @@ class ModelState:
     and rebuilt from scratch (``refresh``, sparse in |support|) every
     ``MARGIN_REFRESH_EVERY`` coefficient updates, which ``_updates``
     counts.  The exponential engine's state (``exponential.ExpState``)
-    derives its weights from the margins.  ``ref`` is the state's screening
-    reference (a ``ScreenRef`` or None); the state keeps no account of how
-    far it has moved since, because the engine's zero certificate measures
-    that distance.  ``_lost`` counts the screening since the reference that
-    a fresh one would have saved (see ``zero_certificate``).
+    derives its weights from the margins.
     """
 
-    __slots__ = ("w", "support", "intercept", "margins", "_updates", "ref", "_lost")
+    __slots__ = ("w", "support", "intercept", "margins", "_updates")
 
     def __init__(self, data: DesignMatrix):
         self.w = np.zeros(data.p)
@@ -296,24 +265,19 @@ class ModelState:
         self.intercept = 0.0
         self.margins = np.zeros(data.n)
         self._updates = 0
-        self.ref = None
-        self._lost = 0
 
     @classmethod
     def zeros(cls, data: DesignMatrix):
         return cls(data)
 
     def copy(self):
-        """An independent copy (the screening reference is shared); a
-        subclass copies its own fields."""
+        """An independent copy; a subclass copies its own fields."""
         new = object.__new__(type(self))
         new.w = self.w.copy()
         new.support = set(self.support)
         new.intercept = self.intercept
         new.margins = self.margins.copy()
         new._updates = self._updates
-        new.ref = self.ref
-        new._lost = self._lost
         return new
 
     def _put(self, j: int, value: float) -> None:
@@ -376,8 +340,8 @@ def sweep_visits(coords: range, w: np.ndarray, screen):
     of at least ``SCREEN_MIN_RUN`` positions whose coefficients are zero
     when the sweep starts goes to ``screen(cols)``, with ``cols`` a slice of
     the run.  It returns a mask, True where a coordinate may leave zero
-    under the current state, or False when it rules every coordinate out
-    without a product (as ``zero_certificate`` does).  The first flagged
+    under the current state (an engine's screen takes one
+    ``DesignMatrix.signed_products`` product per call).  The first flagged
     coordinate is yielded, and screening resumes right after it once the
     caller has updated it.  All coordinates outside such runs are yielded.
 
@@ -411,70 +375,18 @@ def _screened_visits(coords, runs, w, screen):
                 continue
             stop = min(a + span, b)
             flagged = screen(slice(coords.start + a, coords.start + stop))
-            if flagged is not False:
-                k = int(flagged.argmax())
-                if flagged[k]:
-                    yield coords[a + k]
-                    a += k + 1
-                    quiet, span = 0, 2 * SCREEN_MIN_RUN
-                    continue
+            k = int(flagged.argmax())
+            if flagged[k]:
+                yield coords[a + k]
+                a += k + 1
+                quiet, span = 0, 2 * SCREEN_MIN_RUN
+                continue
             # Screens after an update start short and double while they
             # find nothing, so a run is not screened again in full after
             # every coordinate that enters it.
             a, span = stop, 2 * span
         pos = b
     yield from coords[pos:]
-
-
-def zero_certificate(state, data: DesignMatrix, screen, current, slack, level):
-    """``screen`` behind the zero certificate of ``state``'s screening
-    reference (``state.ref``).
-
-    ``current()`` is the per-observation vector the sweep's tests read now.
-    ``slack(ref)`` maps the reference to per-column caps: the largest level
-    at which each column provably stays zero.  ``level(current())`` bounds
-    how far the column tests can have moved since the reference was taken:
-    the distance of that vector from ``ref.v``, measured in the norm the
-    engine's certificate reads, plus rounding.  The returned screen rules a run
-    out without a product, returning False, when every column in it has its
-    cap above the level; other runs go to ``screen``.  The caps are
-    computed on the sweep's first screen, so sweeps that screen nothing pay
-    nothing.
-
-    A reference is taken there, one product over all columns, when the
-    state has none for ``data``.  It is retaken there once ``state._lost``,
-    the columns of screened runs in which the screen flagged nothing,
-    reaches ``data.p``.  Such a run is one that a fresh reference would have
-    ruled out, so a reference is renewed when its distance has cost as much
-    screening as a new product costs: one that keeps certifying lasts
-    across sweeps and grid points, and one that cannot certify what stays
-    zero is not renewed over and over.  Measured with renewal at 0.25, 0.5,
-    1, 2 and 4 times ``data.p`` (one BLAS thread, under an earlier
-    certificate that bounded the distance instead of measuring it), the
-    columns multiplied in screens and references came to 301k, 288k, 292k,
-    316k and 361k on the reference logistic path (p = 1000, 2.65M without
-    certificate) and to 521k, 517k, 494k, 513k and 575k on the binarized
-    exponential path (p = 5000, 2.34M); wall times differed by less than
-    their noise.
-    """
-    caps = None
-
-    def screened(cols):
-        nonlocal caps
-        if caps is None:
-            ref = state.ref
-            if ref is None or not ref.belongs_to(data) or state._lost >= data.p:
-                state.ref = ref = ScreenRef(data, current())
-                state._lost = 0
-            caps = slack(ref)
-        if caps[cols].min() > level(current()):
-            return False
-        flagged = screen(cols)
-        if not flagged.any():
-            state._lost += flagged.size
-        return flagged
-
-    return screened
 
 
 def newton_solve(state, data: DesignMatrix, terms, bound: float, lam2: float) -> bool:

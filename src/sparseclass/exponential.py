@@ -14,14 +14,12 @@ import math
 import numpy as np
 
 from .core import (
-    EPS,
     DataError,
     DesignMatrix,
     HyperParams,
     ModelState,
     newton_solve,
     sweep_visits,
-    zero_certificate,
 )
 
 # Engine constants (see ``core.engine``): the probability is sigmoid(2f),
@@ -169,44 +167,6 @@ def refit_intercept(state: ExpState, data: DesignMatrix, stats=None) -> float:
     return delta
 
 
-def _certificate(state: ExpState, data: DesignMatrix, lam0: float):
-    """The per-column caps and level of the exponential zero certificate
-    (``core.zero_certificate``), where the sweep's vector is the weight
-    vector c.
-
-    A zero coordinate stays zero while its -1 fraction lies in the zero
-    interval, that is while |z_j . c| <= thr(H) = sqrt(lam0 * (2H - lam0))
-    (no coordinate leaves zero when lam0 >= 2H; the certificate then
-    certifies nothing and the screen decides).  With z_j in {-1, +1},
-    |z_j . c - z_j . v| <= ||c - v||_1 for the reference's weights v.  The
-    caps are thr(H) - g_j - err for H at the sweep's first screen, where
-    the reference's ``err`` is the further rounding of its prefix sums on
-    threshold dummies (0 elsewhere).  The level is ||c - v||_1, measured,
-    plus what thr has lost since then, as H moves, and rounding: at most
-    eps * H' per unit below for the two products behind a test (2n), the
-    weight sum (n) and the scalar test (16), where H' = H + 2 * ||c - v||_1
-    bounds the weight sums of c and v.  The threshold is shaved and the
-    distance grown by a relative 1e-9.
-    """
-    def thr(H):
-        return math.sqrt(max(lam0 * (2.0 * H - lam0), 0.0)) * (1.0 - 1e-9)
-
-    thr0 = 0.0
-    base = 3 * data.n + 16
-
-    def slack(ref):
-        nonlocal thr0
-        thr0 = thr(state.H)
-        return thr0 - ref.g - ref.err
-
-    def level(c):
-        dist = float(np.abs(c - state.ref.v).sum())
-        rounding = EPS * (state.H + 2.0 * dist) * base
-        return dist * (1.0 + 1e-9) + rounding + (thr0 - thr(state.H))
-
-    return slack, level
-
-
 def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
     """One pass of ``exp_coordinate_update`` over ``coords``, a contiguous
     range; returns the largest move.
@@ -223,11 +183,8 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
     within their ``prefix_sum_allowance`` of its threshold, so there the
     sweep is the loop's bit for bit.  Runs shorter than
     ``core.SCREEN_MIN_RUN`` (8) stay in the loop: a screen costs about as
-    much as six loop visits (measurements at the constant).  A run whose
-    every column provably stays zero, by its distance from the state's
-    screening reference, is skipped without a product (``_certificate``,
-    ``core.zero_certificate``).  A ``lam0 = 0`` sweep goes coordinate by
-    coordinate.
+    much as six loop visits (measurements at the constant).  A ``lam0 = 0``
+    sweep goes coordinate by coordinate.
     """
     def screen(cols):
         # The zero test of ``exp_coordinate_update`` at w_j = 0, whose d
@@ -244,14 +201,8 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
         d_hi = 0.5 * (H - (dots - tol)) / H
         return ~((lo <= d_lo) & (d_hi <= hi))
 
-    if lam0 > 0.0:
-        screen = zero_certificate(state, data, screen, lambda: state.c,
-                                  *_certificate(state, data, lam0))
-    else:
-        screen = None
-
     max_move = 0.0
-    for j in sweep_visits(coords, state.w, screen):
+    for j in sweep_visits(coords, state.w, screen if lam0 > 0.0 else None):
         old = float(state.w[j])
         max_move = max(max_move, abs(exp_coordinate_update(state, data, j, lam0) - old))
     return max_move

@@ -24,7 +24,6 @@ from .core import (
     newton_solve,
     smooth_logistic_loss,
     sweep_visits,
-    zero_certificate,
 )
 
 # Engine constants (see ``core.engine``).  The warm start solves a support
@@ -290,39 +289,6 @@ def refit_intercept(state: ModelState, data: DesignMatrix, stats=None) -> float:
 
 # --- sweeps ---------------------------------------------------------------
 
-def _certificate(state: ModelState, data: DesignMatrix, lam0: float, lip: np.ndarray):
-    """The per-column caps and level of the logistic zero certificate
-    (``core.zero_certificate``), where the sweep's vector is its sigmoid
-    vector q.
-
-    A zero coordinate stays zero while |z_j . q| < sqrt(2 * lam0 * L_j),
-    and |z_j . q - z_j . v| <= ||z_j|| * ||q - v|| for the reference's
-    sigmoid vector v, so column j is certified while ||q - v|| stays below
-    its cap (threshold - g_j) / ||z_j||; zero columns never move and get an
-    infinite cap.  The level is ||q - v||, measured, plus rounding: at most
-    eps * sqrt(n) per unit below for the two products behind a test (2n)
-    and the scalar arithmetic (8).  The caps also give up the reference's
-    ``err``, the further rounding of its prefix sums on threshold dummies
-    (0 elsewhere), over each column's norm.  The threshold is shaved and
-    the distance grown by a relative 1e-9 against their own rounding.
-    """
-    rounding = EPS * math.sqrt(data.n) * (2 * data.n + 8)
-    diff = np.empty(data.n)
-
-    def slack(ref):
-        thr = np.sqrt(2.0 * lam0 * lip) * (1.0 - 1e-9)
-        norms = np.sqrt(data.column_sq_sums)
-        return np.divide(thr - ref.g - ref.err, norms, out=np.full(ref.g.shape, np.inf),
-                         where=norms > 0.0)
-
-    def level(q):
-        # ||q - v|| as np.linalg.norm computes it, in a reused buffer
-        d = np.subtract(q, state.ref.v, out=diff)
-        return math.sqrt(d @ d) * (1.0 + 1e-9) + rounding
-
-    return slack, level
-
-
 def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
              lip: np.ndarray, coords) -> float:
     """One pass of surrogate-threshold steps over ``coords``, a contiguous
@@ -345,11 +311,8 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
     within their ``prefix_sum_allowance`` of its threshold, so there the
     sweep is the loop's bit for bit.  Runs shorter than
     ``core.SCREEN_MIN_RUN`` (8) stay in the loop: a screen costs about as
-    much as six loop visits (measurements at the constant).  A run whose
-    every column provably stays zero, by its distance from the state's
-    screening reference, is skipped without a product (``_certificate``,
-    ``core.zero_certificate``).  A ``lam0 = 0`` sweep goes coordinate by
-    coordinate.
+    much as six loop visits (measurements at the constant).  A ``lam0 = 0``
+    sweep goes coordinate by coordinate.
     """
     z = data.signed
     q = expit(-state.margins)
@@ -367,13 +330,7 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
         c = (np.abs(data.signed_products(q, cols)) + tol) / L
         return ~(c * c < 2.0 * lam0 / L)
 
-    if lam0 > 0.0:
-        screen = zero_certificate(state, data, screen, lambda: q,
-                                  *_certificate(state, data, lam0, lip))
-    else:
-        screen = None
-
-    for j in sweep_visits(coords, state.w, screen):
+    for j in sweep_visits(coords, state.w, screen if lam0 > 0.0 else None):
         L = lip[j]
         if L <= 0.0:
             continue

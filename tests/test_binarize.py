@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
 import sparseclass as sc
-from sparseclass.core import EPS, ScreenRef, ThresholdIndex, engine
+from sparseclass.core import EPS, ThresholdIndex, engine
 from sparseclass.binarize import ScorecardTerm, dump_json
 from oracles import grad_j, reference_binarize, reference_signed_products, threshold_step
 
@@ -210,11 +209,10 @@ SCREEN_CASES = [(loss, encoding, direction)
 
 
 class TestScreensOnDummies:
-    """The sweeps' screens and zero certificates read prefix sums on
-    threshold dummies.  Near every column's threshold, each column that
-    the scalar step, with its per-column ``np.dot``, moves off zero must be
-    flagged and never certified, and a sweep must equal the loop of scalar
-    steps bit for bit."""
+    """The sweeps' screens read prefix sums on threshold dummies.  Near
+    every column's threshold, each column that the scalar step, with its
+    per-column ``np.dot``, moves off zero must be flagged, and a sweep must
+    equal the loop of scalar steps bit for bit."""
 
     @staticmethod
     def _start(loss, encoding, direction):
@@ -268,27 +266,25 @@ class TestScreensOnDummies:
         return eng.cd_sweep(state, data, lam0, 0.0, eng.lipschitz_all(data), coords)
 
     @pytest.mark.parametrize("loss,encoding,direction", SCREEN_CASES)
-    def test_screens_and_certificates_keep_every_column_that_leaves(
-            self, loss, encoding, direction, monkeypatch):
+    def test_screens_keep_every_column_that_leaves(self, loss, encoding, direction,
+                                                   monkeypatch):
         data, eng, start = self._start(loss, encoding, direction)
-        # the screen and the certificate of a sweep, taken without running one
+        # the screen of a sweep, taken without running one
         made = []
-        certify = eng.zero_certificate
+        visits = eng.sweep_visits
 
-        def recording(state, data, screen, *rest):
-            made[:] = screen, certify(state, data, screen, *rest)
-            return made[1]
+        def recording(coords, w, screen):
+            made[:] = [screen]
+            return visits(coords, w, screen)
 
-        monkeypatch.setattr(eng, "zero_certificate", recording)
+        monkeypatch.setattr(eng, "sweep_visits", recording)
         groups = np.flatnonzero(np.diff(data.threshold_index.feature)) + 1
         slices = [slice(a, b) for a, b in zip([0, *groups], [*groups, data.p])]
         slices.append(slice(0, data.p))
-        # a state moved by an intercept shift from the start's reference
+        # a second state, moved from the start by an intercept shift
         moved = start.copy()
-        ref = ScreenRef(data, start.c if loss == "exponential" else expit(-start.margins))
-        moved.ref = ref
         moved.set_intercept(data, moved.intercept + 1e-3)
-        flips, certified = 0, {}
+        flips = 0
         for state in (start, moved):
             test, crit, step = self._scalar_tests(loss, state, data)
             for j in range(data.p):
@@ -297,21 +293,15 @@ class TestScreensOnDummies:
                     lam0 = crit[j] + k * step[j]
                     leaves = self._leaves(loss, state, data, test, lam0)
                     was, flips = leaves[j], flips + (was is not None and was != leaves[j])
-                    state._lost = 0
                     self._sweep(loss, state, data, lam0, range(0))
-                    screen, screened = made
+                    screen, = made
                     for cols in slices:
                         flagged = screen(cols)
                         assert np.all(flagged[leaves[cols]])
                         # columns far from their threshold are decided exactly
                         far = np.abs(crit[cols] - lam0) > 1e-6 * lam0
                         assert np.array_equal(flagged[far], leaves[cols][far])
-                        if screened(cols) is False:
-                            certified[state] = certified.get(state, 0) + 1
-                            assert not leaves[cols].any()
         assert flips > data.p  # the scans crossed the thresholds
-        # certificates ruled out runs, the moved state's from its distance
-        assert certified.get(start) and certified.get(moved) and moved.ref is ref
 
     @pytest.mark.parametrize("loss,encoding,direction", SCREEN_CASES)
     def test_sweeps_equal_the_loop_of_scalar_steps(self, loss, encoding, direction):

@@ -453,6 +453,92 @@ class TestExitCodes:
         assert err == f"error: {model_path}: unknown loss 'hinge'\n"
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["fit", "path", "bench", "predict", "synth",
+                                         "synth-truth"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(10)
+        data_path = tmp_path / "train.csv"
+        _write_dataset(data_path, rng, n=40, p=4)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(sc.Scorecard("logistic", 1.0, 0.0, 0.0,
+                                           (ScorecardTerm("x1", None, None, 1.0),),
+                                           kind="linear").to_json())
+        out_path = tmp_path / "missing" / "out.csv"
+        data = ["--data", str(data_path)]
+        argv = {
+            "fit": ["fit", "--lambda0", "0.5", *data],
+            "path": ["path", "--lambda0-grid", "2,1", *data],
+            "bench": ["bench", "--lambda0-grid", "2", *data],
+            "predict": ["predict", "--model", str(model_path), *data],
+            "synth": ["synth", "--n", "20", "--p", "4", "--k", "2"],
+        }[command.split("-")[0]]
+        written = out_path
+        if command == "synth-truth":
+            # the dataset can be written, its sidecar cannot
+            out_path = tmp_path / "d.csv"
+            written = tmp_path / "d.csv.truth.json"
+            written.mkdir()
+        code, out, err = _run(capsys, [*argv, "--out", str(out_path)])
+        assert code == 2
+        assert err.startswith(f"error: cannot write {written}: ") and err.count("\n") == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("kind,change", [
+        ("linear", {"weight": True}),
+        ("scorecard", {"weight": "1.5"}),
+        ("scorecard", {"threshold": True}),
+        ("linear", {"intercept": True}),
+        ("linear", {"lambda0": True}),
+        ("scorecard", {"lambda2": False}),
+        ("linear", {"feature": 1.0}),
+        ("scorecard", {"feature": None}),
+        ("linear", {"second": "x1"}),
+    ], ids=["weight-true", "weight-string", "threshold-true", "intercept-true",
+            "lambda0-true", "lambda2-false", "feature-number", "feature-null",
+            "linear-repeated-feature"])
+    def test_model_wrong_type_or_repeated_feature_exits_2(self, tmp_path, capsys, kind,
+                                                          change):
+        term = {"feature": "x1", "weight": 1.0}
+        if kind == "scorecard":
+            term.update(op="<=", threshold=0.0)
+        model = {"kind": kind, "loss": "logistic", "lambda0": 1.0, "lambda2": 0.0,
+                 "intercept": 0.0, "terms": [term]}
+        for field, value in change.items():
+            if field == "second":
+                model["terms"].append({"feature": value, "weight": 2.0})
+            elif field in term:
+                term[field] = value
+            else:
+                model[field] = value
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        data_path = tmp_path / "x.csv"
+        data_path.write_text("x1\n0.5\n")
+        code, out, err = _run(capsys, ["predict", "--model", str(model_path),
+                                       "--data", str(data_path)])
+        assert code == 2
+        assert err.startswith(f"error: {model_path}: ") and err.count("\n") == 1
+        assert out == ""
+
+    def test_byte_order_mark_is_no_part_of_a_name(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        plain = tmp_path / "plain.csv"
+        _write_dataset(plain, rng, n=60, p=4)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_csv(str(marked)).feature_names == read_csv(str(plain)).feature_names
+        model_path = tmp_path / "model.json"
+        code, _, _ = _run(capsys, ["fit", "--lambda0", "0.2", "--data", str(marked),
+                                   "--out", str(model_path)])
+        assert code == 0
+        outputs = []
+        for data_path in (plain, marked):
+            code, out, _ = _run(capsys, ["predict", "--model", str(model_path),
+                                         "--data", str(data_path)])
+            assert code == 0
+            outputs.append(out.encode())
+        assert outputs[0] == outputs[1]
+
 
 def _reference_predict(model, data_path) -> str:
     """``predict`` output rebuilt from a parse of every column of the file:
