@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -175,6 +176,13 @@ def _output(path: str, newline: str | None = None):
             yield fh
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_output(path: str) -> None:
+    """Fail before any work on an output ``path`` in a directory that does
+    not exist, which ``open`` would find only when the work is done."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise DataError(f"cannot write {path}: No such file or directory")
 
 
 def write_csv(path: str, names, x: np.ndarray, y: np.ndarray) -> None:
@@ -475,6 +483,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_output(args.out)
         return args.func(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

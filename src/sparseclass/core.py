@@ -253,8 +253,8 @@ class ModelState:
     ``margins[i]`` is y_i * (w . x_i + intercept), maintained incrementally
     and rebuilt from scratch (``refresh``, sparse in |support|) every
     ``MARGIN_REFRESH_EVERY`` coefficient updates, which ``_updates``
-    counts.  The exponential engine's state (``exponential.ExpState``)
-    derives its weights from the margins.
+    counts.  Nothing else is kept in step with the margins: the engines
+    read their weights from them where they use them.
     """
 
     __slots__ = ("w", "support", "intercept", "margins", "_updates")
@@ -271,7 +271,7 @@ class ModelState:
         return cls(data)
 
     def copy(self):
-        """An independent copy; a subclass copies its own fields."""
+        """An independent copy, of the same class."""
         new = object.__new__(type(self))
         new.w = self.w.copy()
         new.support = set(self.support)
@@ -296,21 +296,18 @@ class ModelState:
             return data.x[:, support] @ self.w[support] + self.intercept
         return np.full(data.n, self.intercept)
 
-    def set_coefficient(self, data: DesignMatrix, j: int, value: float) -> bool:
-        """Set coefficient j and update the margins; returns whether the
-        update rebuilt them (``refresh``), as every ``MARGIN_REFRESH_EVERY``-th
-        one does."""
+    def set_coefficient(self, data: DesignMatrix, j: int, value: float) -> None:
+        """Set coefficient j and update the margins, rebuilding them
+        (``refresh``) on every ``MARGIN_REFRESH_EVERY``-th update."""
         value = float(value)
         delta = value - float(self.w[j])
         if delta == 0.0:
-            return False
+            return
         self.margins += delta * data.signed[:, j]
         self._put(j, value)
         self._updates += 1
         if self._updates % MARGIN_REFRESH_EVERY == 0:
             self.refresh(data)
-            return True
-        return False
 
     def set_intercept(self, data: DesignMatrix, value: float) -> None:
         value = float(value)
@@ -530,7 +527,8 @@ def engine(loss: str):
     the box, and the intercept by ``newton_solve``, in place, returning
     whether it is certified.  The warm start and the swap search
     (``swap.reoptimize``) both call it.  Both engines' states are
-    ``ModelState``s.
+    ``ModelState``s; each engine reads its weights from the margins where
+    it uses them.
     """
     if loss not in LOSSES:
         raise ConfigError(f"unknown loss {loss!r}")

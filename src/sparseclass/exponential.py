@@ -42,68 +42,45 @@ COEF_BOUND = 0.5 * math.log((1.0 - SEPARATION_EPS) / SEPARATION_EPS)
 
 
 class ExpState(ModelState):
-    """The coefficient state plus the weights c_i = exp(-margin_i) and
-    their sum ``H``, the loss.
-
-    The weights are read from the margin cache once after every change of
-    the coefficients or the intercept, by ``refresh`` when the change
-    rebuilds the margins, so they share its refresh cadence
-    (``core.MARGIN_REFRESH_EVERY``).
+    """The exponential engine's coefficient state, on a -1/+1 feature
+    matrix.  Its weights c_i = exp(-margin_i) and their sum ``H``, the loss,
+    are read from the margins where they are used; it keeps no copy.
     """
 
-    __slots__ = ("c", "H")
+    __slots__ = ()
 
     def __init__(self, data: DesignMatrix):
         if not data.binary:
             raise DataError("the exponential loss requires a -1/+1 feature matrix")
         super().__init__(data)
-        self._weigh()
 
-    def copy(self) -> "ExpState":
-        new = super().copy()
-        new.c = self.c.copy()
-        new.H = self.H
-        return new
+    @property
+    def c(self) -> np.ndarray:
+        """The weights exp(-margins)."""
+        return np.exp(-self.margins)
 
-    def set_coefficient(self, data: DesignMatrix, j: int, value: float) -> bool:
-        if value == self.w[j]:
-            return False
-        if super().set_coefficient(data, j, value):
-            return True  # ``refresh`` has weighed
-        self._weigh()
-        return False
-
-    def set_intercept(self, data: DesignMatrix, value: float) -> None:
-        if value != self.intercept:
-            super().set_intercept(data, value)
-            self._weigh()
-
-    def refresh(self, data: DesignMatrix) -> None:
-        """Rebuild the margins from the coefficients, and the weights from
-        them."""
-        super().refresh(data)
-        self._weigh()
-
-    def _weigh(self) -> None:
-        self.c = np.exp(-self.margins)
-        self.H = float(self.c.sum())
+    @property
+    def H(self) -> float:
+        """The loss: the sum of the weights."""
+        return float(self.c.sum())
 
 
-def _reference(state: ExpState, z: np.ndarray, old: float) -> tuple[float, float]:
+def _reference(c: np.ndarray, H: float, z: np.ndarray, old: float) -> tuple[float, float]:
     """The reference loss and weighted -1 fraction of a coordinate with
-    signed column ``z`` and coefficient ``old``: the weight sum and the
-    fraction of it on {z = -1} as if the coefficient were zero.
+    signed column ``z`` and coefficient ``old``, under the weights ``c`` of
+    sum ``H``: the weight sum and the fraction of it on {z = -1} as if the
+    coefficient were zero.
 
     Zeroing the coefficient rescales the two weight masses by e^{+-old},
     so both come from one dot product instead of a rebuilt weight vector.
     """
-    dot = float(state.c @ z)
+    dot = float(c @ z)
     if old == 0.0:
-        H_ref, neg_ref = state.H, 0.5 * (state.H - dot)
+        H_ref, neg_ref = H, 0.5 * (H - dot)
     else:
         scale = math.exp(old)
-        neg_ref = 0.5 * (state.H - dot) / scale
-        H_ref = scale * (0.5 * (state.H + dot)) + neg_ref
+        neg_ref = 0.5 * (H - dot) / scale
+        H_ref = scale * (0.5 * (H + dot)) + neg_ref
     return H_ref, min(max(neg_ref / H_ref, 0.0), 1.0)
 
 
@@ -137,17 +114,23 @@ def updated_loss(H_ref: float, d: float, x: float) -> float:
     return H_ref * ((1.0 - d) * math.exp(-x) + d * math.exp(x))
 
 
+def _step(c: np.ndarray, H: float, z: np.ndarray, old: float, lam0: float) -> float:
+    """The new coefficient of ``exp_coordinate_update`` for signed column
+    ``z`` and coefficient ``old`` under the weights ``c`` of sum ``H``."""
+    H_ref, d = _reference(c, H, z, old)
+    lo, hi = zero_interval(H_ref, lam0)
+    return 0.0 if lo <= d <= hi else analytic_coefficient(d)
+
+
 def exp_coordinate_update(state: ExpState, data: DesignMatrix, j: int, lam0: float) -> float:
     """One analytical coordinate update with the sparsity penalty active.
 
     Zeroes the coefficient when its weighted -1 fraction, under the weights
     with the coordinate zeroed (``_reference``: one dot product), falls in
     the zero interval; otherwise moves it to the closed-form optimum, which
-    updates the state's margins and weights.  Returns the new coefficient.
+    updates the state's margins.  Returns the new coefficient.
     """
-    H_ref, d = _reference(state, data.signed[:, j], float(state.w[j]))
-    lo, hi = zero_interval(H_ref, lam0)
-    new = 0.0 if lo <= d <= hi else analytic_coefficient(d)
+    new = _step(state.c, state.H, data.signed[:, j], float(state.w[j]), lam0)
     state.set_coefficient(data, j, new)
     return new
 
@@ -157,11 +140,9 @@ def refit_intercept(state: ExpState, data: DesignMatrix, stats=None) -> float:
     unused: the closed form has no cap."""
     if data.n == 0:
         return 0.0
-    dot = float(state.c @ data.y)
-    c_pos = 0.5 * (state.H + dot)
-    c_neg = 0.5 * (state.H - dot)
-    c_pos = max(c_pos, SEPARATION_EPS)
-    c_neg = max(c_neg, SEPARATION_EPS)
+    H, dot = state.H, float(state.c @ data.y)
+    c_pos = max(0.5 * (H + dot), SEPARATION_EPS)
+    c_neg = max(0.5 * (H - dot), SEPARATION_EPS)
     delta = 0.5 * math.log(c_pos / c_neg)
     state.set_intercept(data, state.intercept + delta)
     return delta
@@ -169,7 +150,8 @@ def refit_intercept(state: ExpState, data: DesignMatrix, stats=None) -> float:
 
 def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
     """One pass of ``exp_coordinate_update`` over ``coords``, a contiguous
-    range; returns the largest move.
+    range, with the weights c and their sum H held here and read again only
+    after a coefficient changes; returns the largest move.
 
     The decisions are those of the cyclic order.  A sweep at ``lam0 > 0``
     screens its runs of zero coordinates with one product
@@ -186,17 +168,19 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
     much as six loop visits (measurements at the constant).  A ``lam0 = 0``
     sweep goes coordinate by coordinate.
     """
+    c = state.c
+    H = float(c.sum())
+
     def screen(cols):
-        # The zero test of ``exp_coordinate_update`` at w_j = 0, whose d
-        # falls as z_j . c grows, for every product within ``tol`` of the
-        # screen's: the scalar test's d lies in [d_lo, d_hi], as each of
-        # its steps rounds monotonically.  Rounding can put d a hair outside
-        # [0, 1], where the scalar test clips it; such a column is flagged
-        # and the scalar test decides.
-        H = state.H
+        # The zero test of ``_step`` at w_j = 0, whose d falls as z_j . c
+        # grows, for every product within ``tol`` of the screen's: the
+        # scalar test's d lies in [d_lo, d_hi], as each of its steps rounds
+        # monotonically.  Rounding can put d a hair outside [0, 1], where
+        # the scalar test clips it; such a column is flagged and the scalar
+        # test decides.
         lo, hi = zero_interval(H, lam0)
-        dots = data.signed_products(state.c, cols)
-        tol = data.prefix_sum_allowance(state.c)
+        dots = data.signed_products(c, cols)
+        tol = data.prefix_sum_allowance(c)
         d_lo = 0.5 * (H - (dots + tol)) / H
         d_hi = 0.5 * (H - (dots - tol)) / H
         return ~((lo <= d_lo) & (d_hi <= hi))
@@ -204,7 +188,12 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
     max_move = 0.0
     for j in sweep_visits(coords, state.w, screen if lam0 > 0.0 else None):
         old = float(state.w[j])
-        max_move = max(max_move, abs(exp_coordinate_update(state, data, j, lam0) - old))
+        new = _step(c, H, data.signed[:, j], old, lam0)
+        if new != old:
+            state.set_coefficient(data, j, new)
+            c = state.c
+            H = float(c.sum())
+            max_move = max(max_move, abs(new - old))
     return max_move
 
 

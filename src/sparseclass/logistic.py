@@ -296,8 +296,8 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
 
     Equivalent to the loop of scalar steps c = w_j - g_j / L_j, set to zero
     when c^2 < 2 lam0 / L_j (``threshold_step`` in ``tests/oracles.py``),
-    with the sigmoid vector reused between steps that change nothing.  Returns
-    the largest coefficient move.
+    with the sigmoid vector q = expit(-margins) held here and read again
+    only after a step that changes a coefficient.  Returns the largest move.
 
     The decisions are those of the cyclic order.  A sweep at ``lam0 > 0``
     screens its runs of zero coordinates with one product
@@ -317,18 +317,19 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
     z = data.signed
     q = expit(-state.margins)
     max_move = 0.0
+    # The screen's per-sweep constants.  Inert columns (L = 0) have a zero
+    # gradient; dividing by 1 instead keeps them at zero.
+    screen_lip = np.where(lip > 0.0, lip, 1.0)
+    screen_cut = 2.0 * lam0 / screen_lip
 
     def screen(cols):
         # The scalar step below with w_j = 0, for the largest |z_j . q|
         # within ``tol`` of the screen's product: each step of the scalar
         # test rounds monotonically, so it leaves zero no column that this
-        # test keeps there.  Inert columns (L = 0) have a zero gradient;
-        # dividing by 1 instead keeps them at zero.
-        L = lip[cols]
-        L = np.where(L > 0.0, L, 1.0)
+        # test keeps there.
         tol = data.prefix_sum_allowance(q)
-        c = (np.abs(data.signed_products(q, cols)) + tol) / L
-        return ~(c * c < 2.0 * lam0 / L)
+        c = (np.abs(data.signed_products(q, cols)) + tol) / screen_lip[cols]
+        return ~(c * c < screen_cut[cols])
 
     for j in sweep_visits(coords, state.w, screen if lam0 > 0.0 else None):
         L = lip[j]

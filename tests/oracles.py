@@ -4,12 +4,12 @@ Everything here is deliberately written from first principles (dense grids,
 pairwise counting, full Newton solves) and shares no code with the package
 paths under test, with these exceptions:
 
-- The scalar coordinate references ``grad_j``, ``threshold_step``,
-  ``coordinate_probe`` and ``d_minus``, which the vectorized sweeps and swap
-  searches replaced.  ``coordinate_probe`` builds the package's
-  ``CoordinateProbe``.  ``d_minus`` reads the package's
-  ``exponential._reference``, which ``exp_coordinate_update`` uses too; the
-  tests check it against a rebuilt weight vector.
+- The scalar coordinate references ``grad_j``, ``threshold_step`` and
+  ``coordinate_probe``, which the vectorized sweeps and swap searches
+  replaced.  ``coordinate_probe`` builds the package's ``CoordinateProbe``.
+  ``d_minus`` sums the weights of a state's margins directly and does not
+  read ``exponential._reference``, which ``exp_coordinate_update`` decides
+  with.
 - The sequential swap scans.  ``reference_swap_visit`` drives the package's
   scalar ``CoordinateProbe`` and ``iterate_threshold``, which the swap
   search itself no longer calls, and the package's cut formulas, which the
@@ -316,12 +316,15 @@ def coordinate_probe(state, data, j, lam2=0.0):
 
 def d_minus(state, data, j, exclude_own=False):
     """Weighted fraction of observations whose signed entry z_ij is -1, under
-    the exponential weights of ``state``; with ``exclude_own``, under the
-    weights with coordinate j zeroed (the package's ``_reference``)."""
-    from sparseclass import exponential as expeng
-
-    old = float(state.w[j]) if exclude_own else 0.0
-    return expeng._reference(state, data.signed[:, j], old)[1]
+    the exponential weights of ``state``; with ``exclude_own``, under those
+    of a copy with coordinate j zeroed and its margins rebuilt, summed
+    directly."""
+    if exclude_own:
+        state = state.copy()
+        state.set_coefficient(data, j, 0.0)
+        state.refresh(data)
+    c = state.c
+    return float(c[data.signed[:, j] < 0].sum() / c.sum())
 
 
 # --- sequential scalar swap visit ---------------------------------------------

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import sparseclass as sc
 from sparseclass.core import EPS, ThresholdIndex, engine
 from sparseclass.binarize import ScorecardTerm, dump_json
-from oracles import grad_j, reference_binarize, reference_signed_products, threshold_step
+from oracles import (d_minus, grad_j, reference_binarize, reference_signed_products,
+                     threshold_step)
 
 
 def _toy(values, y=None):
@@ -237,9 +238,7 @@ class TestScreensOnDummies:
         the change of lambda0 that moves the threshold by about one
         rounding unit of the test."""
         if loss == "exponential":
-            expeng = engine(loss)
-            d = np.array([expeng._reference(state, data.signed[:, j], 0.0)[1]
-                          for j in range(data.p)])
+            d = np.array([d_minus(state, data, j) for j in range(data.p)])
             H = state.H
             dots = 2.0 * H * (0.5 - d)
             crit = dots * dots / (H + np.sqrt(H * H - dots * dots))

@@ -483,6 +483,31 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write {written}: ") and err.count("\n") == 1
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["fit", "path", "bench", "predict", "synth"])
+    def test_unwritable_output_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        from sparseclass import cli
+
+        def work(*args, **kwargs):
+            raise AssertionError("work ran before the output path was checked")
+
+        for name in ("read_csv", "_read_predict_data", "load_model", "gen_classification",
+                     "fit_one", "fit_path"):
+            monkeypatch.setattr(cli, name, work)
+        out_path = tmp_path / "missing-dir" / "out.csv"
+        data = ["--data", str(tmp_path / "train.csv")]
+        argv = {
+            "fit": ["fit", *data],
+            "path": ["path", "--lambda0-grid", "2,1", *data],
+            "bench": ["bench", "--lambda0-grid", "2", *data],
+            "predict": ["predict", "--model", str(tmp_path / "model.json"), *data],
+            "synth": ["synth"],
+        }[command]
+        code, out, err = _run(capsys, [*argv, "--out", str(out_path)])
+        assert code == 2
+        assert err == f"error: cannot write {out_path}: No such file or directory\n"
+        assert out == ""
+
     @pytest.mark.parametrize("kind,change", [
         ("linear", {"weight": True}),
         ("scorecard", {"weight": "1.5"}),

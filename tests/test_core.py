@@ -254,6 +254,13 @@ def _load_tracer():
     return tracing
 
 
+# What the benchmark's tracer finds nothing to wrap for: two hooks of swap
+# functions that the block screen replaced, and the ``ExpState`` mutators
+# that ``ModelState`` alone defines (labelled by the class's own name).
+MISSING_TRACER_TARGETS = ["sparseclass.swap._try_add_quad", "sparseclass.swap._try_add_lin",
+                          "ExpState.set_coefficient", "ExpState.refresh"]
+
+
 class TestEngines:
     FUNCTIONS = {
         "new_state": ["data"],
@@ -288,14 +295,22 @@ class TestEngines:
 
     def test_states_keep_their_traced_methods(self):
         # The benchmark's tracer counts calls by patching these methods in
-        # each state class's own namespace.  It finds every target but two
-        # hooks for swap functions that the block screen replaced.
+        # each state class's own namespace; ``ModelState`` alone has them.
         tracing = _load_tracer()
         targets = tracing.Tracer()._targets()
         assert [f"{o.__name__}.{a}" for o, a, _ in targets if tracing._lookup(o, a) is None] \
-            == ["sparseclass.swap._try_add_quad", "sparseclass.swap._try_add_lin"]
-        for cls in (sc.ModelState, sc.ExpState):
-            assert {"set_coefficient", "refresh"} <= set(vars(cls)), cls.__name__
+            == MISSING_TRACER_TARGETS
+        assert {"set_coefficient", "refresh"} <= set(vars(sc.ModelState))
+
+    def test_exp_state_keeps_no_weights_of_its_own(self):
+        # Its weights are read from the margins: it defines no mutator and
+        # no slot, and no update reports a refresh for it to follow.
+        assert not {"copy", "set_coefficient", "set_intercept", "refresh"} & set(vars(sc.ExpState))
+        assert sc.ExpState.__slots__ == ()
+        data = sc.DesignMatrix.from_arrays([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]], [1, -1, 1])
+        state = sc.ExpState.zeros(data)
+        for k in range(sc.core.MARGIN_REFRESH_EVERY + 1):  # across one refresh
+            assert state.set_coefficient(data, k % 2, 0.25 * (k + 1)) is None
 
     def test_tracer_wraps_every_live_target_and_restores_it(self):
         # The benchmark's tracer only warns about a name it cannot find, and
@@ -307,8 +322,7 @@ class TestEngines:
         tracer = _load_tracer().Tracer()
         tracer.install()
         try:
-            assert tracer.missing == ["sparseclass.swap._try_add_quad",
-                                      "sparseclass.swap._try_add_lin"]
+            assert tracer.missing == MISSING_TRACER_TARGETS
         finally:
             tracer.uninstall()
         assert tracer.leftovers() == []

@@ -231,27 +231,6 @@ class TestWeightMaintenance:
         assert len(kinds) == 6
         assert state._updates > sc.core.MARGIN_REFRESH_EVERY
 
-    def test_one_weighing_per_update(self, monkeypatch):
-        # an update that crosses the refresh cadence weighs once, in refresh
-        rng = np.random.default_rng(33)
-        data = _binary_data(rng, n=40, p=8)
-        state = sc.ExpState.zeros(data)
-        weighs, refreshes = [], []
-        weigh, refresh = sc.ExpState._weigh, sc.ExpState.refresh
-        monkeypatch.setattr(sc.ExpState, "_weigh", lambda st: weighs.append(1) or weigh(st))
-        monkeypatch.setattr(sc.ExpState, "refresh",
-                            lambda st, d: refreshes.append(1) or refresh(st, d))
-        every = sc.core.MARGIN_REFRESH_EVERY
-        for k in range(1, 2 * every + 1):
-            value = float(state.w[k % data.p]) + 0.25
-            before = len(weighs)
-            assert state.set_coefficient(data, k % data.p, value) == (k % every == 0)
-            assert len(weighs) == before + 1
-            assert len(refreshes) == k // every
-            np.testing.assert_array_equal(state.c, np.exp(-state.margins))
-        assert not state.set_coefficient(data, 0, float(state.w[0]))
-        assert len(weighs) == 2 * every
-
     def test_zeros_requires_binary(self):
         rng = np.random.default_rng(1)
         data = sc.DesignMatrix.from_arrays(rng.standard_normal((5, 2)),
