@@ -179,10 +179,12 @@ def _output(path: str, newline: str | None = None):
 
 
 def _check_output(path: str) -> None:
-    """Fail before any work on an output ``path`` in a directory that does
-    not exist, which ``open`` would find only when the work is done."""
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise DataError(f"cannot write {path}: No such file or directory")
+    """Fail before any work on an output ``path`` whose directory ``open``
+    cannot reach, with the reason it would give only after the work."""
+    try:
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # the "/" needs a directory
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def write_csv(path: str, names, x: np.ndarray, y: np.ndarray) -> None:

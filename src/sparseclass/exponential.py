@@ -44,8 +44,7 @@ COEF_BOUND = 0.5 * math.log((1.0 - SEPARATION_EPS) / SEPARATION_EPS)
 class ExpState(ModelState):
     """The exponential engine's coefficient state, on a -1/+1 feature
     matrix.  Its weights c_i = exp(-margin_i) and their sum ``H``, the loss,
-    are read from the margins where they are used; it keeps no copy.
-    """
+    are read from the margins where they are used; it keeps no copy."""
 
     __slots__ = ()
 
@@ -67,9 +66,8 @@ class ExpState(ModelState):
 
 def _reference(c: np.ndarray, H: float, z: np.ndarray, old: float) -> tuple[float, float]:
     """The reference loss and weighted -1 fraction of a coordinate with
-    signed column ``z`` and coefficient ``old``, under the weights ``c`` of
-    sum ``H``: the weight sum and the fraction of it on {z = -1} as if the
-    coefficient were zero.
+    signed column ``z`` and coefficient ``old`` under the weights ``c`` of
+    sum ``H``: their sum and its fraction on {z = -1} were it zero.
 
     Zeroing the coefficient rescales the two weight masses by e^{+-old},
     so both come from one dot product instead of a rebuilt weight vector.
@@ -128,9 +126,9 @@ def exp_coordinate_update(state: ExpState, data: DesignMatrix, j: int, lam0: flo
     Zeroes the coefficient when its weighted -1 fraction, under the weights
     with the coordinate zeroed (``_reference``: one dot product), falls in
     the zero interval; otherwise moves it to the closed-form optimum, which
-    updates the state's margins.  Returns the new coefficient.
-    """
-    new = _step(state.c, state.H, data.signed[:, j], float(state.w[j]), lam0)
+    updates the state's margins.  Returns the new coefficient."""
+    c = state.c
+    new = _step(c, float(c.sum()), data.signed[:, j], float(state.w[j]), lam0)
     state.set_coefficient(data, j, new)
     return new
 
@@ -140,7 +138,8 @@ def refit_intercept(state: ExpState, data: DesignMatrix, stats=None) -> float:
     unused: the closed form has no cap."""
     if data.n == 0:
         return 0.0
-    H, dot = state.H, float(state.c @ data.y)
+    c = state.c
+    H, dot = float(c.sum()), float(c @ data.y)
     c_pos = max(0.5 * (H + dot), SEPARATION_EPS)
     c_neg = max(0.5 * (H - dot), SEPARATION_EPS)
     delta = 0.5 * math.log(c_pos / c_neg)

@@ -211,9 +211,12 @@ SCREEN_CASES = [(loss, encoding, direction)
 
 class TestScreensOnDummies:
     """The sweeps' screens read prefix sums on threshold dummies.  Near
-    every column's threshold, each column that the scalar step, with its
-    per-column ``np.dot``, moves off zero must be flagged, and a sweep must
-    equal the loop of scalar steps bit for bit."""
+    every column's threshold, each column that leaves zero must be flagged,
+    and a sweep must equal the loop of scalar steps bit for bit.  Which
+    columns leave is the logistic scalar step's test, with its per-column
+    ``np.dot``; for the exponential loss it is the independent oracle's
+    test (``oracles.d_minus``, a masked sum), which at the threshold itself
+    can differ from the step's by rounding."""
 
     @staticmethod
     def _start(loss, encoding, direction):
@@ -232,11 +235,11 @@ class TestScreensOnDummies:
 
     @staticmethod
     def _scalar_tests(loss, state, data):
-        """What each column's scalar step tests, with one ``np.dot`` per
-        column: the -1 fraction d (exponential) or the step c (logistic)
-        at w_j = 0; the lambda0 at which the test meets its threshold; and
-        the change of lambda0 that moves the threshold by about one
-        rounding unit of the test."""
+        """What each column's scalar step tests at w_j = 0: the -1
+        fraction d (exponential, summed by ``oracles.d_minus``) or the step
+        c (logistic, one ``np.dot`` per column); the lambda0 at which the
+        test meets its threshold; and the change of lambda0 that moves the
+        threshold by about one rounding unit of the test."""
         if loss == "exponential":
             d = np.array([d_minus(state, data, j) for j in range(data.p)])
             H = state.H

@@ -483,9 +483,10 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write {written}: ") and err.count("\n") == 1
         assert out == ""
 
+    @pytest.mark.parametrize("parent", ["missing-dir", "a-file"])
     @pytest.mark.parametrize("command", ["fit", "path", "bench", "predict", "synth"])
     def test_unwritable_output_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
-                                                       command):
+                                                       command, parent):
         from sparseclass import cli
 
         def work(*args, **kwargs):
@@ -494,7 +495,11 @@ class TestExitCodes:
         for name in ("read_csv", "_read_predict_data", "load_model", "gen_classification",
                      "fit_one", "fit_path"):
             monkeypatch.setattr(cli, name, work)
-        out_path = tmp_path / "missing-dir" / "out.csv"
+        out_path = tmp_path / parent / "out.csv"
+        if parent == "a-file":
+            (tmp_path / parent).write_text("")
+        with pytest.raises(OSError) as opened:
+            open(out_path, "w")
         data = ["--data", str(tmp_path / "train.csv")]
         argv = {
             "fit": ["fit", *data],
@@ -505,7 +510,7 @@ class TestExitCodes:
         }[command]
         code, out, err = _run(capsys, [*argv, "--out", str(out_path)])
         assert code == 2
-        assert err == f"error: cannot write {out_path}: No such file or directory\n"
+        assert err == f"error: cannot write {out_path}: {opened.value.strerror}\n"
         assert out == ""
 
     @pytest.mark.parametrize("kind,change", [

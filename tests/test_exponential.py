@@ -44,17 +44,18 @@ class TestDMinus:
         assert d_minus(state, data, 0) == pytest.approx(0.25)
 
     def test_exclude_own_matches_scratch_recomputation(self):
+        # the solver's e^{+-old} rescaling against weights rebuilt with the
+        # coordinate zeroed
         rng = np.random.default_rng(4)
         for _ in range(30):
             data = _binary_data(rng)
             state = _random_exp_state(data, rng, k=3)
             j = int(next(iter(sorted(state.support))))
-            got = d_minus(state, data, j, exclude_own=True)
+            got = expeng._reference(state.c, state.H, data.signed[:, j], float(state.w[j]))
             scratch = state.copy()
             scratch.set_coefficient(data, j, 0.0)
             scratch.refresh(data)
-            z = data.signed[:, j]
-            expected = float(scratch.c[z < 0].sum() / scratch.c.sum())
+            expected = (scratch.H, d_minus(state, data, j, exclude_own=True))
             assert got == pytest.approx(expected, rel=1e-12)
 
 
