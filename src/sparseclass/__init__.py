@@ -27,7 +27,7 @@ from .core import (
     smooth_logistic_loss,
     smooth_loss,
 )
-from .exponential import ExpState, exp_coordinate_update, zero_interval
+from .exponential import ExpState, zero_interval
 from .metrics import SupportComparison, accuracy, auc, recovery_f1
 from .path import PathEntry, PathResult, PathSpec, fit_one, fit_path, warm_start
 from .swap import FailureQueue, FitStats, SwapOutcome, fit_swap_1opt, try_delete_or_swap
@@ -55,7 +55,6 @@ __all__ = [
     "accuracy",
     "auc",
     "binarize",
-    "exp_coordinate_update",
     "export_scorecard",
     "fit_one",
     "fit_path",

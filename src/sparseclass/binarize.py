@@ -74,9 +74,9 @@ def binarize(
     Thresholds are the distinct realized values of each feature, capped to
     equally spaced realized quantiles when ``max_thresholds`` is given.
     Constant features contribute no columns.  The -1/+1 encoding is what the
-    exponential-loss engine requires.  The result carries a
-    ``ThresholdIndex``: each feature's sort order and each dummy's count of
-    ones, found with the comparison that fills the column.
+    exponential-loss engine requires.  The result holds the dummies signed,
+    y * x, and a ``ThresholdIndex``: each feature's sort order and each
+    dummy's count of ones, found with the comparison that fills the column.
     """
     if direction not in DIRECTIONS:
         raise ConfigError(f"direction must be one of {DIRECTIONS}")
@@ -112,9 +112,10 @@ def binarize(
     if encoding == "-1/+1":
         x *= 2.0
         x -= 1.0
+    x *= data.y[:, None]  # the dataset holds the signed dummies y * x
     index = ThresholdIndex(order=np.array(orders, dtype=np.intp).reshape(len(orders), data.n),
                            feature=feature, prefix=prefix, plus_minus=encoding == "-1/+1")
-    out = DesignMatrix(x=x, y=data.y, feature_names=tuple(names), threshold_index=index)
+    out = DesignMatrix(signed=x, y=data.y, feature_names=tuple(names), threshold_index=index)
     return out, ThresholdMap(direction=direction, encoding=encoding, groups=tuple(groups))
 
 

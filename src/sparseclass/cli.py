@@ -1,7 +1,7 @@
 """Command-line surface: fit, predict, path, bench, and synth subcommands.
 
-Exit codes: 0 ok, 2 input error (an unwritable output among them), 3
-configuration error, 4 numeric failure.
+Exit codes: 0 ok, 2 input error (an unwritable output among them, a
+closed stdout included), 3 configuration error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -187,12 +187,15 @@ def _check_output(path: str) -> None:
         raise DataError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def write_csv(path: str, names, x: np.ndarray, y: np.ndarray) -> None:
-    """Write a dataset with the label column last."""
-    fmt = ",".join(["%.17g"] * (x.shape[1] + 1)) + "\n"
+def write_csv(path: str, data: DesignMatrix) -> None:
+    """Write a dataset with the label column last, its features read back
+    as y * z one ``WRITE_BATCH_ROWS`` batch at a time, never all of ``x``."""
+    fmt = ",".join(["%.17g"] * (data.p + 1)) + "\n"
     with _output(path, newline="") as fh:
-        fh.write(",".join([*names, LABEL_COLUMN]) + "\n")
-        fh.writelines(_format_rows(fmt, [*x.T, y]))
+        fh.write(",".join([*data.feature_names, LABEL_COLUMN]) + "\n")
+        for start in range(0, data.n, WRITE_BATCH_ROWS):
+            y, z = (a[start:start + WRITE_BATCH_ROWS] for a in (data.y, data.signed))
+            fh.writelines(_format_rows(fmt, [*(y[:, None] * z).T, y]))
 
 
 def load_model(path: str) -> Scorecard:
@@ -396,7 +399,7 @@ def cmd_bench(args) -> int:
 def cmd_synth(args) -> int:
     spec = SynthSpec(n=args.n, p=args.p, k=args.k, rho=args.rho, seed=args.seed)
     data, truth = gen_classification(spec)
-    write_csv(args.out, data.feature_names, data.x, data.y)
+    write_csv(args.out, data)
     sidecar = {
         "k": spec.k,
         "indices": sorted(truth),
@@ -487,7 +490,12 @@ def main(argv=None) -> int:
     try:
         if args.out:
             _check_output(args.out)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:  # a file reports its failures as a DataError
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -500,7 +508,14 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is closed: send what it holds to the null device, so that
+        # the interpreter's last flush prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

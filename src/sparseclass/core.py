@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import import_module
@@ -83,29 +84,29 @@ class ThresholdIndex:
 
 @dataclass
 class DesignMatrix:
-    """Feature matrix with labels in {-1, +1}.
-
-    Instances are immutable after construction (the backing arrays are
+    """A dataset with labels y in {-1, +1}, held as one n x p array, the
+    signed design ``signed``: row i is y_i * x_i, so column j is the z_j =
+    y * x_j that the engines read.  ``x`` and ``column`` read the features
+    back as y * z, exactly.  Instances are immutable (the arrays are
     locked) and can be shared read-only across concurrent fits.
-    ``threshold_index`` is set on the threshold dummies that ``binarize``
-    builds and None elsewhere.
+    ``threshold_index`` is set on the dummies that ``binarize`` builds.
     """
 
-    x: np.ndarray
+    signed: np.ndarray
     y: np.ndarray
     feature_names: tuple[str, ...]
     threshold_index: ThresholdIndex | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.x.ndim != 2:
+        if self.signed.ndim != 2:
             raise DataError("feature matrix must be two-dimensional")
-        if not np.all(np.isfinite(self.x)):
-            raise DataError("feature matrix has non-finite values (nan or inf)")
-        n, p = self.x.shape
+        n, p = self.signed.shape
         if self.y.shape != (n,):
             raise DataError(f"label vector has shape {self.y.shape}, expected ({n},)")
         if not np.all(np.abs(self.y) == 1.0):
             raise DataError("labels must be -1 or +1")
+        if not np.all(np.isfinite(self.signed)):
+            raise DataError("feature matrix has non-finite values (nan or inf)")
         if len(self.feature_names) != p:
             raise DataError("feature_names length does not match feature count")
         if len(set(self.feature_names)) != p:
@@ -122,33 +123,45 @@ class DesignMatrix:
                 raise DataError("threshold index columns are not grouped by feature")
             for a in (idx.order, idx.feature, idx.prefix):
                 a.setflags(write=False)
-        self.x.setflags(write=False)
+        self.signed.setflags(write=False)
         self.y.setflags(write=False)
+        self._x = lambda: None  # a dead weak reference: ``x`` has built no array yet
 
     @classmethod
     def from_arrays(cls, x, y, feature_names=None) -> "DesignMatrix":
-        """Build a dataset, remapping {0, 1} labels to {-1, +1}."""
+        """Build a dataset from features ``x`` and labels ``y``, remapping
+        {0, 1} labels to {-1, +1}; a copy of ``x`` is signed in place."""
         x = np.array(x, dtype=np.float64, order="F")
         y = np.array(y, dtype=np.float64).ravel()
-        vals = set(np.unique(y).tolist())
-        if vals <= {0.0, 1.0}:
+        if set(np.unique(y).tolist()) <= {0.0, 1.0}:
             y = 2.0 * y - 1.0
+        if x.ndim == 2 and y.shape == (x.shape[0],):  # else __post_init__ says why not
+            x *= y[:, None]
         if feature_names is None:
-            feature_names = tuple(f"x{j + 1}" for j in range(x.shape[1]))
-        else:
-            feature_names = tuple(str(s) for s in feature_names)
-        return cls(x=x, y=y, feature_names=feature_names)
+            feature_names = [f"x{j + 1}" for j in range(x.shape[1])]
+        return cls(signed=x, y=y, feature_names=tuple(str(s) for s in feature_names))
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return self.signed.shape[0]
 
     @property
     def p(self) -> int:
-        return self.x.shape[1]
+        return self.signed.shape[1]
+
+    @property
+    def x(self) -> np.ndarray:
+        """The features y * z, locked and Fortran-ordered.  An earlier read's
+        array is returned while it is alive, so reads of ``x[:, j]`` share it."""
+        x = self._x()
+        if x is None:
+            x = np.asfortranarray(self.y[:, None] * self.signed)
+            x.setflags(write=False)
+            self._x = weakref.ref(x)
+        return x
 
     def column(self, j: int) -> np.ndarray:
-        return self.x[:, j]
+        return self.y * self.signed[:, j]
 
     @cached_property
     def binary(self) -> bool:
@@ -158,14 +171,7 @@ class DesignMatrix:
         idx = self.threshold_index
         if idx is not None:
             return idx.plus_minus or bool(np.all(idx.prefix == self.n))
-        return bool(np.all(np.abs(self.x) == 1.0))
-
-    @cached_property
-    def signed(self) -> np.ndarray:
-        """Per-observation signed design: row i is y_i * x_i."""
-        z = np.asfortranarray(self.y[:, None] * self.x)
-        z.setflags(write=False)
-        return z
+        return bool(np.all(np.abs(self.signed) == 1.0))
 
     def signed_products(self, v: np.ndarray, cols: slice | None = None) -> np.ndarray:
         """``signed.T @ v``: z_j . v for every column j, or for the columns
@@ -215,7 +221,7 @@ class DesignMatrix:
 
     @cached_property
     def column_sq_sums(self) -> np.ndarray:
-        s = np.einsum("ij,ij->j", self.x, self.x)
+        s = np.einsum("ij,ij->j", self.signed, self.signed)
         s.setflags(write=False)
         return s
 
@@ -288,14 +294,6 @@ class ModelState:
         else:
             self.support.add(j)
 
-    def linear_scores(self, data: DesignMatrix) -> np.ndarray:
-        """Raw decision scores f_i = w . x_i + intercept, computed from the
-        support columns alone."""
-        support = sorted(self.support)
-        if support:
-            return data.x[:, support] @ self.w[support] + self.intercept
-        return np.full(data.n, self.intercept)
-
     def set_coefficient(self, data: DesignMatrix, j: int, value: float) -> None:
         """Set coefficient j and update the margins, rebuilding them
         (``refresh``) on every ``MARGIN_REFRESH_EVERY``-th update."""
@@ -318,8 +316,10 @@ class ModelState:
         self.intercept = value
 
     def refresh(self, data: DesignMatrix) -> None:
-        """Rebuild the margin cache from scratch (sparse in |support|)."""
-        self.margins = data.y * self.linear_scores(data)
+        """Rebuild the margin cache from scratch, sparse in |support|, as
+        Z_S w_S + intercept * y from the support columns of the signed design."""
+        support = sorted(self.support)
+        self.margins = data.signed[:, support] @ self.w[support] + self.intercept * data.y
 
     def scores(self, data: DesignMatrix) -> np.ndarray:
         """Raw decision scores f_i = w . x_i + intercept, read from the

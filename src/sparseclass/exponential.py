@@ -112,27 +112,6 @@ def updated_loss(H_ref: float, d: float, x: float) -> float:
     return H_ref * ((1.0 - d) * math.exp(-x) + d * math.exp(x))
 
 
-def _step(c: np.ndarray, H: float, z: np.ndarray, old: float, lam0: float) -> float:
-    """The new coefficient of ``exp_coordinate_update`` for signed column
-    ``z`` and coefficient ``old`` under the weights ``c`` of sum ``H``."""
-    H_ref, d = _reference(c, H, z, old)
-    lo, hi = zero_interval(H_ref, lam0)
-    return 0.0 if lo <= d <= hi else analytic_coefficient(d)
-
-
-def exp_coordinate_update(state: ExpState, data: DesignMatrix, j: int, lam0: float) -> float:
-    """One analytical coordinate update with the sparsity penalty active.
-
-    Zeroes the coefficient when its weighted -1 fraction, under the weights
-    with the coordinate zeroed (``_reference``: one dot product), falls in
-    the zero interval; otherwise moves it to the closed-form optimum, which
-    updates the state's margins.  Returns the new coefficient."""
-    c = state.c
-    new = _step(c, float(c.sum()), data.signed[:, j], float(state.w[j]), lam0)
-    state.set_coefficient(data, j, new)
-    return new
-
-
 def refit_intercept(state: ExpState, data: DesignMatrix, stats=None) -> float:
     """Closed-form intercept refit; returns the applied shift.  ``stats`` is
     unused: the closed form has no cap."""
@@ -148,13 +127,17 @@ def refit_intercept(state: ExpState, data: DesignMatrix, stats=None) -> float:
 
 
 def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
-    """One pass of ``exp_coordinate_update`` over ``coords``, a contiguous
-    range, with the weights c and their sum H held here and read again only
-    after a coefficient changes; returns the largest move.
+    """One pass of analytical coordinate updates over ``coords``, a
+    contiguous range, with the weights c and their sum H held here and read
+    again only after a coefficient changes; returns the largest move.
 
-    The decisions are those of the cyclic order.  A sweep at ``lam0 > 0``
-    screens its runs of zero coordinates with one product
-    ``Z[:, run].T @ c`` against the current weights
+    An update zeroes the coefficient when its weighted -1 fraction, under
+    the weights with the coordinate zeroed (``_reference``: one dot
+    product), falls in the zero interval, and otherwise moves it to the
+    closed-form optimum (``exp_coordinate_update`` in ``tests/oracles.py``
+    is one such update).  The decisions are those of the cyclic order.  A
+    sweep at ``lam0 > 0`` screens its runs of zero coordinates with one
+    product ``Z[:, run].T @ c`` against the current weights
     (``core.sweep_visits``, ``DesignMatrix.signed_products``); every
     coordinate the screen flags, and every support coordinate, takes the
     scalar update.  Only the summation order of the screening products
@@ -171,12 +154,12 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
     H = float(c.sum())
 
     def screen(cols):
-        # The zero test of ``_step`` at w_j = 0, whose d falls as z_j . c
-        # grows, for every product within ``tol`` of the screen's: the
-        # scalar test's d lies in [d_lo, d_hi], as each of its steps rounds
-        # monotonically.  Rounding can put d a hair outside [0, 1], where
-        # the scalar test clips it; such a column is flagged and the scalar
-        # test decides.
+        # The zero test of the update below at w_j = 0, whose d falls as
+        # z_j . c grows, for every product within ``tol`` of the screen's:
+        # the scalar test's d lies in [d_lo, d_hi], as each of its steps
+        # rounds monotonically.  Rounding can put d a hair outside [0, 1],
+        # where the scalar test clips it; such a column is flagged and the
+        # scalar test decides.
         lo, hi = zero_interval(H, lam0)
         dots = data.signed_products(c, cols)
         tol = data.prefix_sum_allowance(c)
@@ -187,7 +170,9 @@ def cd_sweep(state: ExpState, data: DesignMatrix, lam0: float, coords) -> float:
     max_move = 0.0
     for j in sweep_visits(coords, state.w, screen if lam0 > 0.0 else None):
         old = float(state.w[j])
-        new = _step(c, H, data.signed[:, j], old, lam0)
+        H_ref, d = _reference(c, H, data.signed[:, j], old)
+        lo, hi = zero_interval(H_ref, lam0)
+        new = 0.0 if lo <= d <= hi else analytic_coefficient(d)
         if new != old:
             state.set_coefficient(data, j, new)
             c = state.c

@@ -4,12 +4,13 @@ Everything here is deliberately written from first principles (dense grids,
 pairwise counting, full Newton solves) and shares no code with the package
 paths under test, with these exceptions:
 
-- The scalar coordinate references ``grad_j``, ``threshold_step`` and
-  ``coordinate_probe``, which the vectorized sweeps and swap searches
-  replaced.  ``coordinate_probe`` builds the package's ``CoordinateProbe``.
-  ``d_minus`` sums the weights of a state's margins directly and does not
-  read ``exponential._reference``, which ``exp_coordinate_update`` decides
-  with.
+- The scalar coordinate references ``grad_j``, ``threshold_step``,
+  ``exp_coordinate_update`` and ``coordinate_probe``, which the vectorized
+  sweeps and swap searches replaced.  ``exp_coordinate_update`` decides
+  with the package's ``exponential._reference``, ``zero_interval`` and
+  ``analytic_coefficient``; ``coordinate_probe`` builds the package's
+  ``CoordinateProbe``.  ``d_minus`` sums the weights of a state's margins
+  directly and does not read ``exponential._reference``.
 - The sequential swap scans.  ``reference_swap_visit`` drives the package's
   scalar ``CoordinateProbe`` and ``iterate_threshold``, which the swap
   search itself no longer calls, and the package's cut formulas, which the
@@ -299,6 +300,25 @@ def threshold_step(state, data, j, hp):
     if hp.lambda0 > 0.0 and c * c < 2.0 * hp.lambda0 / L:
         return 0.0
     return c
+
+
+def exp_coordinate_update(state, data, j, lam0):
+    """One analytical coordinate update with the sparsity penalty active,
+    applied to ``state``; returns the new coefficient.
+
+    Zeroes the coefficient when its weighted -1 fraction, under the weights
+    with the coordinate zeroed (``exponential._reference``: one dot
+    product), falls in the zero interval; otherwise moves it to the
+    closed-form optimum.  ``exponential.cd_sweep`` is a loop of these
+    updates, bit for bit."""
+    from sparseclass import exponential as expeng
+
+    c = state.c
+    H_ref, d = expeng._reference(c, float(c.sum()), data.signed[:, j], float(state.w[j]))
+    lo, hi = expeng.zero_interval(H_ref, lam0)
+    new = 0.0 if lo <= d <= hi else expeng.analytic_coefficient(d)
+    state.set_coefficient(data, j, new)
+    return new
 
 
 def coordinate_probe(state, data, j, lam2=0.0):

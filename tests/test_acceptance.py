@@ -22,6 +22,7 @@ from oracles import (
     brute_auc,
     coordinate_probe,
     d_minus,
+    exp_coordinate_update,
     exp_curve,
     grad_j,
     grid_minimize,
@@ -186,7 +187,7 @@ def test_c04_exponential_interval_oracle():
     x = np.array([[1.0], [1.0], [1.0], [-1.0]])
     data = sc.DesignMatrix.from_arrays(x, np.ones(4))
     state = sc.ExpState.zeros(data)
-    new = sc.exp_coordinate_update(state, data, 0, 0.5)
+    new = exp_coordinate_update(state, data, 0, 0.5)
     assert new == pytest.approx(0.5 * math.log(3.0), rel=1e-12)
     assert 4.0 - state.H == pytest.approx(0.535898, abs=1e-6)
 
@@ -215,7 +216,7 @@ def test_c04_exponential_interval_oracle():
             d = d_minus(state, datab, j, exclude_own=True)
             c_ref = scratch.c.copy()
         drop = h_ref - 2.0 * h_ref * math.sqrt(d * (1.0 - d))
-        new = sc.exp_coordinate_update(state, datab, j, lam0)
+        new = exp_coordinate_update(state, datab, j, lam0)
         assert (new == 0.0) == (drop <= lam0), (drop, lam0, new)
         if new != 0.0 and 1e-6 < d < 1 - 1e-6:
             xmin, _ = grid_minimize(exp_curve(c_ref, datab.signed[:, j]))

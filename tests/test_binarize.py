@@ -1,6 +1,7 @@
 """Threshold expansion and scorecard tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 import sparseclass as sc
 from sparseclass.core import EPS, ThresholdIndex, engine
 from sparseclass.binarize import ScorecardTerm, dump_json
-from oracles import (d_minus, grad_j, reference_binarize, reference_signed_products,
-                     threshold_step)
+from oracles import (d_minus, exp_coordinate_update, grad_j, reference_binarize,
+                     reference_signed_products, threshold_step)
 
 
 def _toy(values, y=None):
@@ -111,6 +112,23 @@ class TestBinarize:
         assert got.feature_names == want.feature_names
         assert got.y.tobytes() == want.y.tobytes()
         assert got_map == want_map
+
+
+class TestOneDesignArray:
+    def test_binarize_and_fit_hold_one_design_array(self):
+        # the README scorecard fit: 1000 rows, 5000 -1/+1 dummies
+        raw, _ = sc.gen_classification(sc.SynthSpec(n=1000, p=25, k=5, rho=0.5, seed=3))
+        tracemalloc.start()
+        try:
+            out, _ = sc.binarize(raw, direction="<=", encoding="-1/+1", max_thresholds=200)
+            state = sc.fit_one(out, sc.HyperParams(lambda0=5.0, loss="exponential"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (out.n, out.p) == (1000, 5000) and state.support
+        assert [k for k, v in vars(out).items() if np.ndim(v) == 2] == ["signed"]
+        # one n x p array of 8-byte floats, and less than half of another
+        assert peak < 1.5 * out.n * out.p * 8
 
 
 def _mixed(n, seed=19):
@@ -318,7 +336,7 @@ class TestScreensOnDummies:
                 self._sweep(loss, state, data, lam0, range(data.p))
                 for j in range(data.p):
                     if loss == "exponential":
-                        eng.exp_coordinate_update(oracle, data, j, lam0)
+                        exp_coordinate_update(oracle, data, j, lam0)
                     else:
                         step = threshold_step(oracle, data, j,
                                               sc.HyperParams(lambda0=lam0, loss=loss))

@@ -1,6 +1,10 @@
 """Command-line interface tests (subcommands invoked in-process)."""
 
+import errno
+import io
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -453,9 +457,10 @@ class TestExitCodes:
         assert err == f"error: {model_path}: unknown loss 'hinge'\n"
         assert out == ""
 
-    @pytest.mark.parametrize("command", ["fit", "path", "bench", "predict", "synth",
-                                         "synth-truth"])
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+    @staticmethod
+    def _argv(tmp_path, command):
+        """``command``'s arguments but ``--out``, on a small training set and
+        a one-term model written to ``tmp_path``."""
         rng = np.random.default_rng(10)
         data_path = tmp_path / "train.csv"
         _write_dataset(data_path, rng, n=40, p=4)
@@ -463,15 +468,20 @@ class TestExitCodes:
         model_path.write_text(sc.Scorecard("logistic", 1.0, 0.0, 0.0,
                                            (ScorecardTerm("x1", None, None, 1.0),),
                                            kind="linear").to_json())
-        out_path = tmp_path / "missing" / "out.csv"
         data = ["--data", str(data_path)]
-        argv = {
+        return {
             "fit": ["fit", "--lambda0", "0.5", *data],
             "path": ["path", "--lambda0-grid", "2,1", *data],
             "bench": ["bench", "--lambda0-grid", "2", *data],
             "predict": ["predict", "--model", str(model_path), *data],
             "synth": ["synth", "--n", "20", "--p", "4", "--k", "2"],
-        }[command.split("-")[0]]
+        }[command]
+
+    @pytest.mark.parametrize("command", ["fit", "path", "bench", "predict", "synth",
+                                         "synth-truth"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        argv = self._argv(tmp_path, command.split("-")[0])
+        out_path = tmp_path / "missing" / "out.csv"
         written = out_path
         if command == "synth-truth":
             # the dataset can be written, its sidecar cannot
@@ -512,6 +522,22 @@ class TestExitCodes:
         assert code == 2
         assert err == f"error: cannot write {out_path}: {opened.value.strerror}\n"
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["fit", "path", "predict", "synth"])
+    def test_closed_stdout_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        class ClosedStdout(io.TextIOBase):
+            # a pipe whose reader has gone, as ``... | head -c 1`` leaves it
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        argv = self._argv(tmp_path, command)
+        if command == "synth":
+            argv += ["--out", str(tmp_path / "d.csv")]
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        code = main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
 
     @pytest.mark.parametrize("kind,change", [
         ("linear", {"weight": True}),
@@ -985,13 +1011,26 @@ class TestCsvWriters:
     EDGE = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -2.0, 2.0 ** 53, 0.1, 1.0 / 3.0,
             -123456789.0)
 
+    def test_features_read_back_bit_for_bit(self):
+        # every value under both labels
+        x = np.tile(np.array(self.EDGE).reshape(4, 3), (2, 1))
+        y = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+        data = sc.DesignMatrix.from_arrays(x, y)
+        assert [k for k, v in vars(data).items() if np.ndim(v) == 2] == ["signed"]
+        assert data.signed.tobytes(order="F") == (y[:, None] * x).tobytes(order="F")
+        for back in (data, sc.DesignMatrix(data.signed, data.y, data.feature_names)):
+            assert back.x.flags.f_contiguous and not back.x.flags.writeable
+            assert back.x.tobytes(order="F") == x.tobytes(order="F")
+            for j in range(3):
+                assert back.column(j).tobytes() == x[:, j].tobytes()
+
     def test_write_csv_matches_the_per_value_format(self, tmp_path, monkeypatch):
         from sparseclass import cli
         x = np.array(self.EDGE).reshape(4, 3)
         y = np.array([1.0, -1.0, -1.0, 1.0])
         monkeypatch.setattr(cli, "WRITE_BATCH_ROWS", 3)  # full batches and a partial one
         path = tmp_path / "d.csv"
-        cli.write_csv(str(path), ["a", "b", "c"], x, y)
+        cli.write_csv(str(path), sc.DesignMatrix.from_arrays(x, y, ["a", "b", "c"]))
         want = "a,b,c,y\n" + "".join(
             ",".join(cli._fmt(v) for v in [*x[i], y[i]]) + "\n" for i in range(4))
         assert path.read_text() == want

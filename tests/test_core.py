@@ -25,15 +25,15 @@ class TestPackageSurface:
         "ConfigError", "DataError", "DesignMatrix", "ExpState", "FailureQueue", "FitStats",
         "HyperParams", "ModelState", "PathEntry", "PathResult", "PathSpec", "Scorecard",
         "ScorecardTerm", "SupportComparison", "SwapOutcome", "SynthSpec", "ThresholdGroup",
-        "ThresholdMap", "accuracy", "auc", "binarize", "exp_coordinate_update",
-        "export_scorecard", "fit_one", "fit_path", "fit_swap_1opt", "gen_classification",
-        "objective", "planted_support", "predict_probability", "probability_from_scores",
-        "recovery_f1", "smooth_logistic_loss", "smooth_loss", "try_delete_or_swap",
-        "warm_start", "zero_interval",
+        "ThresholdMap", "accuracy", "auc", "binarize", "export_scorecard", "fit_one",
+        "fit_path", "fit_swap_1opt", "gen_classification", "objective", "planted_support",
+        "predict_probability", "probability_from_scores", "recovery_f1",
+        "smooth_logistic_loss", "smooth_loss", "try_delete_or_swap", "warm_start",
+        "zero_interval",
     }
 
     def test_exports_are_exactly_the_fit_surface(self):
-        assert len(sc.__all__) == len(set(sc.__all__)) == 37
+        assert len(sc.__all__) == len(set(sc.__all__)) == 36
         assert set(sc.__all__) == self.NAMES
         for name in sc.__all__:
             assert getattr(sc, name) is not None
@@ -66,6 +66,12 @@ class TestDesignMatrix:
         data = sc.DesignMatrix.from_arrays([[1.0], [2.0]], [1, -1])
         with pytest.raises(ValueError):
             data.x[0, 0] = 3.0
+
+    def test_column_reads_of_x_share_one_array(self):
+        data = sc.DesignMatrix.from_arrays(np.arange(12.0).reshape(4, 3), [1, -1, -1, 1])
+        columns = [data.x[:, j] for j in range(3)]
+        assert all(c.base is columns[0].base for c in columns)
+        np.testing.assert_array_equal(np.column_stack(columns), np.arange(12.0).reshape(4, 3))
 
     def test_signed_matrix(self):
         data = sc.DesignMatrix.from_arrays([[2.0], [3.0]], [1, -1])
