@@ -113,17 +113,21 @@ class BlockProbe:
     Row b of ``u`` is the signed column of coordinate b.  Every row shares
     the base margins, ``lam2`` and ``base_sq``, so one pass evaluates all
     k restrictions, each at its own point, with one exponential over the
-    k x n block.  Passes reuse the probe's buffers; their results are
-    fresh arrays.
+    k x n block.  ``base_curvature`` is sigma'(m) of the base margins m;
+    a swap visit computes it once and hands it to each of its blocks, and
+    a probe given none computes it when it first needs it.  Passes reuse
+    the probe's buffers; their results are fresh arrays.
     """
 
-    __slots__ = ("base_margins", "u", "lam2", "base_sq", "_m", "_e", "_c", "_neg")
+    __slots__ = ("base_margins", "u", "lam2", "base_sq", "base_curvature",
+                 "_m", "_e", "_c", "_neg")
 
-    def __init__(self, base_margins, u, lam2=0.0, base_sq=0.0):
+    def __init__(self, base_margins, u, lam2=0.0, base_sq=0.0, base_curvature=None):
         self.base_margins = base_margins
         self.u = u
         self.lam2 = lam2
         self.base_sq = base_sq
+        self.base_curvature = base_curvature
         self._m = self._e = self._c = self._neg = None
 
     def take(self, rows) -> "BlockProbe":
@@ -133,7 +137,8 @@ class BlockProbe:
         k = len(rows)
         if k == self.u.shape[0]:
             return self
-        out = BlockProbe(self.base_margins, self.u[rows], self.lam2, self.base_sq)
+        out = BlockProbe(self.base_margins, self.u[rows], self.lam2, self.base_sq,
+                         self.base_curvature)
         if self._m is not None:
             out._m = self._m[:k]
         if self._e is not None:
@@ -146,6 +151,27 @@ class BlockProbe:
         m = np.multiply(self.u, t[:, None], out=self._m)
         m += self.base_margins
         return m
+
+    def _buffers(self):
+        if self._e is None:
+            self._e, self._c = np.empty_like(self.u), np.empty_like(self.u)
+            self._neg = np.empty(self.u.shape, dtype=bool)
+        return self._e, self._c, self._neg
+
+    def _base_curvature(self):
+        if self.base_curvature is None:
+            self.base_curvature = sigma_prime(self.base_margins)
+        return self.base_curvature
+
+    def zero_curvature(self):
+        """sum_i u_i^2 sigma'(m_i) and sum_i |u_i|^3 sigma'(m_i) of every row
+        at the base margins m: the mu0 and mu0 rho of ``screen_block``'s
+        cut at zero, with no exponential over the block."""
+        a, c, _ = self._buffers()
+        np.abs(self.u, out=a)
+        np.multiply(a, self._base_curvature(), out=c)
+        c *= a
+        return c.sum(axis=1), np.einsum("ij,ij->i", a, c)
 
     def slopes(self, t):
         m = self._margins(t)
@@ -161,12 +187,10 @@ class BlockProbe:
         """Values and slopes at ``t`` from one shared exponential pass, and
         with ``curvature`` the bound mu of ``screen_block`` on f'' between
         0 and ``t`` (else None)."""
-        if self._e is None:
-            self._e, self._c = np.empty_like(self.u), np.empty_like(self.u)
-            self._neg = np.empty(self.u.shape, dtype=bool)
+        e, c, neg = self._buffers()
         m = self._margins(t)
-        neg = np.less(m, 0.0, out=self._neg)
-        e = np.exp(np.negative(np.abs(m, out=self._e), out=self._e), out=self._e)
+        np.less(m, 0.0, out=neg)
+        np.exp(np.negative(np.abs(m, out=e), out=e), out=e)
         # value terms max(-m, 0) + log1p(e), accumulated in the margin buffer
         np.negative(m, out=m)
         np.maximum(m, 0.0, out=m)
@@ -175,15 +199,20 @@ class BlockProbe:
         np.add(e, 1.0, out=m)
         mu = None
         if curvature:  # sigma'(m) = e / (1 + e)^2, the same at m and -m
-            e0 = np.exp(-np.abs(self.base_margins))
-            c = np.divide(np.divide(e, m, out=self._c), m, out=self._c)
-            np.minimum(c, e0 / (1.0 + e0) ** 2, out=c)
+            np.divide(np.divide(e, m, out=c), m, out=c)
+            np.minimum(c, self._base_curvature(), out=c)
             c *= self.u
             mu = np.einsum("ij,ij->i", self.u, c) + 2.0 * self.lam2
         # sigmoid(-m): e / (1 + e) where m >= 0, 1 / (1 + e) where m < 0
-        np.copyto(e, 1.0, where=neg)
+        np.putmask(e, neg, 1.0)
         q = np.divide(e, m, out=e)
         return values, -np.einsum("ij,ij->i", self.u, q) + 2.0 * self.lam2 * t, mu
+
+
+def sigma_prime(m):
+    """sigma'(m) = e / (1 + e)^2 with e = exp(-|m|), the same at m and -m."""
+    e = np.exp(-np.abs(m))
+    return e / (1.0 + e) ** 2
 
 
 def iterate_threshold(probe: CoordinateProbe, start: float, iterations: int) -> float:
@@ -242,6 +271,26 @@ def _quad_cut_two_val(f1, a1, x1, f2, a2, x2, lam2):
         np.maximum(_quad_cut_one_val(f1, a1, lam2), _quad_cut_one_val(f2, a2, lam2)),
         np.where(denom < 0.0, left, right),
     )
+
+
+def _self_concordant_cut_val(f0, a, r, mu0, third):
+    # Minimum over [0, r] of g(tau) = f0 - a tau + mu0 (e^(-rho tau) - 1 +
+    # rho tau) / rho^2 with rho = third / mu0: g is convex, and its slope
+    # -a + mu0 (1 - e^(-rho tau)) / rho vanishes at -log1p(-a rho / mu0) / rho,
+    # or nowhere when a rho >= mu0 (then tau = r).  Where mu0 = 0, f0 - a r.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = third / mu0
+        tau = np.minimum(r, -np.log1p(-np.minimum(a * rho / mu0, 1.0)) / rho)
+        x = rho * tau
+        g = f0 - a * tau + mu0 * (np.expm1(-x) + x) / (rho * rho)
+    return np.where(mu0 > 0.0, g, f0 - a * r)
+
+
+def _allowance(n, iterations, f_abs, lip, r, mu):
+    # the rounding allowance of ``screen_block``'s prunes
+    scale = 2.0 * np.sqrt(n * lip)
+    return ((n + 8) * EPS * (3.0 * f_abs + 2.0 * scale * r + mu * r * r + 4.0 * iterations * n)
+            + 3.0 * iterations * EPS * scale * r)
 
 
 # --- intercept ------------------------------------------------------------
@@ -379,18 +428,27 @@ def screen_block(probe, s0, lip, f0: float, threshold: float, quad: bool,
     The line search takes K = ``iterations`` surrogate steps from zero
     (``iterate_threshold``); the swap search passes ``LINE_SEARCH_STEPS``.
     The first is t = -s0/L; no later one is longer or passes the 1-D
-    optimum, as L bounds f''.  So the search ends in [0, Kt], and one pass
-    at Kt, with value fK and slope sK, bounds it.
+    optimum, as L bounds f''.  So the search ends in [0, Kt], at a loss of
+    at most f0.
+    Cuts at zero (``quad``, which needs ``probe.lam2 > 0``), with no pass:
+    the vertex f0 - s0^2 / (4 lam2) of the one-point minorant, and a
+    self-concordant bound.  phi(m) = log(1 + e^-m) has |phi'''| <= phi'',
+    so at distance tau from zero along the descent direction f'' >=
+    sum_i u_i^2 sigma'(m_i) e^(-|u_i| tau) >= mu0 e^(-rho tau) (Jensen),
+    with mu0 = sum_i u_i^2 sigma'(m_i) and rho = sum_i |u_i|^3 sigma'(m_i)
+    / mu0 at the base margins m (``BlockProbe.zero_curvature``).
+    Integrated twice, f >= g(tau) = f0 - |s0| tau + mu0 (e^(-rho tau) - 1
+    + rho tau) / rho^2, so the search ends at a loss of at least the
+    minimum of g on [0, |Kt|].  A candidate with zero slope has no descent
+    direction and is rejected unscreened.
+    Only the survivors take one pass at Kt, with value fK and slope sK.
     Reach bound: if sK has the sign of s0, f falls over [0, Kt] and the
     search ends at a loss of at least fK.  Bracket-curvature cut: else the
     optimum lies in [0, Kt], where f'' >= mu = 2 lam2 + sum_i u_i^2
     min(sigma'(m_i), sigma'(m_i + Kt u_i)) by log-concavity of sigma';
-    ``quad`` (needs ``probe.lam2 > 0``) bounds the minimum by the two
-    minorants of curvature mu anchored at 0 and Kt, else by the two
-    tangents.  ``quad`` first tests the one-point bound at zero, which
-    needs no pass.  A candidate with zero slope has no descent direction
-    and is rejected unscreened.  The survivors are line-searched together,
-    one pass per step.
+    ``quad`` bounds the minimum by the two minorants of curvature mu
+    anchored at 0 and Kt, else by the two tangents.  The survivors are
+    line-searched together, one pass per step.
 
     A bound prunes when it clears ``threshold`` by the rounding allowance
     gamma (3 (|f0| + |fK|) + 2 S r + mu r^2 + 4 K n) + 3 K EPS S r, with
@@ -402,18 +460,37 @@ def screen_block(probe, s0, lip, f0: float, threshold: float, quad: bool,
     minimum: the first three terms, with the search's final value and the
     bound's own arithmetic.  Each of the K steps can pass Kt by
     gamma S / L + 3 EPS r, which lowers f by at most |sK| <= S per unit:
-    the last two terms.
+    the last two terms.  The self-concordant bound takes this allowance
+    with |fK| = |f0|, as the search's final loss is at most f0, and
+    mu = 2 mu0.  Its curvature term is mu0 tau^2 psi(rho tau), with
+    psi(x) = (e^-x - 1 + x) / x^2 and 0 <= x |psi'(x)| <= psi(x) <= 1/2,
+    so the relative errors of mu0 (gamma) and rho (2 gamma + EPS), with
+    the term's own arithmetic, move it by at most 2 gamma mu0 r^2.  The
+    rounding of the minimizer, and the cancellation in e^-x - 1 + x (at
+    most EPS x mu0 / rho^2, where mu0 / rho <= sum_i |u_i| sigma'(m_i)
+    <= S / 4 by Cauchy-Schwarz), cost a few EPS S r more, inside 2 gamma
+    S r beside the slope's gamma S r.  The vertex prunes when it reaches
+    ``threshold``, with no allowance.
     """
     k = s0.shape[0]
     lam2 = probe.lam2
+    n = probe.u.shape[1]
+    t = np.divide(-s0, lip, out=np.zeros(k), where=s0 != 0.0)
     pruned = np.zeros(k, dtype=bool)
     if quad:
-        pruned = _quad_cut_one_val(f0, s0, lam2) >= threshold
+        r = np.abs(iterations * t)
+        mu0, third = probe.zero_curvature()
+        bound = _self_concordant_cut_val(f0, np.abs(s0), r, mu0, third)
+        pruned = ((_quad_cut_one_val(f0, s0, lam2) >= threshold)
+                  | (bound >= threshold + _allowance(n, iterations, 2.0 * abs(f0), lip, r,
+                                                     2.0 * mu0)))
     live = ~pruned & (s0 != 0.0)
-    t = np.divide(-s0, lip, out=np.zeros(k), where=live)
 
     # ``probe`` covers the candidates ``rows``; it narrows as they drop out.
     rows = np.flatnonzero(live)
+    coefficient, accepted = np.zeros(k), np.zeros(k, dtype=bool)
+    if not rows.size:
+        return BlockResult(accepted, coefficient, pruned, live)
     probe = probe.take(rows)
 
     # one pass at the reach point Kt
@@ -423,16 +500,12 @@ def screen_block(probe, s0, lip, f0: float, threshold: float, quad: bool,
         bound = _quad_cut_two_val(f0, s, 0.0, fK, sK, x, 0.5 * mu)
     else:
         bound, mu = _lin_cut_val(f0, s, 0.0, fK, sK, x), 0.0
-    n, r = probe.u.shape[1], np.abs(x)
-    scale = 2.0 * np.sqrt(n * L)
-    allowance = ((n + 8) * EPS * (3.0 * (abs(f0) + np.abs(fK)) + 2.0 * scale * r + mu * r * r
-                                  + 4.0 * iterations * n) + 3.0 * iterations * EPS * scale * r)
+    allowance = _allowance(n, iterations, abs(f0) + np.abs(fK), L, np.abs(x), mu)
     cut = np.where(s * sK > 0.0, fK, bound) >= threshold + allowance
     pruned[rows] = cut
     searched = live & ~pruned
 
     # line search: the first step from zero uses the known slope s0
-    coefficient, accepted = np.zeros(k), np.zeros(k, dtype=bool)
     keep = np.flatnonzero(~cut)
     if keep.size:
         rows, probe, w, L = rows[keep], probe.take(keep), t[rows[keep]], L[keep]
@@ -490,12 +563,14 @@ def find_swap(trial: ModelState, data: DesignMatrix, hp: HyperParams, forbidden:
                           dtype=np.intp)
     candidates = candidates[lip[candidates] > 0.0]  # inert columns are no candidates
     base_sq = float(trial.w @ trial.w)
+    curvature = sigma_prime(trial.margins) if cut == "quad" else None
     width = max(1, BLOCK_ELEMENTS // data.n)
     for start in range(0, candidates.size, width):
         block = candidates[start:start + width]
         # The block's columns are copied once; screen_block holds the only
         # reference, so they are freed as soon as candidates drop out.
-        res = screen_block(BlockProbe(trial.margins, data.signed.T[block], lam2, base_sq),
+        res = screen_block(BlockProbe(trial.margins, data.signed.T[block], lam2, base_sq,
+                                      curvature),
                            grads[block], lip[block], f0, threshold,
                            cut == "quad", LINE_SEARCH_STEPS)
         hits = np.flatnonzero(res.accepted)

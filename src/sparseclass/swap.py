@@ -3,9 +3,9 @@
 The outer loop walks the support in failure-count order; each visit tries to
 drop the feature outright, then to replace it with the most promising
 out-of-support feature.  The loss engine (``core.engine``) finds the
-replacement: the logistic engine screens candidates with tangent lower
-bounds, in blocks (``logistic.screen_block``), and the exponential engine
-resolves each one analytically.
+replacement: the logistic engine screens candidates with lower bounds on
+their line-search loss, in blocks (``logistic.screen_block``), and the
+exponential engine resolves each one analytically.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ class FitStats:
     would, up to and including the accepted one: ``candidates`` evaluated
     (inert zero columns are skipped, not counted) and, under the logistic
     loss, ``cut_prunes`` among them dismissed without a line search (by
-    the cut at zero, the reach bound or the bracket-curvature cut of
-    ``logistic.screen_block``) and ``line_searches`` run.
+    ``logistic.screen_block``'s cuts at zero, the one-point vertex and the
+    self-concordant bound, under ``quad``, or by its reach bound or
+    bracket-curvature cut) and ``line_searches`` run.
     ``cap_hits`` counts the warm starts and logistic intercept refits that
     ended at their sweep or iteration cap without meeting their stop test,
     the swap search's support solves (``reoptimize``) that ended

@@ -46,15 +46,16 @@ def gen_classification(spec: SynthSpec) -> tuple[DesignMatrix, frozenset[int]]:
     support.  Deterministic in the seed.
 
     The covariance is realized exactly by the AR(1) column recurrence
-    x_j = rho * x_{j-1} + sqrt(1 - rho^2) * eps_j.
+    x_j = rho * x_{j-1} + sqrt(1 - rho^2) * eps_j, run in place over the
+    draws, so the generator holds no n x p array beside them and the
+    signed copy of ``DesignMatrix.from_arrays``.
     """
     rng = np.random.default_rng(spec.seed)
-    eps = rng.standard_normal((spec.n, spec.p))
-    x = np.empty((spec.n, spec.p))
-    x[:, 0] = eps[:, 0]
+    x = rng.standard_normal((spec.n, spec.p))
     scale = math.sqrt(1.0 - spec.rho * spec.rho)
     for j in range(1, spec.p):
-        x[:, j] = spec.rho * x[:, j - 1] + scale * eps[:, j]
+        x[:, j] *= scale
+        x[:, j] += spec.rho * x[:, j - 1]
 
     support = planted_support(spec)
     w = np.zeros(spec.p)

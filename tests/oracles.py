@@ -15,7 +15,9 @@ paths under test, with these exceptions:
   scalar ``CoordinateProbe`` and ``iterate_threshold``, which the swap
   search itself no longer calls, and the package's cut formulas, which the
   grid-minimum tests check on their own; it computes the curvature bound of
-  its quadratic cuts and the rounding allowance of its prunes itself.
+  its quadratic cuts, the self-concordant bound of its cut at zero (with
+  ``math.log1p`` and ``math.expm1`` and its own sigma') and the rounding
+  allowance of its prunes itself.
   ``reference_exp_find_swap`` uses the package's closed-form exponential
   coefficient and loss, which the grid-minimum tests check too.
 """
@@ -354,7 +356,12 @@ def scalar_try_add(probe, s0, threshold, quad):
     ``step`` is "pruned", "rejected" or "searched"; ``branch`` names where
     the screening decided:
 
-    - "zero": the one-point quadratic minorant at zero, or a zero slope;
+    - "zero": with ``quad``, the vertex of the one-point quadratic minorant
+      at zero or the self-concordant bound, or a zero slope.  The bound is
+      the minimum over [0, |Kt|] of f0 - |s0| tau + mu0 (e^(-rho tau) - 1 +
+      rho tau) / rho^2, with mu0 = sum u_i^2 sigma'(m_i) and mu0 rho =
+      sum |u_i|^3 sigma'(m_i) at the base margins; the vertex prunes
+      without an allowance;
     - "reach": the slope at Kt (t = -s0/L, K = ``logistic.LINE_SEARCH_STEPS``)
       still has the sign of s0, so the K-step search ends at a loss of at
       least f(Kt);
@@ -378,11 +385,15 @@ def scalar_try_add(probe, s0, threshold, quad):
             return "searched", branch, True, w_hat
         return "searched", branch, False, 0.0
 
-    if quad and logeng._quad_cut_one_val(probe.f0, s0, lam2) >= threshold:
-        return decide("zero", True)
+    x = iterations * (-s0 / L)
+    if quad:
+        bound, mu0 = self_concordant_bound(probe, s0, x)
+        if (logeng._quad_cut_one_val(probe.f0, s0, lam2) >= threshold
+                or bound >= threshold + screen_allowance(n, iterations, probe.f0, probe.f0,
+                                                         L, x, 2.0 * mu0)):
+            return decide("zero", True)
     if s0 == 0.0:
         return "rejected", "zero", False, 0.0
-    x = iterations * (-s0 / L)
     fk, sk = probe.eval_at(x)
     mu = 0.0
     if quad:
@@ -401,9 +412,32 @@ def scalar_try_add(probe, s0, threshold, quad):
     return decide(branch, float(bound) >= threshold + allowance)
 
 
+def self_concordant_bound(probe, s0, x):
+    """The least loss a search from zero that ends within |x| of it, on the
+    descent side, can reach by the self-concordant curvature bound f'' >=
+    mu0 e^(-rho tau): min over tau in [0, |x|] of f0 - |s0| tau + mu0
+    (e^(-rho tau) - 1 + rho tau) / rho^2 (f0 - |s0| |x| where mu0 = 0),
+    with mu0 = sum u_i^2 sigma'(m_i) and mu0 rho = sum |u_i|^3 sigma'(m_i)
+    at the base margins m.  Returns the bound and mu0."""
+    e = np.exp(-np.abs(probe.base_margins))
+    w = probe.u * probe.u * (e / ((1.0 + e) * (1.0 + e)))
+    mu0, r, slope = math.fsum(w), abs(x), abs(s0)
+    if mu0 == 0.0:
+        return probe.f0 - slope * r, mu0
+    rho = math.fsum(w * np.abs(probe.u)) / mu0
+    if slope * rho >= mu0:
+        tau = r
+    else:
+        tau = min(r, -math.log1p(-slope * rho / mu0) / rho)
+    return (probe.f0 - slope * tau + mu0 * (math.expm1(-rho * tau) + rho * tau) / (rho * rho),
+            mu0)
+
+
 def screen_allowance(n, iterations, f0, fk, lipschitz, x, mu):
     """The rounding allowance that ``logistic.screen_block`` documents for
-    its reach and bracket prunes, at the reach point ``x``."""
+    its prunes, at the reach point ``x``: for the reach and bracket prunes
+    with the value ``fk`` there and the bracket curvature ``mu``, for the
+    self-concordant bound with ``fk = f0`` and ``mu = 2 mu0``."""
     from sparseclass.core import EPS
 
     r, scale = abs(x), 2.0 * math.sqrt(n * lipschitz)

@@ -15,7 +15,7 @@ from sparseclass.swap import reoptimize
 from sparseclass.core import EPS, OBJECTIVE_TOL, engine
 from oracles import (coordinate_probe, direct_exponential_objective, direct_logistic_objective,
                      grad_j, grid_minimize, logistic_curve, reference_swap_visit, scalar_try_add,
-                     screen_allowance)
+                     screen_allowance, self_concordant_bound)
 
 
 def _planted(rng, n=120, p=8, idx=(1, 4), scale=1.4):
@@ -424,7 +424,9 @@ class TestBlockEvaluation:
         state = sc.fit_swap_1opt(_restricted_fit(data, [0, 1, 2, *range(100, 112)], hp),
                                  data, hp, cut=cut)
         branches = Counter()
-        for j in sorted(state.support)[:2]:
+        # Under ``quad`` the self-concordant cut at zero prunes every reach
+        # prune of the first two visits; the third has reach prunes left.
+        for j in sorted(state.support)[:3]:
             trial = state.copy()
             trial.set_coefficient(data, j, 0.0)
             f0 = sc.smooth_logistic_loss(trial, data, lam2)
@@ -433,6 +435,34 @@ class TestBlockEvaluation:
         expected = {(branch, step) for branch in ("reach", "bracket")
                     for step in ("pruned", "searched")}
         assert expected <= set(branches), expected - set(branches)
+
+    def test_settled_c06_visits_run_no_reach_pass(self, monkeypatch):
+        """On acceptance c06's instance of seed 7000, settled by the swap
+        search, the cuts at zero prune every candidate of every visit, so
+        no ``BlockProbe`` pass runs."""
+        rng = np.random.default_rng(7000)
+        n, p, k = 300, 200, 8
+        x = rng.standard_normal((n, p))
+        w = np.zeros(p)
+        w[rng.choice(p, size=k, replace=False)] = 1.2
+        y = np.where(rng.random(n) < expit(x @ w), 1.0, -1.0)
+        data = sc.DesignMatrix.from_arrays(x, y)
+        hp = sc.HyperParams(lambda0=0.15, lambda2=1e-3)
+        settled = sc.fit_one(data, hp)
+        passes = []
+        real = logeng.BlockProbe.evaluate
+
+        def evaluate(probe, t, curvature=False):
+            passes.append(len(t))
+            return real(probe, t, curvature)
+
+        monkeypatch.setattr(logeng.BlockProbe, "evaluate", evaluate)
+        for j in sorted(settled.support):
+            stats = sc.FitStats()
+            out = sc.try_delete_or_swap(settled, data, hp, j, cut="quad", stats=stats)
+            assert out.kind == "no_change"
+            assert stats.cut_prunes == stats.candidates == p - len(settled.support)
+        assert passes == []
 
     @staticmethod
     def _screen_visit(state, data, hp, j, cut, threshold):
@@ -582,6 +612,54 @@ class TestScreenSoundness:
             assert bool(res.accepted[0]) == (sign > 0.0)
             if sign > 0.0:
                 assert res.coefficient[0] == pytest.approx(w, abs=1e-10)
+
+
+class TestSelfConcordantCut:
+    """The cut at zero of ``logistic.screen_block`` against the K-step
+    search on random 1-D restrictions."""
+
+    def test_never_exceeds_the_search_loss(self):
+        """The bound less its allowance is never above the loss that
+        ``iterate_threshold`` reaches.  The restrictions have +-1 or
+        Gaussian columns and margins within +-20, or, for one in ten, all
+        beyond exp's underflow (mu0 = 0); the minimizer of the bound falls
+        inside [0, |Kt|], at |Kt|, or nowhere (|s0| rho >= mu0)."""
+        branches = Counter()
+        for seed in range(2000):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 26))
+            u = rng.choice([-1.0, 1.0], size=n) if rng.random() < 0.5 else rng.standard_normal(n)
+            if rng.random() < 0.1:
+                base = np.full(n, -800.0)
+            else:
+                base = np.clip(rng.uniform(-20.0, 20.0)
+                               + rng.uniform(0.1, 5.0) * rng.standard_normal(n), -20.0, 20.0)
+            lam2 = float(rng.choice([0.0, 1e-3, 1e-2, 0.1]))
+            iterations = int(rng.integers(1, 13))
+            probe = logeng.CoordinateProbe(base, u, lam2=lam2)
+            s0 = probe.slope_at(0.0)
+            if s0 == 0.0:
+                continue
+            x = iterations * (-s0 / probe.lipschitz)
+            mu0, third = logeng.BlockProbe(base, u[None, :], lam2).zero_curvature()
+            bound = float(logeng._self_concordant_cut_val(probe.f0, abs(s0), abs(x), mu0,
+                                                          third)[0])
+            allowance = float(logeng._allowance(n, iterations, 2.0 * abs(probe.f0),
+                                                probe.lipschitz, abs(x), 2.0 * mu0)[0])
+            w_hat = logeng.iterate_threshold(probe, 0.0, iterations)
+            assert bound - allowance <= probe.value_at(w_hat), seed
+            assert bound == pytest.approx(self_concordant_bound(probe, s0, x)[0], rel=0.0,
+                                          abs=1e-12 * (abs(probe.f0) + abs(s0 * x))), seed
+            mu0, third = float(mu0[0]), float(third[0])
+            if mu0 == 0.0:
+                branches["mu0 = 0"] += 1
+            elif abs(s0) * third >= mu0 * mu0:
+                branches["no minimizer"] += 1
+            elif -np.log1p(-abs(s0) * third / (mu0 * mu0)) * mu0 / third >= abs(x):
+                branches["at |Kt|"] += 1
+            else:
+                branches["inside"] += 1
+        assert len(branches) == 4 and min(branches.values()) >= 20, branches
 
 
 class TestFitSwap1Opt:

@@ -1,7 +1,11 @@
 """Synthetic data generator tests."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import sparseclass as sc
 
@@ -53,3 +57,33 @@ class TestGeneration:
             sc.SynthSpec(n=10, p=5, k=2, rho=1.0)
         with pytest.raises(sc.ConfigError):
             sc.SynthSpec(n=0, p=5, k=2)
+
+
+class TestRecurrence:
+    def test_matches_the_three_array_recurrence_bit_for_bit(self):
+        spec = sc.SynthSpec(n=300, p=40, k=4, rho=0.7, seed=5)
+        data, support = sc.gen_classification(spec)
+        rng = np.random.default_rng(spec.seed)
+        eps = rng.standard_normal((spec.n, spec.p))
+        x = np.empty((spec.n, spec.p))
+        x[:, 0] = eps[:, 0]
+        scale = math.sqrt(1.0 - spec.rho * spec.rho)
+        for j in range(1, spec.p):
+            x[:, j] = spec.rho * x[:, j - 1] + scale * eps[:, j]
+        w = np.zeros(spec.p)
+        w[sorted(support)] = 1.0
+        y = np.where(rng.random(spec.n) < expit(x @ w), 1.0, -1.0)
+        np.testing.assert_array_equal(data.x, x)
+        np.testing.assert_array_equal(data.y, y)
+
+    def test_holds_two_design_arrays_at_most(self):
+        # the draws, run over in place, and the signed copy of from_arrays
+        spec = sc.SynthSpec(n=20_000, p=50, k=5, seed=6)
+        tracemalloc.start()
+        try:
+            data, _ = sc.gen_classification(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.signed.shape == (spec.n, spec.p)
+        assert peak < 2.5 * spec.n * spec.p * 8
