@@ -113,22 +113,19 @@ class BlockProbe:
     Row b of ``u`` is the signed column of coordinate b.  Every row shares
     the base margins, ``lam2`` and ``base_sq``, so one pass evaluates all
     k restrictions, each at its own point, with one exponential over the
-    k x n block.  ``base_curvature`` is sigma'(m) of the base margins m;
-    a swap visit computes it once and hands it to each of its blocks, and
-    a probe given none computes it when it first needs it.  Passes reuse
-    the probe's buffers; their results are fresh arrays.
+    k x n block.  sigma'(m) of the base margins m is computed when first
+    needed and shared with the probes made by ``take``.  Passes reuse the
+    probe's buffers; their results are fresh arrays.
     """
 
-    __slots__ = ("base_margins", "u", "lam2", "base_sq", "base_curvature",
-                 "_m", "_e", "_c", "_neg")
+    __slots__ = ("base_margins", "u", "lam2", "base_sq", "_sp", "_m", "_e", "_c", "_neg")
 
-    def __init__(self, base_margins, u, lam2=0.0, base_sq=0.0, base_curvature=None):
+    def __init__(self, base_margins, u, lam2=0.0, base_sq=0.0):
         self.base_margins = base_margins
         self.u = u
         self.lam2 = lam2
         self.base_sq = base_sq
-        self.base_curvature = base_curvature
-        self._m = self._e = self._c = self._neg = None
+        self._sp = self._m = self._e = self._c = self._neg = None
 
     def take(self, rows) -> "BlockProbe":
         """The probe restricted to ``rows`` (itself when that is every row).
@@ -137,8 +134,8 @@ class BlockProbe:
         k = len(rows)
         if k == self.u.shape[0]:
             return self
-        out = BlockProbe(self.base_margins, self.u[rows], self.lam2, self.base_sq,
-                         self.base_curvature)
+        out = BlockProbe(self.base_margins, self.u[rows], self.lam2, self.base_sq)
+        out._sp = self._sp
         if self._m is not None:
             out._m = self._m[:k]
         if self._e is not None:
@@ -159,9 +156,9 @@ class BlockProbe:
         return self._e, self._c, self._neg
 
     def _base_curvature(self):
-        if self.base_curvature is None:
-            self.base_curvature = sigma_prime(self.base_margins)
-        return self.base_curvature
+        if self._sp is None:
+            self._sp = sigma_prime(self.base_margins)
+        return self._sp
 
     def zero_curvature(self):
         """sum_i u_i^2 sigma'(m_i) and sum_i |u_i|^3 sigma'(m_i) of every row
@@ -563,14 +560,12 @@ def find_swap(trial: ModelState, data: DesignMatrix, hp: HyperParams, forbidden:
                           dtype=np.intp)
     candidates = candidates[lip[candidates] > 0.0]  # inert columns are no candidates
     base_sq = float(trial.w @ trial.w)
-    curvature = sigma_prime(trial.margins) if cut == "quad" else None
     width = max(1, BLOCK_ELEMENTS // data.n)
     for start in range(0, candidates.size, width):
         block = candidates[start:start + width]
         # The block's columns are copied once; screen_block holds the only
         # reference, so they are freed as soon as candidates drop out.
-        res = screen_block(BlockProbe(trial.margins, data.signed.T[block], lam2, base_sq,
-                                      curvature),
+        res = screen_block(BlockProbe(trial.margins, data.signed.T[block], lam2, base_sq),
                            grads[block], lip[block], f0, threshold,
                            cut == "quad", LINE_SEARCH_STEPS)
         hits = np.flatnonzero(res.accepted)
