@@ -324,7 +324,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 # Work counters of ``FitStats`` that the path and bench CSVs carry after
 # their original columns.
-COUNTER_COLUMNS = ("candidates", "line_searches", "cap_hits")
+COUNTER_COLUMNS = ("candidates", "line_searches", "cap_hits", "sweeps", "solves")
 
 
 def _counters(e) -> str:

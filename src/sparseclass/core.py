@@ -403,9 +403,15 @@ def newton_solve(state, data: DesignMatrix, terms, bound: float, lam2: float) ->
     box and halved until f falls by an ``ARMIJO`` fraction of the decrease
     the gradient predicts, rounding allowed for.  The solve is certified
     when every projected-gradient entry (the gradient with held coordinates
-    zeroed) is at most ``NEWTON_GRAD_TOL`` * f.  It also stops,
-    uncertified, after ``REOPT_MAX_SWEEPS`` iterations or when
-    ``MAX_HALVINGS`` halvings do not lower f.
+    zeroed) is at most ``NEWTON_GRAD_TOL`` * f.  From the certified point
+    it takes one more step under the same test and keeps the stepped point
+    only when that still meets the certificate with a projected gradient
+    no larger; else it returns the certified point.  Newton converges
+    quadratically, so the extra step takes a certified point far below the
+    certificate, and the coordinate sweeps after a solve find almost
+    nothing left to move.  The solve also stops, uncertified, after
+    ``REOPT_MAX_SWEEPS`` steps or when ``MAX_HALVINGS`` halvings do not
+    lower f.
     """
     support = sorted(state.support)
     n, k = data.n, len(support)
@@ -423,17 +429,21 @@ def newton_solve(state, data: DesignMatrix, terms, bound: float, lam2: float) ->
             f += lam2 * float(b[:k] @ b[:k])
         return f, u, v
 
-    beta = np.clip(np.append(state.w[support], state.intercept), lo, hi)
-    f, u, v = value(beta)
-    certified = False
-    for _ in range(REOPT_MAX_SWEEPS):
+    def gradient(b, u):
+        # the gradient, the coordinates held at the box, and the largest
+        # projected-gradient entry
         g = -(a.T @ u)
         if lam2:
-            g[:k] += 2.0 * lam2 * beta[:k]
-        held = ((beta <= lo) & (g > 0.0)) | ((beta >= hi) & (g < 0.0))
-        if np.abs(np.where(held, 0.0, g)).max() <= NEWTON_GRAD_TOL * f:
-            certified = True
-            break
+            g[:k] += 2.0 * lam2 * b[:k]
+        held = ((b <= lo) & (g > 0.0)) | ((b >= hi) & (g < 0.0))
+        return g, held, float(np.abs(np.where(held, 0.0, g)).max())
+
+    beta = np.clip(np.append(state.w[support], state.intercept), lo, hi)
+    f, u, v = value(beta)
+    g, held, gap = gradient(beta, u)
+    certified = False
+    for _ in range(REOPT_MAX_SWEEPS):
+        met = gap <= NEWTON_GRAD_TOL * f
         hess = a.T @ (a * v[:, None])
         # a ridge of 1e-12 * f keeps the system definite when support
         # columns are collinear
@@ -454,8 +464,18 @@ def newton_solve(state, data: DesignMatrix, terms, bound: float, lam2: float) ->
                 break
             step *= 0.5
         else:
+            certified = met
+            break
+        g_trial, held_trial, gap_trial = gradient(trial, u_trial)
+        if met:
+            # the step past the certificate stands only where it meets the
+            # certificate too, at no larger a projected gradient
+            certified = True
+            if gap_trial <= min(gap, NEWTON_GRAD_TOL * f_trial):
+                beta = trial
             break
         beta, f, u, v = trial, f_trial, u_trial, v_trial
+        g, held, gap = g_trial, held_trial, gap_trial
     for j, coef in zip(support, beta[:k].tolist()):
         state._put(j, coef)
     state.intercept = float(beta[k])

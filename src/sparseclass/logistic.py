@@ -342,8 +342,10 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
 
     Equivalent to the loop of scalar steps c = w_j - g_j / L_j, set to zero
     when c^2 < 2 lam0 / L_j (``threshold_step`` in ``tests/oracles.py``),
-    with the sigmoid vector q = expit(-margins) held here and read again
-    only after a step that changes a coefficient.  Returns the largest move.
+    with the sigmoid vector q = expit(-margins) held here in one buffer and
+    computed again, in place, only after a step that changes a coefficient.
+    A step reads its column as row j of ``signed.T`` and moves the margins
+    in place (``ModelState.set_coefficient``).  Returns the largest move.
 
     The decisions are those of the cyclic order.  A sweep at ``lam0 > 0``
     screens its runs of zero coordinates with one product
@@ -360,8 +362,8 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
     much as six loop visits (measurements at the constant).  A ``lam0 = 0``
     sweep goes coordinate by coordinate.
     """
-    z = data.signed
-    q = expit(-state.margins)
+    rows, w, lips = data.signed.T, state.w, lip.tolist()
+    q = expit(np.negative(state.margins))
     max_move = 0.0
     # The screen's per-sweep constants.  Inert columns (L = 0) have a zero
     # gradient; dividing by 1 instead keeps them at zero.
@@ -377,17 +379,17 @@ def cd_sweep(state: ModelState, data: DesignMatrix, lam0: float, lam2: float,
         c = (np.abs(data.signed_products(q, cols)) + tol) / screen_lip[cols]
         return ~(c * c < screen_cut[cols])
 
-    for j in sweep_visits(coords, state.w, screen if lam0 > 0.0 else None):
-        L = lip[j]
+    for j in sweep_visits(coords, w, screen if lam0 > 0.0 else None):
+        L = lips[j]
         if L <= 0.0:
             continue
-        wj = float(state.w[j])
-        g = -float(z[:, j] @ q) + 2.0 * lam2 * wj
+        wj = float(w[j])
+        g = -float(rows[j] @ q) + 2.0 * lam2 * wj
         c = wj - g / L
         new = 0.0 if (lam0 > 0.0 and c * c < 2.0 * lam0 / L) else c
         if new != wj:
             state.set_coefficient(data, j, new)
-            q = expit(-state.margins)
+            expit(np.negative(state.margins, out=q), out=q)
             move = abs(new - wj)
             if move > max_move:
                 max_move = move
@@ -558,7 +560,8 @@ def find_swap(trial: ModelState, data: DesignMatrix, hp: HyperParams, forbidden:
     lip = lipschitz_all(data, lam2)
     candidates = np.array(_candidate_order(grads, forbidden, hp.candidate_limit),
                           dtype=np.intp)
-    candidates = candidates[lip[candidates] > 0.0]  # inert columns are no candidates
+    # all-zero columns are no candidates: their slope is zero at any ridge
+    candidates = candidates[data.column_sq_sums[candidates] > 0.0]
     base_sq = float(trial.w @ trial.w)
     width = max(1, BLOCK_ELEMENTS // data.n)
     for start in range(0, candidates.size, width):

@@ -72,17 +72,23 @@ def warm_start(data: DesignMatrix, hp: HyperParams, init=None,
     Once the engine's ``SUPPORT_SETTLED_SWEEPS`` sweeps in a row leave the
     support unchanged, the engine's ``solve_support`` minimizes the smooth
     loss over that support and the intercept exactly, and the sweeps go on
-    (the active-set scheme of Hazimeh and Mazumder).  A support that the
-    warm start has already solved is not solved again.  A solve that is
-    not certified (as on a separable support), or that leaves a coefficient
-    on the engine's ``COEF_BOUND`` box, where a support that separates the
-    data drives it, is undone, and that warm start runs no more solves.
+    (the active-set scheme of Hazimeh and Mazumder).  After a kept solve a
+    support that moves is solved again as soon as one sweep leaves it
+    unchanged.  The support solved last is not solved again.  A solve that
+    is not certified (as on a separable support), or that leaves a
+    coefficient on the engine's ``COEF_BOUND`` box, where a support that
+    separates the data drives it, is undone, and that warm start runs no
+    more solves.  A kept solve ends one Newton step past its certificate
+    (``core.newton_solve``), so the sweep after it usually moves no
+    coefficient by more than ``SWEEP_STABLE_TOL`` and ends the warm start.
 
     The returned state cannot be improved by any single thresholding step,
     unless the sweep cap was hit first (counted in ``stats.cap_hits``); the
-    intercept is refit each sweep and never penalized.
+    intercept is refit each sweep and never penalized.  ``stats.sweeps``
+    and ``stats.solves`` count the sweeps and the solves, kept or undone.
     """
     eng = engine(hp.loss)
+    stats = FitStats() if stats is None else stats
     state = eng.new_state(data) if init is None else init.copy()
     eng.refit_intercept(state, data, stats)
     settle = eng.SUPPORT_SETTLED_SWEEPS
@@ -91,19 +97,22 @@ def warm_start(data: DesignMatrix, hp: HyperParams, init=None,
     for _ in range(WARM_START_MAX_SWEEPS):
         move = eng.sweep(state, data, hp)
         shift = eng.refit_intercept(state, data, stats)
+        stats.sweeps += 1
         if move <= SWEEP_STABLE_TOL and abs(shift) <= SWEEP_STABLE_TOL:
             break
         settled = settled + 1 if state.support == support else 0
         support = set(state.support)
         if settled >= settle and support != solved:
             before = state.copy()
-            if not (eng.solve_support(state, data, hp)
+            stats.solves += 1
+            if (eng.solve_support(state, data, hp)
                     and np.abs(state.w).max(initial=0.0) < eng.COEF_BOUND):
+                settle = 1
+            else:
                 state, settle = before, math.inf
             solved, settled = support, 0
     else:
-        if stats is not None:
-            stats.cap_hits += 1
+        stats.cap_hits += 1
     return state
 
 

@@ -33,16 +33,18 @@ class FitStats:
 
     The swap search counts as a sequential scan of each visit's candidates
     would, up to and including the accepted one: ``candidates`` evaluated
-    (inert zero columns are skipped, not counted) and, under the logistic
-    loss, ``cut_prunes`` among them dismissed without a line search (by
-    ``logistic.screen_block``'s cuts at zero, the one-point vertex and the
-    self-concordant bound, under ``quad``, or by its reach bound or
-    bracket-curvature cut) and ``line_searches`` run.
+    (all-zero columns are skipped at any ridge, not counted) and, under
+    the logistic loss, ``cut_prunes`` among them dismissed without a line
+    search (by ``logistic.screen_block``'s cuts at zero, the one-point
+    vertex and the self-concordant bound, under ``quad``, or by its reach
+    bound or bracket-curvature cut) and ``line_searches`` run.
     ``cap_hits`` counts the warm starts and logistic intercept refits that
     ended at their sweep or iteration cap without meeting their stop test,
     the swap search's support solves (``reoptimize``) that ended
     uncertified, at the Newton iteration cap or when no halving lowered the
     loss, and swap searches that ended at ``SWAP_MAX_PASSES``.
+    ``sweeps`` counts the warm start's coordinate sweeps and ``solves`` its
+    support solves, kept or undone (``path.warm_start``).
     """
 
     swap_evals: int = 0
@@ -50,6 +52,8 @@ class FitStats:
     candidates: int = 0
     line_searches: int = 0
     cap_hits: int = 0
+    sweeps: int = 0
+    solves: int = 0
 
 
 @dataclass

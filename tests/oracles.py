@@ -476,7 +476,7 @@ def reference_swap_visit(state, data, hp, j, cut):
     lip = 0.25 * data.column_sq_sums + 2.0 * lam2
     threshold = loss_best - OBJECTIVE_TOL
     for j2 in order[:hp.candidate_limit]:
-        if lip[j2] <= 0.0:
+        if data.column_sq_sums[j2] <= 0.0:  # an all-zero column, at any ridge
             continue
         probe = logeng.CoordinateProbe(trial.margins, data.signed[:, j2], lam2=lam2,
                                        base_sq=base_sq, lipschitz=float(lip[j2]),

@@ -80,7 +80,8 @@ class TestFitPredict:
         stats = sc.FitStats()
         sc.fit_one(read_csv(str(data_path)), sc.HyperParams(lambda0=0.3, lambda2=1e-3),
                    stats=stats)
-        for key in ("swap_evals", "cut_prunes", "candidates", "line_searches", "cap_hits"):
+        for key in ("swap_evals", "cut_prunes", "candidates", "line_searches", "cap_hits",
+                    "sweeps", "solves"):
             assert summary[key] == getattr(stats, key), key
         assert summary["candidates"] > 0
 
@@ -842,7 +843,7 @@ class TestPathCommand:
         header = lines[0].split(",")
         assert header == ["lambda0", "lambda2", "support_size", "objective",
                           "train_auc", "wall_ms", "swap_evals", "cut_prunes", "error",
-                          "candidates", "line_searches", "cap_hits"]
+                          "candidates", "line_searches", "cap_hits", "sweeps", "solves"]
 
     def test_rows_carry_fit_counters(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
@@ -859,7 +860,8 @@ class TestPathCommand:
         data = read_csv(str(data_path))
         spec = sc.PathSpec(lambda0_grid=(2.0, 0.5), lambda2_grid=(0.001,))
         for row, entry in zip(rows, sc.fit_path(data, spec).entries):
-            for name in ("swap_evals", "cut_prunes", "candidates", "line_searches", "cap_hits"):
+            for name in ("swap_evals", "cut_prunes", "candidates", "line_searches", "cap_hits",
+                         "sweeps", "solves"):
                 assert int(row[name]) == getattr(entry, name)
         assert sum(int(r["candidates"]) for r in rows) > 0
 
@@ -883,7 +885,9 @@ class TestPathCommand:
         assert row["objective"] == ""
         assert row["error"].endswith("boom")
         assert (row["candidates"], row["line_searches"], row["cap_hits"]) == ("0", "0", "1")
-        assert cli.COUNTER_COLUMNS == ("candidates", "line_searches", "cap_hits")
+        assert (row["sweeps"], row["solves"]) == ("0", "0")
+        assert cli.COUNTER_COLUMNS == ("candidates", "line_searches", "cap_hits", "sweeps",
+                                       "solves")
 
     def test_single_point_matches_fit(self, tmp_path, capsys):
         rng = np.random.default_rng(10)
@@ -946,7 +950,7 @@ class TestBenchCommand:
         header = header.split(",")
         assert header == ["loss", "cut", "ordering", "lambda0", "lambda2", "objective",
                           "support_size", "wall_ms", "swap_evals", "cut_prunes",
-                          "candidates", "line_searches", "cap_hits"]
+                          "candidates", "line_searches", "cap_hits", "sweeps", "solves"]
         rows = [dict(zip(header, ln.split(","))) for ln in lines]
         assert len(rows) == 2 and all(len(ln.split(",")) == len(header) for ln in lines)
         assert all(int(r["candidates"]) >= int(r["line_searches"]) >= 0 for r in rows)

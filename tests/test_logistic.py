@@ -463,6 +463,39 @@ class TestSupportSolve:
         rebuilt.refresh(data)
         np.testing.assert_array_equal(state.margins, rebuilt.margins)
 
+    @pytest.mark.parametrize("seed", [1, 3, 4, 6])
+    def test_steps_past_its_certificate(self, seed):
+        # Instances of test_matches_the_scipy_oracle with no ridge, so the
+        # gradient -A^T u of each point the solve evaluates is read from its
+        # terms (with no box, the projected gradient is the gradient).  On
+        # these seeds the first point to meet the certificate lies well
+        # above the rounding floor, 1e-13 f to 1e-10 f; the point returned
+        # one Newton step later has a gradient at least 100 times smaller.
+        rng = np.random.default_rng(700 + seed)
+        n, p = int(rng.integers(80, 240)), 12
+        x = rng.standard_normal((n, p))
+        y = np.where(rng.random(n) < expit(0.8 * (x[:, 0] - x[:, 1])), 1.0, -1.0)
+        data = sc.DesignMatrix.from_arrays(x, y)
+        state = sc.ModelState.zeros(data)
+        for j in rng.choice(p, size=int(rng.integers(0, 7)), replace=False):
+            state.set_coefficient(data, int(j), float(rng.standard_normal()))
+        state.set_intercept(data, float(rng.standard_normal()))
+        support = sorted(state.support)
+        a = np.column_stack([data.signed[:, support], data.y])
+        seen = []
+
+        def terms(m):
+            f, u, v = logeng._row_terms(m)
+            seen.append((f, float(np.abs(a.T @ u).max())))
+            return f, u, v
+
+        assert sc.core.newton_solve(state, data, terms, math.inf, 0.0)
+        certified = next(gap for f, gap in seen if gap <= NEWTON_GRAD_TOL * f)
+        f = logeng.smooth_loss(state, data, sc.HyperParams())
+        gap = float(np.abs(a.T @ expit(-state.margins)).max())
+        assert gap <= NEWTON_GRAD_TOL * f
+        assert gap <= certified / 100.0
+
     @pytest.mark.parametrize("lam2", [1e-3, 1e-5])
     @pytest.mark.parametrize("seed", range(6))
     def test_swap_search_refit_is_exact(self, seed, lam2):

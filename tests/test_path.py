@@ -20,6 +20,26 @@ def _data(rng, n=100, p=8, idx=(1, 5), scale=1.5, binary=False):
     return sc.DesignMatrix.from_arrays(x, y)
 
 
+def _record_warm_start(monkeypatch, eng):
+    """Record a warm start's work through ``eng``: ("sweep", support after
+    the sweep) per sweep and ("solve", certified) per support solve."""
+    events = []
+    sweep, solve = eng.sweep, eng.solve_support
+
+    def recording_sweep(state, data, hp):
+        move = sweep(state, data, hp)
+        events.append(("sweep", frozenset(state.support)))
+        return move
+
+    def recording_solve(state, data, hp):
+        events.append(("solve", solve(state, data, hp)))
+        return events[-1][1]
+
+    monkeypatch.setattr(eng, "sweep", recording_sweep)
+    monkeypatch.setattr(eng, "solve_support", recording_solve)
+    return events
+
+
 class TestWarmStart:
     def test_huge_penalty_gives_intercept_only(self):
         rng = np.random.default_rng(0)
@@ -72,9 +92,12 @@ class TestWarmStart:
             move = logeng.cd_sweep(extra, data, hp.lambda0, hp.lambda2, lip, range(data.p))
             assert move <= 1e-10
 
-    def test_logistic_fixed_point_on_a_c06_instance(self):
+    def test_logistic_fixed_point_on_a_c06_instance(self, monkeypatch):
         # Acceptance c06's first random instance, where sweeps alone end at
-        # the 500-sweep cap short of a fixed point.
+        # the 500-sweep cap short of a fixed point.  A sweep after the
+        # first solve moves the support, and the moved support is solved
+        # again as soon as one sweep leaves it unchanged, not after
+        # SUPPORT_SETTLED_SWEEPS more.
         rng = np.random.default_rng(7000)
         x = rng.standard_normal((300, 200))
         w = np.zeros(200)
@@ -82,12 +105,59 @@ class TestWarmStart:
         y = np.where(rng.random(300) < expit(x @ w), 1.0, -1.0)
         data = sc.DesignMatrix.from_arrays(x, y)
         hp = sc.HyperParams(lambda0=0.15, lambda2=1e-3)
+        events = _record_warm_start(monkeypatch, logeng)
         stats = sc.FitStats()
         state = sc.warm_start(data, hp, stats=stats)
+        monkeypatch.undo()
         assert stats.cap_hits == 0
+        assert stats.sweeps <= 42
+        solves = [i for i, (kind, _) in enumerate(events) if kind == "solve"]
+        assert len(solves) >= 2 and all(events[i][1] for i in solves)
+        # the support at the first solve, then after each sweep up to the second
+        first, second = solves[:2]
+        supports = [support for kind, support in events[first - 1:second] if kind == "sweep"]
+        moved = next(k for k in range(1, len(supports)) if supports[k] != supports[k - 1])
+        assert len(supports) - moved <= 2
         lip = logeng.lipschitz_all(data, hp.lambda2)
         move = logeng.cd_sweep(state.copy(), data, hp.lambda0, hp.lambda2, lip, range(data.p))
         assert move <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_ends_one_sweep_after_its_last_kept_solve(self, seed, monkeypatch):
+        # The instances of test_surrogate_fixed_point_certificate.  The solve
+        # takes one Newton step past its certificate, so the sweep after it
+        # moves nothing by more than SWEEP_STABLE_TOL.  Seeds 2 and 8 went
+        # on for 14 and 4 sweeps when a solve ended at its certificate.
+        data = _data(np.random.default_rng(seed), n=120, p=10, idx=(2, 7))
+        hp = sc.HyperParams(lambda0=0.2, lambda2=1e-3)
+        events = _record_warm_start(monkeypatch, logeng)
+        stats = sc.FitStats()
+        sc.warm_start(data, hp, stats=stats)
+        assert stats.cap_hits == 0
+        assert events[-2] == ("solve", True)
+        assert events[-1][0] == "sweep"
+
+    @pytest.mark.parametrize("loss, seed, lam0", [("logistic", 5, 0.2),
+                                                  ("exponential", 43, 2.0)])
+    def test_counts_its_sweeps_and_solves(self, loss, seed, lam0, monkeypatch):
+        # The logistic warm start keeps two solves.  The exponential data is
+        # separable: its one solve reaches the box and is undone, but counts.
+        binary = loss == "exponential"
+        data = _data(np.random.default_rng(seed), n=80 if binary else 120,
+                     p=300 if binary else 10, binary=binary)
+        hp = sc.HyperParams(lambda0=lam0, lambda2=0.0 if binary else 1e-3, loss=loss)
+        events = _record_warm_start(monkeypatch, sc.core.engine(loss))
+        stats = sc.FitStats()
+        sc.warm_start(data, hp, stats=stats)
+        monkeypatch.undo()
+        sweeps = sum(kind == "sweep" for kind, _ in events)
+        solves = sum(kind == "solve" for kind, _ in events)
+        assert (stats.sweeps, stats.solves) == (sweeps, solves)
+        assert solves == (1 if binary else 2)
+        # fit_path's entry and fit_one carry the warm start's counts
+        entry = sc.fit_path(data, sc.PathSpec(lambda0_grid=(lam0,), lambda2_grid=(hp.lambda2,),
+                                              loss=loss)).entries[0]
+        assert (entry.sweeps, entry.solves) == (sweeps, solves)
 
     def test_uncertified_logistic_solve_is_undone(self, monkeypatch):
         # The separable instance of test_cap_hits_counted: the loss tends to

@@ -89,6 +89,22 @@ class TestDeletion:
         assert out.removed == 2
         assert len(out.new_state.support) == len(state.support) - 1
 
+    @pytest.mark.parametrize("lam2", [0.0, 1e-3])
+    def test_zero_column_is_no_candidate(self, lam2):
+        # A ridge gives an all-zero column a curvature bound of 2 lam2 > 0,
+        # but its slope is zero at any coefficient: it is not a candidate.
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((100, 4))
+        x[:, 3] = 0.0
+        y = np.where(rng.random(100) < expit(1.5 * x[:, 0] - x[:, 1] + 0.5 * x[:, 2]), 1.0, -1.0)
+        data = sc.DesignMatrix.from_arrays(x, y)
+        hp = sc.HyperParams(lambda0=0.05, lambda2=lam2)
+        state = _restricted_fit(data, [0, 1, 2], hp)
+        stats = sc.FitStats()
+        out = sc.try_delete_or_swap(state, data, hp, 0, stats=stats)
+        assert out.kind == "no_change"
+        assert (stats.candidates, stats.cut_prunes, stats.line_searches) == (0, 0, 0)
+
     def test_duplicated_column_with_bad_split_deleted(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((80, 3))
