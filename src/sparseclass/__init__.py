@@ -7,14 +7,7 @@ Continuous features can be expanded into threshold dummies, turning the
 same solvers into generalized additive scorecard builders.
 """
 
-from .binarize import (
-    Scorecard,
-    ScorecardTerm,
-    ThresholdGroup,
-    ThresholdMap,
-    binarize,
-    export_scorecard,
-)
+from .binarize import Scorecard, ScorecardTerm, binarize, export_scorecard
 from .core import (
     ConfigError,
     DataError,
@@ -50,8 +43,6 @@ __all__ = [
     "SupportComparison",
     "SwapOutcome",
     "SynthSpec",
-    "ThresholdGroup",
-    "ThresholdMap",
     "accuracy",
     "auc",
     "binarize",

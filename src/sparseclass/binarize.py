@@ -13,44 +13,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, DesignMatrix, ThresholdIndex
+from .core import DIRECTIONS, ConfigError, DataError, DesignMatrix, ThresholdIndex
 
-DIRECTIONS = ("<=", ">=")
 ENCODINGS = ("0/1", "-1/+1")
 MODEL_KINDS = ("scorecard", "linear")
-
-
-@dataclass(frozen=True)
-class ThresholdGroup:
-    """Thresholds generated for one source feature, with the dummy columns
-    they produced (aligned, strictly increasing thresholds)."""
-
-    name: str
-    thresholds: tuple[float, ...]
-    columns: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ThresholdMap:
-    direction: str
-    encoding: str
-    groups: tuple[ThresholdGroup, ...]
-
-    def __post_init__(self):
-        if self.direction not in DIRECTIONS:
-            raise ConfigError(f"direction must be one of {DIRECTIONS}")
-        if self.encoding not in ENCODINGS:
-            raise ConfigError(f"encoding must be one of {ENCODINGS}")
-        seen: set[int] = set()
-        for g in self.groups:
-            if any(b <= a for a, b in zip(g.thresholds, g.thresholds[1:])):
-                raise DataError(f"thresholds for {g.name!r} are not strictly increasing")
-            if len(g.thresholds) != len(g.columns):
-                raise DataError(f"threshold/column mismatch for {g.name!r}")
-            for cidx in g.columns:
-                if cidx in seen:
-                    raise DataError(f"dummy column {cidx} assigned twice")
-                seen.add(cidx)
 
 
 def _feature_thresholds(col: np.ndarray, max_thresholds: int | None) -> np.ndarray:
@@ -68,14 +34,15 @@ def binarize(
     direction: str = "<=",
     encoding: str = "0/1",
     max_thresholds: int | None = None,
-) -> tuple[DesignMatrix, ThresholdMap]:
+) -> tuple[DesignMatrix, ThresholdIndex]:
     """Expand every feature into threshold dummies.
 
     Thresholds are the distinct realized values of each feature, capped to
     equally spaced realized quantiles when ``max_thresholds`` is given.
     Constant features contribute no columns.  The -1/+1 encoding is what the
     exponential-loss engine requires.  The result holds the dummies signed,
-    y * x, and a ``ThresholdIndex``: each feature's sort order and each
+    y * x, and a ``ThresholdIndex``, which is returned beside it too: each
+    dummy's raw feature and threshold, each feature's sort order and each
     dummy's count of ones, found with the comparison that fills the column.
     """
     if direction not in DIRECTIONS:
@@ -92,31 +59,35 @@ def binarize(
     compare = np.less_equal if direction == "<=" else np.greater_equal
     # x >= t exactly when -x <= -t, so ">=" dummies sort and count by -x
     sign = 1.0 if direction == "<=" else -1.0
+    columns: list[str] = []
     names: list[str] = []
-    groups: list[ThresholdGroup] = []
     orders: list[np.ndarray] = []
     feature = np.empty(x.shape[1], dtype=np.intp)
     prefix = np.empty(x.shape[1], dtype=np.intp)
+    theta = np.empty(x.shape[1])
     for j, (name, ths) in enumerate(zip(data.feature_names, thresholds)):
-        start = len(names)
+        if not ths.size:
+            continue
+        start = len(columns)
         col = data.column(j)
         compare(col[:, None], ths, out=x[:, start:start + ths.size])
-        names += [f"{name}{direction}{t!r}" for t in ths.tolist()]
-        groups.append(ThresholdGroup(name, tuple(ths.tolist()), tuple(range(start, len(names)))))
-        if ths.size:
-            keys = sign * col
-            order = np.argsort(keys, kind="stable")
-            feature[start:len(names)] = len(orders)
-            prefix[start:len(names)] = np.searchsorted(keys[order], sign * ths, side="right")
-            orders.append(order)
+        columns += [f"{name}{direction}{t!r}" for t in ths.tolist()]
+        keys = sign * col
+        order = np.argsort(keys, kind="stable")
+        feature[start:len(columns)] = len(orders)
+        prefix[start:len(columns)] = np.searchsorted(keys[order], sign * ths, side="right")
+        theta[start:len(columns)] = ths
+        orders.append(order)
+        names.append(name)
     if encoding == "-1/+1":
         x *= 2.0
         x -= 1.0
     x *= data.y[:, None]  # the dataset holds the signed dummies y * x
     index = ThresholdIndex(order=np.array(orders, dtype=np.intp).reshape(len(orders), data.n),
-                           feature=feature, prefix=prefix, plus_minus=encoding == "-1/+1")
-    out = DesignMatrix(signed=x, y=data.y, feature_names=tuple(names), threshold_index=index)
-    return out, ThresholdMap(direction=direction, encoding=encoding, groups=tuple(groups))
+                           feature=feature, prefix=prefix, plus_minus=encoding == "-1/+1",
+                           direction=direction, names=tuple(names), thresholds=theta)
+    out = DesignMatrix(signed=x, y=data.y, feature_names=tuple(columns), threshold_index=index)
+    return out, index
 
 
 @dataclass(frozen=True)
@@ -258,32 +229,28 @@ def _unwrap_numpy(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def export_scorecard(state, tmap: ThresholdMap | None, feature_names, hp) -> Scorecard:
-    """Turn a fit into a model: a scorecard for a fit on a binarized matrix,
-    a ``linear`` model for a fit on raw features (``tmap`` None).
+def export_scorecard(state, data: DesignMatrix, hp) -> Scorecard:
+    """Turn a fit on ``data`` into a model: a scorecard for a fit on the
+    dummies that ``binarize`` builds, read from their threshold index, and
+    a ``linear`` model for a fit on raw features (no index).
 
-    ``feature_names`` are the column names the state was fitted on and are
-    used to cross-check the map.  -1/+1 dummies contribute 2w per
-    indicator with the constant part folded into the intercept.
+    -1/+1 dummies contribute 2w per indicator with the constant part folded
+    into the intercept.
     """
-    n_cols = len(feature_names) if tmap is None else sum(len(g.columns) for g in tmap.groups)
-    if len(feature_names) != n_cols or state.w.shape[0] != n_cols:
-        raise DataError("feature names do not match the fitted coefficient vector")
+    if state.w.shape[0] != data.p:
+        raise DataError("the fitted coefficient vector does not match the dataset")
     intercept = float(state.intercept)
-    if tmap is None:
-        terms = [ScorecardTerm(feature_names[j], None, None, float(state.w[j]))
+    idx = data.threshold_index
+    if idx is None:
+        terms = [ScorecardTerm(data.feature_names[j], None, None, float(state.w[j]))
                  for j in sorted(state.support)]
         return Scorecard(hp.loss, hp.lambda0, hp.lambda2, intercept, tuple(terms), "linear")
-    pm = tmap.encoding == "-1/+1"
     terms = []
-    for g in tmap.groups:
-        for theta, cidx in zip(g.thresholds, g.columns):
-            w = float(state.w[cidx])
-            if w == 0.0:
-                continue
-            if pm:
-                terms.append(ScorecardTerm(g.name, tmap.direction, theta, 2.0 * w))
-                intercept -= w
-            else:
-                terms.append(ScorecardTerm(g.name, tmap.direction, theta, w))
+    for j in sorted(state.support):
+        w = float(state.w[j])
+        if idx.plus_minus:
+            intercept -= w
+            w *= 2.0
+        terms.append(ScorecardTerm(idx.names[idx.feature[j]], idx.direction,
+                                   float(idx.thresholds[j]), w))
     return Scorecard(hp.loss, hp.lambda0, hp.lambda2, intercept, tuple(terms))

@@ -245,20 +245,19 @@ def _check_finite(*values) -> None:
 
 # --- subcommands -------------------------------------------------------------
 
-def _prepare_training_data(args) -> tuple[DesignMatrix, object | None]:
+def _prepare_training_data(args) -> DesignMatrix:
     data = read_csv(args.data)
-    tmap = None
     encoding = engine(args.loss).BINARIZE_ENCODING
     if args.binarize:
-        data, tmap = binarize(data, direction="<=", encoding=encoding,
-                              max_thresholds=args.max_thresholds)
+        data, _ = binarize(data, direction="<=", encoding=encoding,
+                           max_thresholds=args.max_thresholds)
     if encoding == "-1/+1" and not data.binary:
         raise ConfigError(f"the {args.loss} loss needs -1/+1 features; pass --binarize")
-    return data, tmap
+    return data
 
 
 def cmd_fit(args) -> int:
-    data, tmap = _prepare_training_data(args)
+    data = _prepare_training_data(args)
     hp = HyperParams(lambda0=args.lambda0, lambda2=args.lambda2, loss=args.loss,
                      candidate_limit=args.candidate_limit)
     stats = FitStats()
@@ -268,7 +267,7 @@ def cmd_fit(args) -> int:
     obj = objective(state, data, hp)
     _check_finite(obj, state.w, state.intercept)
     scores = state.scores(data)
-    model_text = export_scorecard(state, tmap, data.feature_names, hp).to_json()
+    model_text = export_scorecard(state, data, hp).to_json()
     if args.out:
         with _output(args.out) as fh:
             fh.write(model_text + "\n")
@@ -349,7 +348,7 @@ def _path_rows(data: DesignMatrix, result) -> list[str]:
 
 
 def cmd_path(args) -> int:
-    data, _ = _prepare_training_data(args)
+    data = _prepare_training_data(args)
     lam0_grid = _parse_grid(args.lambda0_grid)
     lam2_grid = tuple(sorted(_parse_grid(args.lambda2_grid)))
     spec = PathSpec(

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.special import expit
 
 LOSSES = ("logistic", "exponential")
+DIRECTIONS = ("<=", ">=")
 
 # Margin caches are rebuilt from scratch after this many incremental updates
 # to bound floating-point drift.
@@ -64,22 +65,28 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ThresholdIndex:
-    """Where the ones of each threshold dummy lie, for the prefix-sum
+    """The threshold dummies that ``binarize`` builds: what each one is, for
+    ``export_scorecard``, and where its ones lie, for the prefix-sum
     products of ``DesignMatrix.signed_products``.
 
     Row k of ``order`` is the stable sort order of the k-th raw feature
-    that has thresholds: ascending for ``<=`` dummies, descending for
-    ``>=``, so the rows where a dummy is 1 come first.  Dummy column j
-    belongs to row ``feature[j]`` and is 1 on the first ``prefix[j]`` rows
-    of that order (at least one, as thresholds are realized values) and 0,
-    or -1 when ``plus_minus``, elsewhere.  Columns come grouped by raw
-    feature, so ``feature`` never decreases.
+    that has thresholds, the feature named ``names[k]``: ascending for
+    ``<=`` dummies, descending for ``>=`` (``direction``), so the rows
+    where a dummy is 1 come first.  Dummy column j is 1[x ``direction``
+    ``thresholds[j]``] on the raw feature of row ``feature[j]``.  It is 1
+    on the first ``prefix[j]`` rows of that order (at least one, as
+    thresholds are realized values) and 0, or -1 when ``plus_minus``,
+    elsewhere.  Columns come grouped by raw feature, so ``feature`` never
+    decreases, and a feature's thresholds strictly increase.
     """
 
     order: np.ndarray
     feature: np.ndarray
     prefix: np.ndarray
     plus_minus: bool
+    direction: str
+    names: tuple[str, ...]
+    thresholds: np.ndarray
 
 
 @dataclass
@@ -114,14 +121,20 @@ class DesignMatrix:
         idx = self.threshold_index
         if idx is not None:
             if (idx.order.ndim != 2 or idx.order.shape[1] != n
-                    or idx.feature.shape != (p,) or idx.prefix.shape != (p,)):
+                    or len(idx.names) != idx.order.shape[0] or idx.feature.shape != (p,)
+                    or idx.prefix.shape != (p,) or idx.thresholds.shape != (p,)):
                 raise DataError("threshold index does not match the feature matrix")
+            if idx.direction not in DIRECTIONS:
+                raise DataError(f"threshold direction must be one of {DIRECTIONS}")
             if p and not (0 <= idx.feature.min() and idx.feature.max() < idx.order.shape[0]
                           and 1 <= idx.prefix.min() and idx.prefix.max() <= n):
                 raise DataError("threshold index entries out of range")
-            if np.any(np.diff(idx.feature) < 0):
+            step = np.diff(idx.feature)
+            if np.any(step < 0):
                 raise DataError("threshold index columns are not grouped by feature")
-            for a in (idx.order, idx.feature, idx.prefix):
+            if not np.all(np.diff(idx.thresholds)[step == 0] > 0):
+                raise DataError("a feature's thresholds are not strictly increasing")
+            for a in (idx.order, idx.feature, idx.prefix, idx.thresholds):
                 a.setflags(write=False)
         self.signed.setflags(write=False)
         self.y.setflags(write=False)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import ConfigError, DesignMatrix, HyperParams, engine, objective
+from .core import ConfigError, DataError, DesignMatrix, HyperParams, engine, objective
 from .swap import FitStats, check_ordering, fit_swap_1opt, resolve_cut
 
 WARM_START_MAX_SWEEPS = 500
@@ -119,9 +119,13 @@ def warm_start(data: DesignMatrix, hp: HyperParams, init=None,
 def fit_one(data: DesignMatrix, hp: HyperParams, ordering: str = "dynamic",
             cut: str = "auto", init=None, stats: FitStats | None = None):
     """Warm start then swap search; the standard single fit.  ``ordering``
-    and ``cut`` (against the ridge) are checked before the warm start runs."""
+    and ``cut`` (against the ridge) are checked before the warm start runs,
+    and so are the labels: one class, which no finite model fits, is a
+    ``DataError``."""
     check_ordering(ordering)
     resolve_cut(cut, hp)
+    if np.unique(data.y).size < 2:
+        raise DataError("a fit needs labels of both classes")
     state = warm_start(data, hp, init=init, stats=stats)
     return fit_swap_1opt(state, data, hp, ordering=ordering, cut=cut, stats=stats)
 

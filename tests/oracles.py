@@ -124,11 +124,11 @@ def reference_binarize(data, direction="<=", encoding="0/1", max_thresholds=None
     """Threshold dummies built one column at a time: each feature's distinct
     values (or, past ``max_thresholds`` of them, the distinct "lower"
     quantiles at equally spaced levels) each give one indicator column,
-    stacked and copied into a ``DesignMatrix``."""
-    from sparseclass.binarize import ThresholdGroup, ThresholdMap
+    stacked and copied into a ``DesignMatrix``.  Returned beside it, the
+    (raw feature name, threshold) of each column."""
     from sparseclass.core import DesignMatrix
 
-    columns, names, groups = [], [], []
+    columns, names, dummies = [], [], []
     for j, name in enumerate(data.feature_names):
         col = data.column(j)
         thresholds = np.unique(col)
@@ -137,19 +137,17 @@ def reference_binarize(data, direction="<=", encoding="0/1", max_thresholds=None
         elif max_thresholds is not None and thresholds.size > max_thresholds:
             levels = np.linspace(0.0, 1.0, max_thresholds)
             thresholds = np.unique(np.quantile(col, levels, method="lower"))
-        idxs = []
         for theta in thresholds:
             ind = (col <= theta) if direction == "<=" else (col >= theta)
             dummy = ind.astype(np.float64)
             if encoding == "-1/+1":
                 dummy = 2.0 * dummy - 1.0
-            idxs.append(len(columns))
             columns.append(dummy)
             names.append(f"{name}{direction}{float(theta)!r}")
-        groups.append(ThresholdGroup(name, tuple(float(t) for t in thresholds), tuple(idxs)))
+            dummies.append((name, float(theta)))
     x = np.column_stack(columns) if columns else np.empty((data.n, 0))
     out = DesignMatrix.from_arrays(x, data.y, names)
-    return out, ThresholdMap(direction=direction, encoding=encoding, groups=tuple(groups))
+    return out, dummies
 
 
 def reference_signed_products(data, v):

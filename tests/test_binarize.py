@@ -25,18 +25,18 @@ def _toy(values, y=None):
 class TestBinarize:
     def test_distinct_values_become_thresholds(self):
         data = _toy([3.0, 1.0, 3.0, 7.0])
-        out, tmap = sc.binarize(data, direction="<=", encoding="0/1")
+        out, idx = sc.binarize(data, direction="<=", encoding="0/1")
         assert out.p == 3
-        assert tmap.groups[0].thresholds == (1.0, 3.0, 7.0)
-        col = out.column(tmap.groups[0].columns[1])  # theta = 3
+        assert idx.thresholds.tolist() == [1.0, 3.0, 7.0]
+        col = out.column(1)  # theta = 3
         assert col.tolist() == [1.0, 1.0, 1.0, 0.0]
 
     def test_constant_feature_contributes_nothing(self):
         x = np.column_stack([np.full(4, 2.0), [1.0, 2.0, 3.0, 4.0]])
         data = sc.DesignMatrix.from_arrays(x, [1, -1, 1, -1], ["const", "varies"])
-        out, tmap = sc.binarize(data)
-        assert tmap.groups[0].thresholds == ()
-        assert tmap.groups[0].columns == ()
+        out, idx = sc.binarize(data)
+        assert idx.names == ("varies",)
+        assert idx.feature.tolist() == [0, 0, 0, 0]
         assert out.p == 4  # only the varying feature expands
 
     def test_empty_dataset_rejected(self):
@@ -48,10 +48,10 @@ class TestBinarize:
         rng = np.random.default_rng(2)
         data = sc.DesignMatrix.from_arrays(rng.standard_normal((30, 2)),
                                            np.where(rng.random(30) < 0.5, 1.0, -1.0))
-        out, tmap = sc.binarize(data, direction="<=", encoding="0/1")
-        for g in tmap.groups:
-            for c1, c2 in zip(g.columns, g.columns[1:]):
-                assert np.all(out.column(c1) <= out.column(c2))
+        out, idx = sc.binarize(data, direction="<=", encoding="0/1")
+        for c1 in range(out.p - 1):
+            if idx.feature[c1] == idx.feature[c1 + 1]:
+                assert np.all(out.column(c1) <= out.column(c1 + 1))
 
     def test_risk_score_style_thresholds_present(self):
         rng = np.random.default_rng(3)
@@ -59,8 +59,8 @@ class TestBinarize:
         data = sc.DesignMatrix.from_arrays(vals.reshape(-1, 1),
                                            np.where(rng.random(44) < 0.5, 1.0, -1.0),
                                            ["ExternalRiskEstimate"])
-        out, tmap = sc.binarize(data)
-        ths = set(tmap.groups[0].thresholds)
+        out, idx = sc.binarize(data)
+        ths = set(idx.thresholds.tolist())
         assert {63.0, 70.0, 74.0, 83.0} <= ths
         assert "ExternalRiskEstimate<=63.0" in out.feature_names
 
@@ -69,22 +69,22 @@ class TestBinarize:
         col = rng.standard_normal(500)
         data = sc.DesignMatrix.from_arrays(col.reshape(-1, 1),
                                            np.where(rng.random(500) < 0.5, 1.0, -1.0))
-        out, tmap = sc.binarize(data, max_thresholds=20)
-        ths = tmap.groups[0].thresholds
+        out, idx = sc.binarize(data, max_thresholds=20)
+        ths = idx.thresholds.tolist()
         assert len(ths) <= 20
         assert all(b > a for a, b in zip(ths, ths[1:]))
         assert set(ths) <= set(col.tolist())  # realized values only
 
     def test_plus_minus_encoding_is_binary(self):
         data = _toy([3.0, 1.0, 3.0, 7.0])
-        out, tmap = sc.binarize(data, encoding="-1/+1")
+        out, _ = sc.binarize(data, encoding="-1/+1")
         assert out.binary
         assert set(np.unique(out.x)) <= {-1.0, 1.0}
 
     def test_ge_direction(self):
         data = _toy([3.0, 1.0, 3.0, 7.0])
-        out, tmap = sc.binarize(data, direction=">=", encoding="0/1")
-        col = out.column(tmap.groups[0].columns[1])  # theta = 3
+        out, _ = sc.binarize(data, direction=">=", encoding="0/1")
+        col = out.column(1)  # theta = 3
         assert col.tolist() == [1.0, 0.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("max_thresholds", [None, 1, 3, 200])
@@ -102,16 +102,19 @@ class TestBinarize:
         ])
         data = sc.DesignMatrix.from_arrays(x, np.where(rng.random(n) < 0.5, 1.0, -1.0),
                                            ["a", "b", "c", "d", "e"])
-        got, got_map = sc.binarize(data, direction=direction, encoding=encoding,
-                                   max_thresholds=max_thresholds)
-        want, want_map = reference_binarize(data, direction, encoding, max_thresholds)
+        got, idx = sc.binarize(data, direction=direction, encoding=encoding,
+                               max_thresholds=max_thresholds)
+        want, want_dummies = reference_binarize(data, direction, encoding, max_thresholds)
         assert got.x.dtype == want.x.dtype == np.float64
         assert got.x.flags.f_contiguous
         assert got.x.shape == want.x.shape
         assert got.x.tobytes(order="F") == want.x.tobytes(order="F")
         assert got.feature_names == want.feature_names
         assert got.y.tobytes() == want.y.tobytes()
-        assert got_map == want_map
+        assert idx is got.threshold_index
+        assert [(idx.names[f], t) for f, t in zip(idx.feature, idx.thresholds)] == want_dummies
+        assert idx.direction == direction
+        assert idx.plus_minus == (encoding == "-1/+1")
 
 
 class TestOneDesignArray:
@@ -201,15 +204,18 @@ class TestSignedProducts:
     def test_the_index_is_locked_and_checked(self):
         out, _ = sc.binarize(_mixed(40), direction=">=", encoding="-1/+1")
         idx = out.threshold_index
-        for a in (idx.order, idx.feature, idx.prefix):
+        for a in (idx.order, idx.feature, idx.prefix, idx.thresholds):
             assert not a.flags.writeable
         assert "threshold_index" not in repr(out)
         bad = [dict(order=idx.order[:, 1:]), dict(prefix=idx.prefix[1:]),
                dict(prefix=np.zeros_like(idx.prefix)), dict(feature=idx.feature + 99),
-               dict(feature=idx.feature[::-1])]
+               dict(feature=idx.feature[::-1]), dict(thresholds=idx.thresholds[1:]),
+               dict(thresholds=idx.thresholds[::-1]), dict(names=idx.names[1:]),
+               dict(direction="<")]
         for change in bad:
             fields = dict(order=idx.order, feature=idx.feature, prefix=idx.prefix,
-                          plus_minus=True) | change
+                          plus_minus=True, direction=">=", names=idx.names,
+                          thresholds=idx.thresholds) | change
             with pytest.raises(sc.DataError):
                 sc.DesignMatrix(out.x, out.y, out.feature_names, ThresholdIndex(**fields))
 
@@ -347,9 +353,9 @@ class TestScreensOnDummies:
             assert eng.smooth_loss(state, data, hp) == eng.smooth_loss(oracle, data, hp)
 
 
-def _fit_on_dummies(data, tmap, rng, encoding):
+def _fit_on_dummies(data, rng, encoding):
     state = sc.ModelState.zeros(data)
-    cols = [c for g in tmap.groups for c in g.columns]
+    cols = list(range(data.p))
     chosen = rng.choice(cols, size=min(4, len(cols)), replace=False)
     for c in chosen:
         state.set_coefficient(data, int(c), float(rng.standard_normal()))
@@ -360,46 +366,47 @@ def _fit_on_dummies(data, tmap, rng, encoding):
 class TestScorecard:
     def test_zero_model_exports_intercept_only(self):
         data = _toy([3.0, 1.0, 3.0, 7.0])
-        out, tmap = sc.binarize(data)
+        out, _ = sc.binarize(data)
         state = sc.ModelState.zeros(out)
         state.set_intercept(out, 0.75)
         hp = sc.HyperParams(lambda0=1.0)
-        card = sc.export_scorecard(state, tmap, out.feature_names, hp)
+        card = sc.export_scorecard(state, out, hp)
         assert card.terms == ()
         assert card.intercept == 0.75
 
     def test_grouped_terms_with_verbatim_weights(self):
         x = np.column_stack([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
         data = sc.DesignMatrix.from_arrays(x, [1, -1, 1, -1], ["a", "b"])
-        out, tmap = sc.binarize(data)
+        out, idx = sc.binarize(data)
         state = sc.ModelState.zeros(out)
-        cols = tmap.groups[0].columns
+        cols = np.flatnonzero(idx.feature == 0)
         state.set_coefficient(out, cols[0], 0.5)
         state.set_coefficient(out, cols[2], -1.25)
         hp = sc.HyperParams(lambda0=1.0)
-        card = sc.export_scorecard(state, tmap, out.feature_names, hp)
+        card = sc.export_scorecard(state, out, hp)
         assert [t.feature for t in card.terms] == ["a", "a"]
         assert [t.weight for t in card.terms] == [0.5, -1.25]
         assert [t.threshold for t in card.terms] == [1.0, 3.0]
 
     def test_mismatched_map_rejected(self):
         data = _toy([3.0, 1.0, 3.0, 7.0])
-        out, tmap = sc.binarize(data)
-        state = sc.ModelState.zeros(out)
+        out, _ = sc.binarize(data)
+        state = sc.ModelState.zeros(data)  # one raw column, not three dummies
         hp = sc.HyperParams()
         with pytest.raises(sc.DataError):
-            sc.export_scorecard(state, tmap, out.feature_names[:-1], hp)
+            sc.export_scorecard(state, out, hp)
 
     @pytest.mark.parametrize("encoding", ["0/1", "-1/+1"])
-    def test_prediction_equivalence(self, encoding):
+    @pytest.mark.parametrize("direction", ["<=", ">="])
+    def test_prediction_equivalence(self, direction, encoding):
         rng = np.random.default_rng(7)
         raw = sc.DesignMatrix.from_arrays(rng.standard_normal((25, 3)),
                                           np.where(rng.random(25) < 0.5, 1.0, -1.0),
                                           ["u", "v", "w"])
-        out, tmap = sc.binarize(raw, encoding=encoding, max_thresholds=8)
-        state = _fit_on_dummies(out, tmap, rng, encoding)
+        out, _ = sc.binarize(raw, direction=direction, encoding=encoding, max_thresholds=8)
+        state = _fit_on_dummies(out, rng, encoding)
         hp = sc.HyperParams(lambda0=1.0)
-        card = sc.export_scorecard(state, tmap, out.feature_names, hp)
+        card = sc.export_scorecard(state, out, hp)
         linear_scores = state.scores(out)
         card_scores = card.score_rows({n: raw.column(j) for j, n in enumerate(raw.feature_names)})
         np.testing.assert_allclose(card_scores, linear_scores, atol=1e-12)
@@ -494,14 +501,14 @@ class TestModelFiles:
             x = np.round(rng.standard_normal((n, p)), 1)
         y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-x @ [1.5, -1.0, 0.0])), 1.0, -1.0)
         raw = sc.DesignMatrix.from_arrays(x, y, ["a", "b", "c"])
-        data, tmap = raw, None
+        data = raw
         if kind == "scorecard":
-            data, tmap = sc.binarize(raw, encoding=engine(loss).BINARIZE_ENCODING,
-                                     max_thresholds=8)
+            data, _ = sc.binarize(raw, encoding=engine(loss).BINARIZE_ENCODING,
+                                  max_thresholds=8)
         hp = sc.HyperParams(lambda0=lam0, lambda2=1e-3 if loss == "logistic" else 0.0,
                             loss=loss)
         state = sc.fit_one(data, hp)
-        model = sc.export_scorecard(state, tmap, data.feature_names, hp)
+        model = sc.export_scorecard(state, data, hp)
         assert model.kind == kind
         assert sc.Scorecard.from_json(model.to_json()) == model
         got = model.score_rows({name: raw.column(j) for j, name in enumerate(raw.feature_names)})

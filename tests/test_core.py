@@ -24,16 +24,16 @@ class TestPackageSurface:
     NAMES = {
         "ConfigError", "DataError", "DesignMatrix", "ExpState", "FailureQueue", "FitStats",
         "HyperParams", "ModelState", "PathEntry", "PathResult", "PathSpec", "Scorecard",
-        "ScorecardTerm", "SupportComparison", "SwapOutcome", "SynthSpec", "ThresholdGroup",
-        "ThresholdMap", "accuracy", "auc", "binarize", "export_scorecard", "fit_one",
-        "fit_path", "fit_swap_1opt", "gen_classification", "objective", "planted_support",
+        "ScorecardTerm", "SupportComparison", "SwapOutcome", "SynthSpec", "accuracy", "auc",
+        "binarize", "export_scorecard", "fit_one", "fit_path", "fit_swap_1opt",
+        "gen_classification", "objective", "planted_support",
         "predict_probability", "probability_from_scores", "recovery_f1",
         "smooth_logistic_loss", "smooth_loss", "try_delete_or_swap", "warm_start",
         "zero_interval",
     }
 
     def test_exports_are_exactly_the_fit_surface(self):
-        assert len(sc.__all__) == len(set(sc.__all__)) == 36
+        assert len(sc.__all__) == len(set(sc.__all__)) == 34
         assert set(sc.__all__) == self.NAMES
         for name in sc.__all__:
             assert getattr(sc, name) is not None

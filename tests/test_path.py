@@ -360,6 +360,26 @@ class TestFitPath:
         with pytest.raises(sc.ConfigError, match="ordering"):
             pathmod.fit_one(data, sc.HyperParams(lambda0=1.0), ordering="bogus")
 
+    @pytest.mark.parametrize("n", [30, 1])
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    @pytest.mark.parametrize("loss,lam2", [("logistic", 0.0), ("logistic", 1e-3),
+                                           ("exponential", 0.0)])
+    def test_one_class_labels_are_a_data_error(self, loss, lam2, label, n):
+        # no finite model fits one class: the logistic Newton system is
+        # singular or the intercept runs to the clamp, as does the
+        # exponential one; one row has one class
+        x = np.random.default_rng(8).standard_normal((n, 4))
+        if loss == "exponential":
+            x = np.where(x < 0.0, -1.0, 1.0)
+        data = sc.DesignMatrix.from_arrays(x, np.full(n, label))
+        hp = sc.HyperParams(lambda0=1.0, lambda2=lam2, loss=loss)
+        with pytest.raises(sc.DataError, match="both classes"):
+            sc.fit_one(data, hp)
+        spec = sc.PathSpec(lambda0_grid=(2.0, 1.0), lambda2_grid=(lam2,), loss=loss)
+        result = sc.fit_path(data, spec)
+        assert [e.state for e in result.entries] == [None, None]
+        assert all("both classes" in e.error for e in result.entries)
+
     def test_sparsity_trend_reported(self, capsys):
         rng = np.random.default_rng(5)
         data = _data(rng, n=150, p=12, idx=(1, 5, 9))
