@@ -23,7 +23,7 @@ from .core import (
 from .exponential import ExpState, zero_interval
 from .metrics import SupportComparison, accuracy, auc, recovery_f1
 from .path import PathEntry, PathResult, PathSpec, fit_one, fit_path, warm_start
-from .swap import FailureQueue, FitStats, SwapOutcome, fit_swap_1opt, try_delete_or_swap
+from .swap import FitStats, SwapOutcome, fit_swap_1opt, try_delete_or_swap
 from .synth import SynthSpec, gen_classification, planted_support
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "DataError",
     "DesignMatrix",
     "ExpState",
-    "FailureQueue",
     "FitStats",
     "HyperParams",
     "ModelState",

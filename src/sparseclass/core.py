@@ -7,6 +7,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import import_module
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import expit
@@ -32,10 +33,8 @@ SCREEN_MIN_RUN = 8
 # ``logistic.screen_block``.
 EPS = float(np.finfo(np.float64).eps)
 
-# The most Newton iterations of one support solve (``newton_solve``).  The
-# name, which perfbench's tracer reads, says sweeps, but no support solve
-# sweeps any more: it caps only Newton iterations.
-REOPT_MAX_SWEEPS = 100
+# The most Newton steps of one support solve (``newton_solve``).
+NEWTON_MAX_STEPS = 100
 
 # A support solve is certified once every projected-gradient entry is at
 # most this fraction of the smooth loss f.  The test is relative: on
@@ -244,6 +243,8 @@ class HyperParams:
     """Solver configuration: the sparsity and ridge penalty strengths, the
     loss, and ``candidate_limit``, which bounds how many out-of-support
     features a swap evaluation may consider (None means all of them).
+    The penalties are real numbers and the limit an integer (numpy's
+    included); a bool is neither.
     The line-search length and the objective tolerance are module
     constants (``logistic.LINE_SEARCH_STEPS``, ``OBJECTIVE_TOL``).
     """
@@ -256,12 +257,15 @@ class HyperParams:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
-        if not (0 <= self.lambda0 < math.inf and 0 <= self.lambda2 < math.inf):
-            raise ConfigError("penalty strengths must be finite and nonnegative")
+        if not all(isinstance(v, Real) and not isinstance(v, bool) and 0 <= v < math.inf
+                   for v in (self.lambda0, self.lambda2)):
+            raise ConfigError("penalty strengths must be finite and nonnegative numbers")
         if self.lambda2 != 0 and not engine(self.loss).TAKES_RIDGE:
             raise ConfigError(f"the {self.loss} loss does not take a ridge penalty")
-        if self.candidate_limit is not None and self.candidate_limit < 1:
-            raise ConfigError("candidate_limit must be positive or None")
+        limit = self.candidate_limit
+        if limit is not None and not (isinstance(limit, Integral) and not isinstance(limit, bool)
+                                      and limit >= 1):
+            raise ConfigError("candidate_limit must be a positive integer or None")
 
 
 class ModelState:
@@ -404,7 +408,8 @@ def newton_solve(state, data: DesignMatrix, terms, bound: float, lam2: float) ->
     (each kept in [-bound, bound]) and the free intercept by damped
     projected Newton steps, from the current state.  The result is written
     back with the state's cache rebuilt (``refresh``); returns whether it is
-    certified.
+    certified.  Both engines' ``solve_support`` are this solve, which the
+    warm start and ``swap.try_delete_or_swap`` call.
 
     With beta the support coefficients then the intercept and a_i row i of
     A = [Z_S, y], the loss is f(beta) = sum_i loss(a_i . beta) +
@@ -423,7 +428,7 @@ def newton_solve(state, data: DesignMatrix, terms, bound: float, lam2: float) ->
     quadratically, so the extra step takes a certified point far below the
     certificate, and the coordinate sweeps after a solve find almost
     nothing left to move.  The solve also stops, uncertified, after
-    ``REOPT_MAX_SWEEPS`` steps or when ``MAX_HALVINGS`` halvings do not
+    ``NEWTON_MAX_STEPS`` steps or when ``MAX_HALVINGS`` halvings do not
     lower f.
     """
     support = sorted(state.support)
@@ -455,7 +460,7 @@ def newton_solve(state, data: DesignMatrix, terms, bound: float, lam2: float) ->
     f, u, v = value(beta)
     g, held, gap = gradient(beta, u)
     certified = False
-    for _ in range(REOPT_MAX_SWEEPS):
+    for _ in range(NEWTON_MAX_STEPS):
         met = gap <= NEWTON_GRAD_TOL * f
         hess = a.T @ (a * v[:, None])
         # a ridge of 1e-12 * f keeps the system definite when support
@@ -554,14 +559,16 @@ def engine(loss: str):
     ``refit_intercept(state, data, stats)`` (returning the shift, counting a
     stop at an iteration cap in ``stats.cap_hits``), ``find_swap(trial,
     data, hp, forbidden, f0, threshold, cut, stats)`` (the first acceptable
-    replacement feature and its coefficient, or None) and
-    ``solve_support(state, data, hp)``, the one support solve: exact
-    minimization of the smooth loss over the support coefficients, kept in
-    the box, and the intercept by ``newton_solve``, in place, returning
-    whether it is certified.  The warm start and the swap search
-    (``swap.reoptimize``) both call it.  Both engines' states are
-    ``ModelState``s; each engine reads its weights from the margins where
-    it uses them.
+    replacement feature and its coefficient, or None, counting its
+    candidates in ``stats``) and ``solve_support(state, data, hp)``, the
+    one support solve: exact minimization of the smooth loss over the
+    support coefficients, kept in the box, and the intercept by
+    ``newton_solve``, in place, returning whether it is certified.
+    ``path.warm_start`` undoes an uncertified solve, and
+    ``swap.try_delete_or_swap`` counts one in ``stats.cap_hits``.  Every
+    ``stats`` here is a ``swap.FitStats``, never None.  Both engines'
+    states are ``ModelState``s; each engine reads its weights from the
+    margins where it uses them.
     """
     if loss not in LOSSES:
         raise ConfigError(f"unknown loss {loss!r}")

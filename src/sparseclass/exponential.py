@@ -112,7 +112,7 @@ def updated_loss(H_ref: float, d: float, x: float) -> float:
     return H_ref * ((1.0 - d) * math.exp(-x) + d * math.exp(x))
 
 
-def refit_intercept(state: ExpState, data: DesignMatrix, stats=None) -> float:
+def refit_intercept(state: ExpState, data: DesignMatrix, stats) -> float:
     """Closed-form intercept refit; returns the applied shift.  ``stats`` is
     unused: the closed form has no cap."""
     if data.n == 0:
@@ -216,8 +216,7 @@ def find_swap(trial: ExpState, data: DesignMatrix, hp: HyperParams, forbidden: s
     mags = np.abs(dots)
     mags[list(forbidden)] = -1.0
     j2 = int(mags.argmax())
-    if stats is not None:
-        stats.candidates += 1
+    stats.candidates += 1
     d = min(max(0.5 * (f0 - float(dots[j2])) / f0, 0.0), 1.0)
     x = analytic_coefficient(d)
     if updated_loss(f0, d, x) < threshold:
@@ -242,7 +241,8 @@ def solve_support(state: ExpState, data: DesignMatrix, hp: HyperParams) -> bool:
     With beta the support coefficients then the intercept and a_i row i of
     A = [Z_S, y], H = sum_i exp(-a_i . beta), its gradient is -A^T c and
     its Hessian A^T diag(c) A, for c_i = exp(-a_i . beta).  A solve ends
-    uncertified at ``core.REOPT_MAX_SWEEPS`` iterations or when
-    ``core.MAX_HALVINGS`` halvings do not lower H.
+    uncertified at ``core.NEWTON_MAX_STEPS`` steps or when
+    ``core.MAX_HALVINGS`` halvings do not lower H; the caller counts or
+    undoes it (``core.engine``).
     """
     return newton_solve(state, data, _terms, COEF_BOUND, 0.0)

@@ -52,12 +52,9 @@ def lipschitz_all(data: DesignMatrix, lam2: float = 0.0) -> np.ndarray:
     return 0.25 * data.column_sq_sums + 2.0 * lam2
 
 
-# ``CoordinateProbe`` and ``iterate_threshold`` are the scalar line search
-# that ``BlockProbe`` and ``screen_block`` replaced; no fit calls them.  They
-# stay because the benchmark tracer's ``_targets()`` patches
-# ``CoordinateProbe`` unconditionally (removing it breaks every traced run)
-# and spans ``iterate_threshold``, and the tests' sequential swap scan
-# (``tests/oracles.py``) drives both.
+# ``CoordinateProbe`` is the scalar probe that ``BlockProbe`` replaced; no
+# fit calls it.  It stays because the benchmark tracer's ``_targets()``
+# dereferences it eagerly, so without it every traced run crashes.
 class CoordinateProbe:
     """One-dimensional restriction of the smooth loss along a coordinate.
 
@@ -212,15 +209,6 @@ def sigma_prime(m):
     return e / (1.0 + e) ** 2
 
 
-def iterate_threshold(probe: CoordinateProbe, start: float, iterations: int) -> float:
-    """Repeated penalty-free surrogate steps along the probe."""
-    t = float(start)
-    L = probe.lipschitz
-    for _ in range(iterations):
-        t = t - probe.slope_at(t) / L
-    return t
-
-
 # --- lower bounds for the 1-D minimum ------------------------------------
 
 # Lower bounds on the minimum of a convex f from values f_k and slopes a_k
@@ -296,7 +284,7 @@ _INTERCEPT_SPAN = 40.0
 _INTERCEPT_MAX_ITER = 60
 
 
-def refit_intercept(state: ModelState, data: DesignMatrix, stats=None) -> float:
+def refit_intercept(state: ModelState, data: DesignMatrix, stats) -> float:
     """Exact 1-D minimization of the logistic loss over the intercept.
 
     Newton steps on the derivative, safeguarded by a shrinking sign bracket
@@ -327,8 +315,7 @@ def refit_intercept(state: ModelState, data: DesignMatrix, stats=None) -> float:
             break
         delta = nxt
     else:
-        if stats is not None:
-            stats.cap_hits += 1
+        stats.cap_hits += 1
     state.set_intercept(data, state.intercept + delta)
     return delta
 
@@ -424,8 +411,8 @@ def screen_block(probe, s0, lip, f0: float, threshold: float, quad: bool,
     wherever the slope is not zero), ``f0`` the base loss.  A candidate is
     accepted when its line-search loss is below ``threshold``.
 
-    The line search takes K = ``iterations`` surrogate steps from zero
-    (``iterate_threshold``); the swap search passes ``LINE_SEARCH_STEPS``.
+    The line search takes K = ``iterations`` surrogate steps t <- t -
+    f'(t) / L from zero; the swap search passes ``LINE_SEARCH_STEPS``.
     The first is t = -s0/L; no later one is longer or passes the 1-D
     optimum, as L bounds f''.  So the search ends in [0, Kt], at a loss of
     at most f0.
@@ -544,7 +531,10 @@ def solve_support(state: ModelState, data: DesignMatrix, hp: HyperParams) -> boo
     """Exact minimization of the smooth loss (ridge included) over the
     support coefficients and the free intercept, with no box, by
     ``core.newton_solve``, from the current state, with the margins
-    rebuilt; returns whether it is certified (``core.NEWTON_GRAD_TOL``)."""
+    rebuilt; returns whether it is certified (``core.NEWTON_GRAD_TOL``).
+    A solve ends uncertified at ``core.NEWTON_MAX_STEPS`` steps or when
+    ``core.MAX_HALVINGS`` halvings do not lower the loss; the caller counts
+    or undoes it (``core.engine``)."""
     return newton_solve(state, data, _row_terms, COEF_BOUND, hp.lambda2)
 
 
@@ -575,10 +565,9 @@ def find_swap(trial: ModelState, data: DesignMatrix, hp: HyperParams, forbidden:
         # Count as the sequential scan does: up to and including the first
         # acceptance.
         seen = int(hits[0]) + 1 if hits.size else block.size
-        if stats is not None:
-            stats.candidates += seen
-            stats.cut_prunes += int(res.pruned[:seen].sum())
-            stats.line_searches += int(res.searched[:seen].sum())
+        stats.candidates += seen
+        stats.cut_prunes += int(res.pruned[:seen].sum())
+        stats.line_searches += int(res.searched[:seen].sum())
         if hits.size:
             return int(block[hits[0]]), float(res.coefficient[hits[0]])
     return None

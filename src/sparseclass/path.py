@@ -23,7 +23,8 @@ SWEEP_STABLE_TOL = 1e-10
 @dataclass(frozen=True)
 class PathSpec:
     """Penalty grid: sparsity strengths strictly descending, one chain per
-    ridge value."""
+    ridge value.  Every grid value passes ``HyperParams``' checks at
+    construction."""
 
     lambda0_grid: tuple[float, ...]
     lambda2_grid: tuple[float, ...] = (0.0,)
@@ -35,8 +36,10 @@ class PathSpec:
             raise ConfigError("lambda0_grid must not be empty")
         if not self.lambda2_grid:
             raise ConfigError("lambda2_grid must not be empty")
-        if not all(0 < v < math.inf for v in self.lambda0_grid):
-            raise ConfigError("lambda0 grid values must be positive and finite")
+        for lam0 in self.lambda0_grid:
+            self.hyperparams(lam0, self.lambda2_grid[0])
+        if not all(v > 0 for v in self.lambda0_grid):
+            raise ConfigError("lambda0 grid values must be positive")
         if any(b >= a for a, b in zip(self.lambda0_grid, self.lambda0_grid[1:])):
             raise ConfigError("lambda0_grid must be strictly descending")
         for lam2 in self.lambda2_grid:
@@ -82,6 +85,8 @@ def warm_start(data: DesignMatrix, hp: HyperParams, init=None,
     (``core.newton_solve``), so the sweep after it usually moves no
     coefficient by more than ``SWEEP_STABLE_TOL`` and ends the warm start.
 
+    ``init`` must be a state of the engine's class (``new_state``) and of
+    the data's shape; else this raises ``DataError`` before any sweep.
     The returned state cannot be improved by any single thresholding step,
     unless the sweep cap was hit first (counted in ``stats.cap_hits``); the
     intercept is refit each sweep and never penalized.  ``stats.sweeps``
@@ -89,7 +94,14 @@ def warm_start(data: DesignMatrix, hp: HyperParams, init=None,
     """
     eng = engine(hp.loss)
     stats = FitStats() if stats is None else stats
-    state = eng.new_state(data) if init is None else init.copy()
+    state = eng.new_state(data)
+    if init is not None:
+        if not isinstance(init, type(state)):
+            raise DataError(f"init must be a {type(state).__name__} under the {hp.loss} loss")
+        if init.w.shape != (data.p,) or init.margins.shape != (data.n,):
+            raise DataError(f"init has {init.w.size} features and {init.margins.size} rows, "
+                            f"the data {data.p} and {data.n}")
+        state = init.copy()
     eng.refit_intercept(state, data, stats)
     settle = eng.SUPPORT_SETTLED_SWEEPS
     support = solved = None

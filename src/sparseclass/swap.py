@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# REOPT_MAX_SWEEPS, the Newton iteration cap of every support solve, is also
-# read from here by perfbench's tracer.
-from .core import OBJECTIVE_TOL, REOPT_MAX_SWEEPS, ConfigError, DesignMatrix, HyperParams, engine
+from .core import OBJECTIVE_TOL, ConfigError, DesignMatrix, HyperParams, engine
 
 ORDERINGS = ("dynamic", "sequential")
 CUTS = ("auto", "lin", "quad")
@@ -29,7 +27,8 @@ SWAP_MAX_PASSES = 1000
 
 @dataclass
 class FitStats:
-    """Work counters for one fit.
+    """Work counters for one fit.  Every fit function holds one: a caller
+    that passes none gets a throwaway one.
 
     The swap search counts as a sequential scan of each visit's candidates
     would, up to and including the accepted one: ``candidates`` evaluated
@@ -40,11 +39,12 @@ class FitStats:
     bound or bracket-curvature cut) and ``line_searches`` run.
     ``cap_hits`` counts the warm starts and logistic intercept refits that
     ended at their sweep or iteration cap without meeting their stop test,
-    the swap search's support solves (``reoptimize``) that ended
-    uncertified, at the Newton iteration cap or when no halving lowered the
-    loss, and swap searches that ended at ``SWAP_MAX_PASSES``.
-    ``sweeps`` counts the warm start's coordinate sweeps and ``solves`` its
-    support solves, kept or undone (``path.warm_start``).
+    the support solves of ``try_delete_or_swap`` that ended uncertified, at
+    ``core.NEWTON_MAX_STEPS`` or when no halving lowered the loss, and swap
+    searches that ended at ``SWAP_MAX_PASSES``.  ``swap_evals`` counts the
+    visits of the swap search, ``sweeps`` the warm start's coordinate
+    sweeps and ``solves`` its support solves, kept or undone
+    (``path.warm_start``).
     """
 
     swap_evals: int = 0
@@ -63,27 +63,6 @@ class SwapOutcome:
     added: int | None
     new_state: object
 
-    def __post_init__(self):
-        if self.kind not in ("no_change", "deleted", "swapped"):
-            raise ValueError(f"unknown outcome kind {self.kind!r}")
-
-
-class FailureQueue:
-    """Per-feature failed-swap tallies.
-
-    ``ordered`` ranks the support by fewest recorded failures first (so
-    never-checked features lead), ties broken by ascending index.
-    """
-
-    def __init__(self, p: int):
-        self.counts = np.zeros(p, dtype=np.int64)
-
-    def record_failure(self, j: int) -> None:
-        self.counts[j] += 1
-
-    def ordered(self, support) -> list[int]:
-        return sorted(support, key=lambda j: (self.counts[j], j))
-
 
 def check_ordering(ordering: str) -> None:
     if ordering not in ORDERINGS:
@@ -101,20 +80,6 @@ def resolve_cut(cut: str, hp: HyperParams) -> str:
     return cut
 
 
-# --- support-restricted reoptimization -------------------------------------
-
-def reoptimize(state, data: DesignMatrix, hp: HyperParams,
-               stats: FitStats | None = None) -> None:
-    """Minimize the smooth loss over the support coefficients and the
-    intercept, in place, with the loss engine's ``solve_support`` (a damped
-    Newton solve, boxed under the exponential loss).  A solve that ends
-    uncertified, after ``REOPT_MAX_SWEEPS`` Newton iterations or when no
-    halving lowers the loss, is counted in ``stats.cap_hits``; this is the
-    one place that counts it."""
-    if not engine(hp.loss).solve_support(state, data, hp) and stats is not None:
-        stats.cap_hits += 1
-
-
 # --- delete-or-swap ----------------------------------------------------------
 
 def try_delete_or_swap(state, data: DesignMatrix, hp: HyperParams, j: int,
@@ -124,29 +89,36 @@ def try_delete_or_swap(state, data: DesignMatrix, hp: HyperParams, j: int,
     Deletion is accepted when zeroing the coefficient does not increase the
     smooth loss.  Otherwise the loss engine's ``find_swap`` visits outside
     features in descending gradient magnitude and the first acceptable
-    replacement wins; the returned state is fully reoptimized on its new
-    support.  With no acceptable change the original state is returned
-    untouched.
+    replacement wins.  An accepted change ends in one support solve, the
+    engine's ``solve_support`` (a damped Newton solve, boxed under the
+    exponential loss), over the new support and the intercept; a solve
+    that ends uncertified, after ``core.NEWTON_MAX_STEPS`` Newton steps or
+    when no halving lowers the loss, is counted in ``stats.cap_hits``, and
+    this is the one place the swap search counts it.  With no acceptable
+    change the original state is returned untouched.
     """
     if j not in state.support:
         raise ValueError(f"feature {j} is not in the support")
     eng = engine(hp.loss)
     cut = resolve_cut(cut, hp)
+    stats = FitStats() if stats is None else stats
     loss_best = eng.smooth_loss(state, data, hp)
     trial = state.copy()
     trial.set_coefficient(data, j, 0.0)
     dropped_loss = eng.smooth_loss(trial, data, hp)
     if dropped_loss <= loss_best:
-        reoptimize(trial, data, hp, stats)
-        return SwapOutcome("deleted", j, None, trial)
-    found = eng.find_swap(trial, data, hp, state.support, dropped_loss,
-                          loss_best - OBJECTIVE_TOL, cut, stats)
-    if found is None:
-        return SwapOutcome("no_change", None, None, state)
-    j2, coefficient = found
-    trial.set_coefficient(data, j2, coefficient)
-    reoptimize(trial, data, hp, stats)
-    return SwapOutcome("swapped", j, j2, trial)
+        kind, added = "deleted", None
+    else:
+        found = eng.find_swap(trial, data, hp, state.support, dropped_loss,
+                              loss_best - OBJECTIVE_TOL, cut, stats)
+        if found is None:
+            return SwapOutcome("no_change", None, None, state)
+        added, coefficient = found
+        trial.set_coefficient(data, added, coefficient)
+        kind = "swapped"
+    if not eng.solve_support(trial, data, hp):
+        stats.cap_hits += 1
+    return SwapOutcome(kind, j, added, trial)
 
 
 def fit_swap_1opt(initial, data: DesignMatrix, hp: HyperParams,
@@ -154,34 +126,35 @@ def fit_swap_1opt(initial, data: DesignMatrix, hp: HyperParams,
                   stats: FitStats | None = None):
     """Local search until no single delete-or-swap improves the objective.
 
-    ``dynamic`` ordering walks the support by ascending failed-swap count;
-    ``sequential`` walks it by ascending feature index.  After every
-    accepted change the walk restarts on the new support, for at most
-    ``SWAP_MAX_PASSES`` walks; a search that stops at that bound is counted
-    in ``stats.cap_hits``.  The input state should already be
+    A walk visits the support features in turn with
+    ``try_delete_or_swap``, each visit counted in ``stats.swap_evals``,
+    until one accepts a change; a visit that changes nothing adds one to
+    its feature's failure count.  ``dynamic`` ordering walks the support
+    by ascending failure count (so features never tried lead), ties by
+    ascending index; ``sequential`` walks it by ascending index.  After
+    every accepted change the walk restarts on the new support, for at
+    most ``SWAP_MAX_PASSES`` walks; a search that stops at that bound is
+    counted in ``stats.cap_hits``.  The input state should already be
     coordinate-wise optimal (warm-started).
     """
     check_ordering(ordering)
     cut = resolve_cut(cut, hp)
+    stats = FitStats() if stats is None else stats
+    failures = np.zeros(data.p, dtype=np.int64)
     state = initial
-    queue = FailureQueue(data.p)
     for _ in range(SWAP_MAX_PASSES):
         if not state.support:
             return state
-        walk = queue.ordered(state.support) if ordering == "dynamic" else sorted(state.support)
-        improved = False
+        walk = (sorted(state.support, key=lambda j: (failures[j], j)) if ordering == "dynamic"
+                else sorted(state.support))
         for j in walk:
             outcome = try_delete_or_swap(state, data, hp, j, cut=cut, stats=stats)
-            if stats is not None:
-                stats.swap_evals += 1
-            if outcome.kind == "no_change":
-                queue.record_failure(j)
-            else:
+            stats.swap_evals += 1
+            if outcome.kind != "no_change":
                 state = outcome.new_state
-                improved = True
                 break
-        if not improved:
+            failures[j] += 1
+        else:
             return state
-    if stats is not None:
-        stats.cap_hits += 1
+    stats.cap_hits += 1
     return state

@@ -12,8 +12,8 @@ paths under test, with these exceptions:
   ``CoordinateProbe``.  ``d_minus`` sums the weights of a state's margins
   directly and does not read ``exponential._reference``.
 - The sequential swap scans.  ``reference_swap_visit`` drives the package's
-  scalar ``CoordinateProbe`` and ``iterate_threshold``, which the swap
-  search itself no longer calls, and the package's cut formulas, which the
+  scalar ``CoordinateProbe``, which the swap search itself no longer calls,
+  with ``iterate_threshold`` here, and the package's cut formulas, which the
   grid-minimum tests check on their own; it computes the curvature bound of
   its quadratic cuts, the self-concordant bound of its cut at zero (with
   ``math.log1p`` and ``math.expm1`` and its own sigma') and the rounding
@@ -349,6 +349,17 @@ def d_minus(state, data, j, exclude_own=False):
 
 # --- sequential scalar swap visit ---------------------------------------------
 
+def iterate_threshold(probe, start: float, iterations: int) -> float:
+    """Repeated penalty-free surrogate steps along the probe: the scalar
+    line search of a swap candidate, which ``logistic.screen_block`` runs
+    for a block of candidates at once."""
+    t = float(start)
+    L = probe.lipschitz
+    for _ in range(iterations):
+        t = t - probe.slope_at(t) / L
+    return t
+
+
 def scalar_try_add(probe, s0, threshold, quad):
     """One candidate screened alone: (step, branch, accepted, coefficient).
     ``step`` is "pruned", "rejected" or "searched"; ``branch`` names where
@@ -378,7 +389,7 @@ def scalar_try_add(probe, s0, threshold, quad):
     def decide(branch, prune):
         if prune:
             return "pruned", branch, False, 0.0
-        w_hat = logeng.iterate_threshold(probe, 0.0, iterations)
+        w_hat = iterate_threshold(probe, 0.0, iterations)
         if probe.value_at(w_hat) < threshold:
             return "searched", branch, True, w_hat
         return "searched", branch, False, 0.0

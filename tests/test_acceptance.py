@@ -17,7 +17,6 @@ from scipy.special import expit
 import sparseclass as sc
 from sparseclass import logistic as logeng
 from sparseclass.core import OBJECTIVE_TOL
-from sparseclass.swap import reoptimize
 from oracles import (
     brute_auc,
     coordinate_probe,
@@ -26,6 +25,7 @@ from oracles import (
     exp_curve,
     grad_j,
     grid_minimize,
+    iterate_threshold,
     logistic_curve,
     random_logistic_instance,
     threshold_step,
@@ -152,7 +152,7 @@ def test_c03_pruning_decision_equivalence():
         state = sc.ModelState.zeros(data)
         for j in (0, 3):
             state.set_coefficient(data, j, 1e-3)
-        reoptimize(state, data, hp)
+        logeng.solve_support(state, data, hp)
         loss_best = sc.smooth_logistic_loss(state, data, lam2)
         for j in (0, 3):
             trial = state.copy()
@@ -167,7 +167,7 @@ def test_c03_pruning_decision_equivalence():
                                          "quad" if lam2 > 0.0 else "lin", stats)
                 assert stats.candidates == 1
                 probe = coordinate_probe(trial, data, int(j2), lam2)
-                w_hat = logeng.iterate_threshold(probe, 0.0, logeng.LINE_SEARCH_STEPS)
+                w_hat = iterate_threshold(probe, 0.0, logeng.LINE_SEARCH_STEPS)
                 exhaustive = probe.value_at(w_hat) < loss_best - OBJECTIVE_TOL
                 assert (found is not None) == exhaustive
                 if found is not None:
@@ -283,7 +283,7 @@ def test_c06_dynamic_ordering_ablation():
         st = sc.ModelState.zeros(data)
         for j in (1, 3, 7, 9, 11, 15):
             st.set_coefficient(data, j, 1e-3)
-        reoptimize(st, data, hp)
+        logeng.solve_support(st, data, hp)
         return st
 
     results = {}

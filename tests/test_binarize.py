@@ -252,7 +252,7 @@ class TestScreensOnDummies:
                               encoding=encoding, max_thresholds=60)
         eng = engine(loss)
         state = eng.new_state(data)
-        eng.refit_intercept(state, data)
+        eng.refit_intercept(state, data, sc.FitStats())
         for j in (5, 130):
             state.set_coefficient(data, j, 0.3)
         return data, eng, state

@@ -22,8 +22,8 @@ class TestPackageSurface:
     # the names a fit, a prediction or the CLI uses; the scalar coordinate
     # references live in tests/oracles.py
     NAMES = {
-        "ConfigError", "DataError", "DesignMatrix", "ExpState", "FailureQueue", "FitStats",
-        "HyperParams", "ModelState", "PathEntry", "PathResult", "PathSpec", "Scorecard",
+        "ConfigError", "DataError", "DesignMatrix", "ExpState", "FitStats", "HyperParams",
+        "ModelState", "PathEntry", "PathResult", "PathSpec", "Scorecard",
         "ScorecardTerm", "SupportComparison", "SwapOutcome", "SynthSpec", "accuracy", "auc",
         "binarize", "export_scorecard", "fit_one", "fit_path", "fit_swap_1opt",
         "gen_classification", "objective", "planted_support",
@@ -33,7 +33,7 @@ class TestPackageSurface:
     }
 
     def test_exports_are_exactly_the_fit_surface(self):
-        assert len(sc.__all__) == len(set(sc.__all__)) == 34
+        assert len(sc.__all__) == len(set(sc.__all__)) == 33
         assert set(sc.__all__) == self.NAMES
         for name in sc.__all__:
             assert getattr(sc, name) is not None
@@ -260,10 +260,13 @@ def _load_tracer():
     return tracing
 
 
-# What the benchmark's tracer finds nothing to wrap for: two hooks of swap
-# functions that the block screen replaced, and the ``ExpState`` mutators
-# that ``ModelState`` alone defines (labelled by the class's own name).
-MISSING_TRACER_TARGETS = ["sparseclass.swap._try_add_quad", "sparseclass.swap._try_add_lin",
+# What the benchmark's tracer finds nothing to wrap for: the support solve
+# wrapper that ``try_delete_or_swap`` absorbed, two hooks of swap functions
+# and the scalar line search that the block screen replaced (the line search
+# lives on in tests/oracles.py), and the ``ExpState`` mutators that
+# ``ModelState`` alone defines (labelled by the class's own name).
+MISSING_TRACER_TARGETS = ["sparseclass.swap.reoptimize", "sparseclass.swap._try_add_quad",
+                          "sparseclass.swap._try_add_lin", "sparseclass.logistic.iterate_threshold",
                           "ExpState.set_coefficient", "ExpState.refresh"]
 
 
@@ -287,9 +290,9 @@ class TestEngines:
 
     def test_engines_have_one_support_solver(self):
         # ``solve_support`` is each engine's only support solve; the swap
-        # search and the warm start both call it.
-        from sparseclass import exponential, logistic
-        for module in (logistic, exponential):
+        # search and the warm start both call it, with no wrapper between.
+        from sparseclass import exponential, logistic, swap
+        for module in (logistic, exponential, swap):
             assert not hasattr(module, "reoptimize"), module.__name__
 
     def test_engines_define_the_loss_constants(self):
@@ -355,3 +358,18 @@ class TestHyperParams:
     def test_unknown_loss_rejected(self):
         with pytest.raises(sc.ConfigError):
             sc.HyperParams(loss="hinge")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"candidate_limit": 2.5}, {"candidate_limit": "5"}, {"candidate_limit": True},
+        {"candidate_limit": 0}, {"candidate_limit": np.float64(3.0)},
+        {"lambda0": "1"}, {"lambda2": "0.1"}, {"lambda0": True}, {"lambda2": np.True_},
+        {"lambda0": math.nan}, {"lambda0": None},
+    ])
+    def test_rejects_what_is_no_limit_or_penalty(self, kwargs):
+        with pytest.raises(sc.ConfigError):
+            sc.HyperParams(**kwargs)
+
+    def test_accepts_numpy_numbers(self):
+        hp = sc.HyperParams(lambda0=np.float32(0.5), lambda2=np.int64(1),
+                            candidate_limit=np.int32(7))
+        assert hp.candidate_limit == 7

@@ -244,7 +244,7 @@ class TestWeightMaintenance:
         rng = np.random.default_rng(37)
         data = _binary_data(rng, n=30, p=3)
         state = _random_exp_state(data, rng)
-        expeng.refit_intercept(state, data)
+        expeng.refit_intercept(state, data, sc.FitStats())
         # stationarity of H in the intercept direction
         deriv = -float(state.c @ data.y)
         assert abs(deriv) < 1e-9 * state.H
@@ -327,7 +327,8 @@ class TestFindSwap:
             d = 0.5 * (1.0 - top[0] / f0)
             # about half the draws accept: the best loss is 2 sqrt(d (1 - d)) f0
             threshold = 2.0 * math.sqrt(d * (1.0 - d)) * f0 * float(rng.uniform(0.9, 1.1))
-            found = expeng.find_swap(trial, data, hp, forbidden, f0, threshold, "auto", None)
+            found = expeng.find_swap(trial, data, hp, forbidden, f0, threshold, "auto",
+                                     sc.FitStats())
             want, _ = reference_exp_find_swap(trial, data, forbidden, f0, threshold, None)
             assert (found is None) == (want is None)
             if want is not None:
@@ -349,7 +350,8 @@ class TestFindSwap:
         dots = data.signed_products(trial.c)
         assert dots[ones[1]] == dots[ones[2]] != 0.0
         hp = sc.HyperParams(lambda0=0.5, loss="exponential")
-        found = expeng.find_swap(trial, data, hp, forbidden, trial.H, math.inf, "auto", None)
+        found = expeng.find_swap(trial, data, hp, forbidden, trial.H, math.inf, "auto",
+                                 sc.FitStats())
         assert found is not None and found[0] == ones[1]
 
 
@@ -365,7 +367,7 @@ class TestSweep:
         state = sc.ExpState.zeros(data)
         for j in (40, 41, 200, 319):
             state.set_coefficient(data, j, float(rng.standard_normal() * 0.5))
-        expeng.refit_intercept(state, data)
+        expeng.refit_intercept(state, data, sc.FitStats())
         coords = range(p) if coords == "range" else range(20, 300)
         lam0 = 6.0
 
@@ -422,8 +424,8 @@ class TestCarriedScreen:
         coords = range(data.p)
         passes = 1 if order == "range" else 2  # "twice": two sweeps per refit
         oracle = state.copy()
-        expeng.refit_intercept(state, data)
-        expeng.refit_intercept(oracle, data)
+        expeng.refit_intercept(state, data, sc.FitStats())
+        expeng.refit_intercept(oracle, data, sc.FitStats())
         quiet, late_entries = 0, 0
         for lam0, count in self.GRID:
             # each grid point starts from a copy, as fit_path's warm start does
@@ -434,8 +436,8 @@ class TestCarriedScreen:
                     expeng.cd_sweep(state, data, lam0, coords)
                     for j in coords:
                         exp_coordinate_update(oracle, data, j, lam0)
-                expeng.refit_intercept(state, data)
-                expeng.refit_intercept(oracle, data)
+                expeng.refit_intercept(state, data, sc.FitStats())
+                expeng.refit_intercept(oracle, data, sc.FitStats())
                 np.testing.assert_array_equal(state.w, oracle.w)
                 assert state.support == oracle.support
                 assert state.intercept == oracle.intercept
@@ -481,10 +483,8 @@ class TestReoptimize:
         hp = sc.HyperParams(lambda0=1.0, loss="exponential")
         w_ref, b_ref, H_ref = newton_fit_exponential(x, data.y, state.support)
         assert np.abs(w_ref).max() < 0.5 * expeng.COEF_BOUND  # the box is not active
-        stats = sc.FitStats()
         support = set(state.support)
-        swap.reoptimize(state, data, hp, stats)
-        assert stats.cap_hits == 0 and state.support == support
+        assert expeng.solve_support(state, data, hp) and state.support == support
         assert state.H == pytest.approx(H_ref, rel=1e-9)
         np.testing.assert_allclose(state.w, w_ref, rtol=0, atol=1e-6)
         assert state.intercept == pytest.approx(b_ref, abs=1e-6)
@@ -495,8 +495,7 @@ class TestReoptimize:
         np.testing.assert_array_equal(state.c, rebuilt.c)
 
         again = state.copy()
-        swap.reoptimize(again, data, hp, stats)
-        assert stats.cap_hits == 0
+        assert expeng.solve_support(again, data, hp)
         assert np.abs(again.w - state.w).max() <= 1e-12
         assert abs(again.intercept - state.intercept) <= 1e-12
 
@@ -504,7 +503,7 @@ class TestReoptimize:
         rng = np.random.default_rng(310)
         data = _binary_data(rng, n=50, p=4)
         state = sc.ExpState.zeros(data)
-        swap.reoptimize(state, data, sc.HyperParams(loss="exponential"))
+        expeng.solve_support(state, data, sc.HyperParams(loss="exponential"))
         assert state.support == set()
         c_pos = float(np.sum(data.y > 0.0))
         assert state.intercept == pytest.approx(0.5 * math.log(c_pos / (data.n - c_pos)),
@@ -519,9 +518,9 @@ class TestReoptimize:
         hp = sc.HyperParams(lambda0=2.0, loss="exponential")
         stats = sc.FitStats()
         reopt = sc.warm_start(data, hp)
-        swap.reoptimize(reopt, data, hp, stats)
+        certified = expeng.solve_support(reopt, data, hp)
         fit = sc.fit_one(data, hp, stats=stats)  # at seed 55 a swap reoptimizes
-        assert stats.cap_hits == 0
+        assert certified and stats.cap_hits == 0
         for st in (reopt, fit):
             assert np.abs(st.w).max() <= expeng.COEF_BOUND
             assert 0.0 < st.H < math.inf
@@ -532,22 +531,35 @@ class TestReoptimize:
     def test_c08_data_hits_no_cap_and_runs_no_sweep(self, monkeypatch):
         raw, _ = sc.gen_classification(sc.SynthSpec(n=1000, p=25, k=5, rho=0.5, seed=3))
         bdata, _ = sc.binarize(raw, encoding="-1/+1", max_thresholds=20)
-        sweeps, inside = [0], []
-        real_sweep, real_reopt = expeng.cd_sweep, swap.reoptimize
+        # Only the swap search's support solves are checked: the warm start
+        # undoes a solve that ends on the box or uncertified.
+        sweeps, inside, visiting = [0], [], [False]
+        real_sweep, real_solve, real_visit = (expeng.cd_sweep, expeng.solve_support,
+                                              swap.try_delete_or_swap)
 
         def sweep(*args):
             sweeps[0] += 1
             return real_sweep(*args)
 
-        def reoptimize(state, data, hp, stats=None):
+        def solve_support(state, data, hp):
             before = sweeps[0]
-            real_reopt(state, data, hp, stats)
-            inside.append(sweeps[0] - before)
-            assert np.abs(state.w).max() <= expeng.COEF_BOUND
-            assert _certified(state, data)
+            certified = real_solve(state, data, hp)
+            if visiting[0]:
+                inside.append(sweeps[0] - before)
+                assert np.abs(state.w).max() <= expeng.COEF_BOUND
+                assert _certified(state, data)
+            return certified
+
+        def visit(*args, **kwargs):
+            visiting[0] = True
+            try:
+                return real_visit(*args, **kwargs)
+            finally:
+                visiting[0] = False
 
         monkeypatch.setattr(expeng, "cd_sweep", sweep)
-        monkeypatch.setattr(swap, "reoptimize", reoptimize)
+        monkeypatch.setattr(expeng, "solve_support", solve_support)
+        monkeypatch.setattr(swap, "try_delete_or_swap", visit)
         result = sc.fit_path(bdata, sc.PathSpec((7.0, 6.0, 5.0, 4.0, 3.0, 2.0), (0.0,),
                                                 "exponential",
                                                 sc.HyperParams(loss="exponential",

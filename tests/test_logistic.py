@@ -12,11 +12,10 @@ from scipy.special import expit
 
 import sparseclass as sc
 from sparseclass import logistic as logeng
-from sparseclass import swap
 from sparseclass.core import EPS, NEWTON_GRAD_TOL
 import oracles
 from oracles import (central_difference, coordinate_probe, grad_j, grid_minimize,
-                     logistic_curve, scipy_fit_logistic, threshold_step)
+                     iterate_threshold, logistic_curve, scipy_fit_logistic, threshold_step)
 
 
 class PolyProbe:
@@ -154,11 +153,11 @@ class TestFindNewCoefficient:
         j = 1
         # drive coordinate j to its 1-D optimum first
         probe = coordinate_probe(state, data, j, hp.lambda2)
-        t = logeng.iterate_threshold(probe, 0.0, 400)
+        t = iterate_threshold(probe, 0.0, 400)
         state.set_coefficient(data, j, t)
         assert abs(grad_j(state, data, j, hp.lambda2)) < 1e-10
         probe = coordinate_probe(state, data, j, hp.lambda2)
-        got = logeng.iterate_threshold(probe, t, logeng.LINE_SEARCH_STEPS)
+        got = iterate_threshold(probe, t, logeng.LINE_SEARCH_STEPS)
         assert got == pytest.approx(t, abs=1e-9)
 
     def test_close_to_grid_minimizer(self):
@@ -169,7 +168,7 @@ class TestFindNewCoefficient:
             j = int(rng.integers(data.p))
             wj = float(state.w[j])
             probe = coordinate_probe(state, data, j, hp.lambda2)
-            got = logeng.iterate_threshold(probe, wj, logeng.LINE_SEARCH_STEPS)
+            got = iterate_threshold(probe, wj, logeng.LINE_SEARCH_STEPS)
             u = data.signed[:, j]
             base = state.margins - wj * u
             fvec = logistic_curve(base, u, hp.lambda2,
@@ -390,7 +389,7 @@ class TestSweepAndIntercept:
     def test_intercept_refit_reaches_stationarity(self):
         rng = np.random.default_rng(12)
         data, state = _instance(rng, n=50, p=4)
-        logeng.refit_intercept(state, data)
+        logeng.refit_intercept(state, data, sc.FitStats())
         g = -float(data.y @ expit(-state.margins))
         assert abs(g) < 1e-8
 
@@ -416,13 +415,13 @@ class TestSweepAndIntercept:
                             lambda st, d, stats=None: seen.append(stats) or refit(st, d, stats))
         stats = sc.FitStats()
         sc.warm_start(data, hp, stats=stats)
-        swap.reoptimize(state, data, hp, stats)
+        logeng.solve_support(state, data, hp)
         assert seen and all(s is stats for s in seen)
 
     def test_intercept_refit_empty_data(self):
         data = sc.DesignMatrix.from_arrays(np.empty((0, 1)), np.empty(0))
         state = sc.ModelState.zeros(data)
-        assert logeng.refit_intercept(state, data) == 0.0
+        assert logeng.refit_intercept(state, data, sc.FitStats()) == 0.0
 
     def test_zero_column_is_inert_in_sweeps_and_fits(self):
         rng = np.random.default_rng(15)
@@ -512,9 +511,7 @@ class TestSupportSolve:
         support = sorted(truth)
         ref, _ = scipy_fit_logistic(data.x, data.y, support, lam2,
                                     np.append(state.w[support], state.intercept))
-        stats = sc.FitStats()
-        swap.reoptimize(state, data, hp, stats)
-        assert stats.cap_hits == 0
+        assert logeng.solve_support(state, data, hp)
         assert sorted(state.support) == support
         f = logeng.smooth_loss(state, data, hp)
         assert f == pytest.approx(ref, rel=1e-9)
@@ -578,8 +575,8 @@ class TestCarriedScreen:
         passes = 1 if order == "range" else 2  # "twice": two sweeps per refit
         lip = logeng.lipschitz_all(data, lam2)
         oracle = state.copy()
-        logeng.refit_intercept(state, data)
-        logeng.refit_intercept(oracle, data)
+        logeng.refit_intercept(state, data, sc.FitStats())
+        logeng.refit_intercept(oracle, data, sc.FitStats())
         quiet, late_entries = 0, 0
         for lam0, count in self.GRID:
             hp = sc.HyperParams(lambda0=lam0, lambda2=lam2)
@@ -592,8 +589,8 @@ class TestCarriedScreen:
                     for j in coords:
                         if lip[j] > 0.0:
                             oracle.set_coefficient(data, j, threshold_step(oracle, data, j, hp))
-                logeng.refit_intercept(state, data)
-                logeng.refit_intercept(oracle, data)
+                logeng.refit_intercept(state, data, sc.FitStats())
+                logeng.refit_intercept(oracle, data, sc.FitStats())
                 np.testing.assert_array_equal(state.w, oracle.w)
                 assert state.support == oracle.support
                 assert state.intercept == oracle.intercept

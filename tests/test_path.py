@@ -1,5 +1,6 @@
 """Warm start and regularization-path tests."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -9,7 +10,6 @@ from scipy.special import expit
 import sparseclass as sc
 from sparseclass import path as pathmod
 from sparseclass import logistic as logeng
-from sparseclass.swap import reoptimize
 
 
 def _data(rng, n=100, p=8, idx=(1, 5), scale=1.5, binary=False):
@@ -60,9 +60,25 @@ class TestWarmStart:
         state = sc.warm_start(data, hp)  # must terminate
         assert state.w[0] > 1.0
 
+    @pytest.mark.parametrize("loss", ["logistic", "exponential"])
+    def test_bad_init_is_a_data_error_before_any_sweep(self, loss, monkeypatch):
+        rng = np.random.default_rng(4)
+        data = _data(rng, n=40, p=6, binary=True)
+        eng = sc.core.engine(loss)
+        hp = sc.HyperParams(lambda0=0.5, loss=loss)
+        bad = [eng.new_state(_data(rng, n=40, p=5, idx=(1,), binary=True)),  # another width
+               eng.new_state(_data(rng, n=30, p=6, binary=True))]  # other rows
+        if loss == "exponential":
+            bad.append(sc.ModelState.zeros(data))  # not the engine's state class
+        monkeypatch.setattr(eng, "sweep", lambda *args: pytest.fail("a sweep ran"))
+        for init in bad:
+            with pytest.raises(sc.DataError):
+                sc.fit_one(data, hp, init=init)
+
     def test_cap_hits_counted(self):
         # The separable instance above: neither the warm start nor the
-        # reoptimization of its support meets its stop test.
+        # support solve of its support meets its stop test (the swap search
+        # counts such a solve; tests/test_swap.py checks that count).
         x = np.array([[1.0], [2.0], [-1.0], [-2.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         data = sc.DesignMatrix.from_arrays(x, y)
@@ -70,8 +86,7 @@ class TestWarmStart:
         stats = sc.FitStats()
         state = sc.warm_start(data, hp, stats=stats)
         assert stats.cap_hits == 1
-        reoptimize(state, data, hp, stats)
-        assert stats.cap_hits == 2
+        assert not logeng.solve_support(state, data, hp)
 
     def test_converging_fit_hits_no_cap(self):
         rng = np.random.default_rng(0)
@@ -250,6 +265,11 @@ class TestPathSpec:
     def test_grid_must_be_positive(self):
         with pytest.raises(sc.ConfigError):
             sc.PathSpec(lambda0_grid=(1.0, 0.0))
+
+    @pytest.mark.parametrize("grid", [("7",), (7.0, True), (7.0, "1"), (7.0, math.nan)])
+    def test_every_grid_value_is_a_penalty(self, grid):
+        with pytest.raises(sc.ConfigError):
+            sc.PathSpec(lambda0_grid=grid)
 
     def test_exponential_rejects_ridge_grid(self):
         with pytest.raises(sc.ConfigError):

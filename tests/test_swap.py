@@ -1,6 +1,7 @@
 """Delete-or-swap search tests."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,11 +12,10 @@ from scipy.special import expit
 import sparseclass as sc
 from sparseclass import logistic as logeng
 from sparseclass import swap
-from sparseclass.swap import reoptimize
 from sparseclass.core import EPS, OBJECTIVE_TOL, engine
 from oracles import (coordinate_probe, direct_exponential_objective, direct_logistic_objective,
-                     grad_j, grid_minimize, logistic_curve, reference_swap_visit, scalar_try_add,
-                     screen_allowance, self_concordant_bound)
+                     grad_j, grid_minimize, iterate_threshold, logistic_curve, reference_swap_visit,
+                     scalar_try_add, screen_allowance, self_concordant_bound)
 
 
 def _planted(rng, n=120, p=8, idx=(1, 4), scale=1.4):
@@ -30,30 +30,104 @@ def _restricted_fit(data, support, hp):
     state = sc.ModelState.zeros(data)
     for j in support:
         state.set_coefficient(data, j, 1e-3)
-    reoptimize(state, data, hp)
+    engine(hp.loss).solve_support(state, data, hp)
     return state
 
 
-class TestFailureQueue:
-    def test_never_checked_first_then_fewest_failures(self):
-        q = sc.FailureQueue(6)
-        q.record_failure(0)
-        q.record_failure(0)
-        q.record_failure(3)
-        assert q.ordered({0, 1, 3, 5}) == [1, 5, 3, 0]
+def _scripted_search(monkeypatch, ordering, p, support, change):
+    """``fit_swap_1opt`` with ``swap.try_delete_or_swap`` replaced by a
+    script: ``change(j, visits, support)`` returns the support after the
+    ``visits``-th visit of feature ``j``, or None for no change.  Returns
+    the visits as (j, support at the visit, changed) and the stats."""
+    visits, seen = [], Counter()
 
-    def test_ties_broken_by_index(self):
-        q = sc.FailureQueue(4)
-        assert q.ordered({2, 0, 3}) == [0, 2, 3]
+    def scripted(state, data, hp, j, cut="auto", stats=None):
+        seen[j] += 1
+        new = change(j, seen[j], set(state.support))
+        visits.append((j, frozenset(state.support), new is not None))
+        if new is None:
+            return swap.SwapOutcome("no_change", None, None, state)
+        kind = "deleted" if len(new) < len(state.support) else "swapped"
+        return swap.SwapOutcome(kind, j, None, SimpleNamespace(support=set(new)))
 
-    def test_ordering_is_permutation_of_support(self):
-        rng = np.random.default_rng(0)
-        q = sc.FailureQueue(20)
-        for _ in range(50):
-            j = int(rng.integers(20))
-            q.record_failure(j)
-        support = set(int(v) for v in rng.choice(20, size=9, replace=False))
-        assert sorted(q.ordered(support)) == sorted(support)
+    monkeypatch.setattr(swap, "try_delete_or_swap", scripted)
+    stats = sc.FitStats()
+    sc.fit_swap_1opt(SimpleNamespace(support=set(support)), SimpleNamespace(p=p),
+                     sc.HyperParams(), ordering=ordering, stats=stats)
+    return visits, stats
+
+
+def _check_walks(visits, ordering):
+    """Each walk visits its support in ascending (failures so far, index)
+    under ``dynamic`` and ascending index under ``sequential``, up to and
+    including its accepted change; the last walk, which accepts none,
+    visits every support feature once."""
+    failures = Counter()
+    i = 0
+    while i < len(visits):
+        support = visits[i][1]
+        key = (lambda j: (failures[j], j)) if ordering == "dynamic" else None
+        order = sorted(support, key=key)
+        walk, changed = [], False
+        while i < len(visits) and not changed:
+            j, at, changed = visits[i]
+            assert at == support
+            walk.append(j)
+            if not changed:
+                failures[j] += 1
+            i += 1
+        assert walk == order[:len(walk)]
+        if not changed:
+            assert i == len(visits) and sorted(walk) == sorted(support)
+
+
+class TestWalkOrder:
+    """The order in which ``fit_swap_1opt`` visits the support."""
+
+    # Feature 9 is swapped for feature 1 at its first visit, and feature 2
+    # is deleted at its second; every other visit changes nothing.
+    @staticmethod
+    def _change(j, visits, support):
+        if (j, visits) == (9, 1):
+            return support - {9} | {1}
+        if (j, visits) == (2, 2):
+            return support - {2}
+        return None
+
+    @pytest.mark.parametrize("ordering, expected", [
+        # walk 2 leads with the never-tried 1 and 14, then 2 and 5 (one
+        # failure each), ties by index; walk 3's three features each failed
+        # once, so index decides
+        ("dynamic", [2, 5, 9, 1, 14, 2, 1, 5, 14]),
+        ("sequential", [2, 5, 9, 1, 2, 1, 5, 14]),
+    ])
+    def test_scripted_walks(self, ordering, expected, monkeypatch):
+        visits, stats = _scripted_search(monkeypatch, ordering, 20, {14, 2, 9, 5}, self._change)
+        assert [j for j, _, _ in visits] == expected
+        assert stats.swap_evals == len(expected) and stats.cap_hits == 0
+        _check_walks(visits, ordering)
+
+    @pytest.mark.parametrize("ordering", swap.ORDERINGS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_walks(self, ordering, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        p = 30
+        budget = [12]  # accepted changes, so the search ends
+
+        def change(j, visits, support):
+            u = rng.random()
+            if budget[0] <= 0 or u > 0.25:
+                return None
+            budget[0] -= 1
+            if u < 0.1 or len(support) == p:
+                return support - {j}
+            return support - {j} | {int(rng.choice(sorted(set(range(p)) - support)))}
+
+        support = {int(j) for j in rng.choice(p, size=9, replace=False)}
+        visits, stats = _scripted_search(monkeypatch, ordering, p, support, change)
+        assert sum(changed for _, _, changed in visits) == 12 - budget[0] > 0
+        assert stats.swap_evals == len(visits)
+        _check_walks(visits, ordering)
 
 
 class TestCandidateOrder:
@@ -190,6 +264,52 @@ class TestSwap:
                 assert cur <= prev + 1e-9
 
 
+class TestSupportSolveCount:
+    """The support solve that ends an accepted delete or swap is where the
+    swap search counts an uncertified solve, once per solve."""
+
+    @staticmethod
+    def _visit(kind):
+        # the instances of the deletion, swap and no-change tests above
+        rng = np.random.default_rng({"deleted": 2, "swapped": 3, "no_change": 4}[kind])
+        hp = sc.HyperParams(lambda0=0.05, lambda2=1e-3)
+        if kind == "deleted":
+            x = rng.standard_normal((80, 3))
+            x[:, 1] = x[:, 0]
+            y = np.where(rng.random(80) < expit(1.2 * x[:, 0]), 1.0, -1.0)
+            data = sc.DesignMatrix.from_arrays(x, y)
+            state = _restricted_fit(data, [0], hp)
+            state.set_coefficient(data, 1, 0.9)
+            return data, hp, state, 1
+        if kind == "swapped":
+            x = rng.standard_normal((200, 7))
+            x[:, 2] = 0.9 * x[:, 5] + 0.45 * rng.standard_normal(200)
+            y = np.where(rng.random(200) < expit(1.6 * x[:, 5] + 1.2 * x[:, 0]), 1.0, -1.0)
+            data = sc.DesignMatrix.from_arrays(x, y)
+            return data, hp, _restricted_fit(data, [0, 2], hp), 2
+        data = _planted(rng, n=300, p=6, idx=(2,), scale=2.0)
+        hp = sc.HyperParams(lambda0=0.2, lambda2=1e-3)
+        return data, hp, _restricted_fit(data, [2], hp), 2
+
+    @pytest.mark.parametrize("kind", ["deleted", "swapped", "no_change"])
+    def test_an_uncertified_solve_adds_one_cap_hit(self, kind, monkeypatch):
+        data, hp, state, j = self._visit(kind)
+        stats = sc.FitStats()
+        assert sc.try_delete_or_swap(state, data, hp, j, stats=stats).kind == kind
+        assert stats.cap_hits == 0  # the real solve is certified
+        real, solves = logeng.solve_support, []
+
+        def uncertified(trial, data, hp):
+            solves.append(real(trial, data, hp))
+            return False
+
+        monkeypatch.setattr(logeng, "solve_support", uncertified)
+        stats = sc.FitStats()
+        assert sc.try_delete_or_swap(state, data, hp, j, stats=stats).kind == kind
+        assert solves == ([] if kind == "no_change" else [True])
+        assert stats.cap_hits == len(solves)
+
+
 class TestObjectiveNeverRises:
     """Across every accepted delete or swap, the objective as the scalar
     oracles compute it does not rise beyond rounding."""
@@ -233,7 +353,7 @@ class TestObjectiveNeverRises:
             state = engine(loss).new_state(data)
             for j in rng.choice(data.p, size=min(4, data.p), replace=False):
                 state.set_coefficient(data, int(j), float(rng.uniform(-0.5, 0.5)))
-            reoptimize(state, data, hp)
+            engine(loss).solve_support(state, data, hp)
             if kind == "generic" and loss == "logistic":
                 state.set_coefficient(data, 0, 0.5)  # its deletion lowers the ridge alone
             for _ in range(8):
@@ -338,7 +458,7 @@ class TestTryAdd:
             found, _ = self._find_one(trial, data, hp, j2, loss_best, cut)
             accepted = found is not None
             probe = coordinate_probe(trial, data, j2, hp.lambda2)
-            w_hat = logeng.iterate_threshold(probe, 0.0, logeng.LINE_SEARCH_STEPS)
+            w_hat = iterate_threshold(probe, 0.0, logeng.LINE_SEARCH_STEPS)
             exhaustive = probe.value_at(w_hat) < loss_best - OBJECTIVE_TOL
             assert accepted == exhaustive
             if accepted:
@@ -529,15 +649,15 @@ class TestBlockEvaluation:
     @staticmethod
     def _visit(state, data, hp, j, cut, monkeypatch):
         """``try_delete_or_swap`` with its counters and the added coefficient
-        as the evaluator set it, before the support is reoptimized."""
+        as the evaluator set it, before the support is solved."""
         added = {}
-        real = swap.reoptimize
+        real = logeng.solve_support
 
-        def record(trial, data, hp, stats=None):
+        def record(trial, data, hp):
             added.setdefault("w", trial.w.copy())
-            real(trial, data, hp, stats)
+            return real(trial, data, hp)
 
-        monkeypatch.setattr(swap, "reoptimize", record)
+        monkeypatch.setattr(logeng, "solve_support", record)
         stats = sc.FitStats()
         out = sc.try_delete_or_swap(state, data, hp, j, cut=cut, stats=stats)
         return {"kind": out.kind, "removed": out.removed, "added": out.added,
@@ -578,7 +698,7 @@ class TestScreenSoundness:
         probe = _random_probe(seed, lam2)
         s0, x, fk, sk, _ = _reach_point(probe, iterations)
         assume(s0 * sk > 0.0)
-        w = logeng.iterate_threshold(probe, 0.0, iterations)
+        w = iterate_threshold(probe, 0.0, iterations)
         assert abs(w) <= abs(x) * (1.0 + 1e-12)
         allowance = screen_allowance(probe.u.size, iterations, probe.f0, fk,
                                      probe.lipschitz, x, 0.0)
@@ -618,7 +738,7 @@ class TestScreenSoundness:
         probe = _random_probe(seed, lam2)
         s0 = probe.slope_at(0.0)
         assume(s0 != 0.0)
-        w = logeng.iterate_threshold(probe, 0.0, iterations)
+        w = iterate_threshold(probe, 0.0, iterations)
         loss = probe.value_at(w)
         block = logeng.BlockProbe(probe.base_margins, probe.u[None, :], lam2)
         for sign in (1.0, -1.0):
@@ -662,7 +782,7 @@ class TestSelfConcordantCut:
                                                           third)[0])
             allowance = float(logeng._allowance(n, iterations, 2.0 * abs(probe.f0),
                                                 probe.lipschitz, abs(x), 2.0 * mu0)[0])
-            w_hat = logeng.iterate_threshold(probe, 0.0, iterations)
+            w_hat = iterate_threshold(probe, 0.0, iterations)
             assert bound - allowance <= probe.value_at(w_hat), seed
             assert bound == pytest.approx(self_concordant_bound(probe, s0, x)[0], rel=0.0,
                                           abs=1e-12 * (abs(probe.f0) + abs(s0 * x))), seed
