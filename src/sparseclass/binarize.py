@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import DIRECTIONS, ConfigError, DataError, DesignMatrix, ThresholdIndex
+from .core import DIRECTIONS, LOSSES, ConfigError, DataError, DesignMatrix, ThresholdIndex
 
 ENCODINGS = ("0/1", "-1/+1")
 MODEL_KINDS = ("scorecard", "linear")
@@ -111,6 +111,12 @@ class Scorecard:
     into the indicator convention at export, so a scorecard evaluates
     identically regardless of the training encoding.  A ``linear`` model
     sums raw features, its terms having no ``op`` or ``threshold``.
+
+    Construction refuses, with a ``DataError``, what no model file may
+    hold: an unknown kind or loss, a zero weight, a scorecard term without
+    a threshold or whose ``op`` is not one of ``DIRECTIONS``, a linear term
+    with an ``op`` or a ``threshold``, and a linear model that names a
+    feature in two terms.
     """
 
     loss: str
@@ -125,6 +131,19 @@ class Scorecard:
             raise DataError(f"unknown model kind {self.kind!r}")
         if any(t.weight == 0.0 for t in self.terms):
             raise DataError("model terms must have nonzero weights")
+        if self.loss not in LOSSES:
+            raise DataError(f"unknown loss {self.loss!r}")
+        seen = set()
+        for t in self.terms:
+            if self.kind == "scorecard":
+                if t.op not in DIRECTIONS or t.threshold is None:
+                    raise DataError(f"scorecard term {t.feature!r} needs an op in "
+                                    f"{DIRECTIONS} and a threshold")
+            elif t.op is not None or t.threshold is not None:
+                raise DataError(f"linear term {t.feature!r} has an op or a threshold")
+            elif t.feature in seen:
+                raise DataError(f"linear model names feature {t.feature!r} twice")
+            seen.add(t.feature)
 
     def score_rows(self, features: dict[str, np.ndarray]) -> np.ndarray:
         """Raw additive scores for named raw-feature columns."""

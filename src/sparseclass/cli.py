@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .core import (
     probability_from_scores,
 )
 from .metrics import accuracy, auc
-from .path import PathSpec, fit_one, fit_path
+from .path import PathEntry, PathSpec, fit_one, fit_path
 from .swap import CUTS, ORDERINGS, FitStats
 from .synth import SynthSpec, gen_classification
 
@@ -199,9 +199,9 @@ def write_csv(path: str, data: DesignMatrix) -> None:
 
 
 def load_model(path: str) -> Scorecard:
-    """Read a model file of either kind; a missing or malformed field, an
-    unknown kind or loss, or a linear model that names a feature in two
-    terms is an input error."""
+    """Read a model file of either kind.  A file that cannot be read, is
+    not JSON, or lacks or mangles a field is an input error, and so is
+    whatever ``Scorecard`` itself refuses; each message names ``path``."""
     try:
         with open(path) as fh:
             model = Scorecard.from_json(fh.read())
@@ -215,14 +215,6 @@ def load_model(path: str) -> Scorecard:
         raise DataError(f"{path}: model file has no {exc.args[0]!r} field") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from exc
-    if model.loss not in LOSSES:
-        raise DataError(f"{path}: unknown loss {model.loss!r}")
-    if model.kind == "linear":
-        seen = set()
-        for t in model.terms:
-            if t.feature in seen:
-                raise DataError(f"{path}: linear model names feature {t.feature!r} twice")
-            seen.add(t.feature)
     return model
 
 
@@ -245,19 +237,27 @@ def _check_finite(*values) -> None:
 
 # --- subcommands -------------------------------------------------------------
 
-def _prepare_training_data(args) -> DesignMatrix:
+def _training_data(args, loss: str | None = None) -> DesignMatrix:
+    """The training set of ``fit`` and ``path`` (``loss`` given) or of
+    ``bench`` (``loss`` None): ``args.data`` read, and with ``--binarize``
+    expanded into ``<=`` dummies, encoded as ``loss`` needs or -1/+1 for
+    ``bench``, whose cells share them.  ``--max-thresholds`` without
+    ``--binarize`` is a ``ConfigError`` before the read, and so is a loss
+    that needs -1/+1 features on data that are not."""
+    if args.max_thresholds is not None and not args.binarize:
+        raise ConfigError("--max-thresholds needs --binarize")
+    encoding = "-1/+1" if loss is None else engine(loss).BINARIZE_ENCODING
     data = read_csv(args.data)
-    encoding = engine(args.loss).BINARIZE_ENCODING
     if args.binarize:
         data, _ = binarize(data, direction="<=", encoding=encoding,
                            max_thresholds=args.max_thresholds)
-    if encoding == "-1/+1" and not data.binary:
-        raise ConfigError(f"the {args.loss} loss needs -1/+1 features; pass --binarize")
+    if loss is not None and encoding == "-1/+1" and not data.binary:
+        raise ConfigError(f"the {loss} loss needs -1/+1 features; pass --binarize")
     return data
 
 
 def cmd_fit(args) -> int:
-    data = _prepare_training_data(args)
+    data = _training_data(args, args.loss)
     hp = HyperParams(lambda0=args.lambda0, lambda2=args.lambda2, loss=args.loss,
                      candidate_limit=args.candidate_limit)
     stats = FitStats()
@@ -321,76 +321,71 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(sorted(set(vals), reverse=True))
 
 
-# Work counters of ``FitStats`` that the path and bench CSVs carry after
-# their original columns.
-COUNTER_COLUMNS = ("candidates", "line_searches", "cap_hits", "sweeps", "solves")
+def _path_spec(args, loss: str, lambda2_grid: tuple[float, ...]) -> PathSpec:
+    """The penalty grid of ``path``, or of one ``bench`` cell: the
+    ``--lambda0-grid`` chained at each of ``lambda2_grid`` under ``loss``."""
+    return PathSpec(lambda0_grid=_parse_grid(args.lambda0_grid), lambda2_grid=lambda2_grid,
+                    loss=loss, base=HyperParams(loss=loss, candidate_limit=args.candidate_limit))
 
 
-def _counters(e) -> str:
-    return ",".join(str(getattr(e, name)) for name in COUNTER_COLUMNS)
+def _fit_columns(*leading: str) -> list[str]:
+    """A ``path`` or ``bench`` layout: ``leading``, then every ``FitStats``
+    counter it does not name, in field order, so that a counter added to
+    ``FitStats`` is a new last column."""
+    return [*leading, *(f.name for f in fields(FitStats) if f.name not in leading)]
 
 
-def _path_rows(data: DesignMatrix, result) -> list[str]:
-    rows = ["lambda0,lambda2,support_size,objective,train_auc,wall_ms,swap_evals,cut_prunes,error,"
-            + ",".join(COUNTER_COLUMNS)]
-    for e in result.entries:
-        if e.error is None:
-            train_auc = _fmt(auc(e.state.scores(data), data.y))
-            rows.append(
-                f"{_fmt(e.lambda0)},{_fmt(e.lambda2)},{e.support_size},{_fmt(e.objective)},"
-                f"{train_auc},{_fmt(e.wall_ms)},{e.swap_evals},{e.cut_prunes},,{_counters(e)}"
-            )
+def _fit_row(e: PathEntry, data: DesignMatrix, columns) -> str:
+    """One grid point's CSV row over ``columns``: ``train_auc`` scored on
+    ``data``, ``error`` with its commas turned to semicolons (empty after
+    a fit), and each other column the field of ``e`` of that name.  A grid
+    point that failed leaves ``support_size``, ``objective`` and
+    ``train_auc`` empty and says why in ``error``."""
+    cells = []
+    for name in columns:
+        if e.error is not None and name in ("support_size", "objective", "train_auc"):
+            value = ""
+        elif name == "train_auc":
+            value = auc(e.state.scores(data), data.y)
+        elif name == "error":
+            value = (e.error or "").replace(",", ";")
         else:
-            err = e.error.replace(",", ";")
-            rows.append(f"{_fmt(e.lambda0)},{_fmt(e.lambda2)},,,,{_fmt(e.wall_ms)},{e.swap_evals},"
-                        f"{e.cut_prunes},{err},{_counters(e)}")
-    return rows
+            value = getattr(e, name)
+        cells.append(_fmt(value) if isinstance(value, float) else str(value))
+    return ",".join(cells)
 
 
 def cmd_path(args) -> int:
-    data = _prepare_training_data(args)
-    lam0_grid = _parse_grid(args.lambda0_grid)
-    lam2_grid = tuple(sorted(_parse_grid(args.lambda2_grid)))
-    spec = PathSpec(
-        lambda0_grid=lam0_grid,
-        lambda2_grid=lam2_grid,
-        loss=args.loss,
-        base=HyperParams(loss=args.loss, candidate_limit=args.candidate_limit),
-    )
+    data = _training_data(args, args.loss)
+    spec = _path_spec(args, args.loss, tuple(sorted(_parse_grid(args.lambda2_grid))))
     result = fit_path(data, spec, ordering=args.ordering, cut=args.cut)
-    _emit(_path_rows(data, result), args.out)
+    columns = _fit_columns("lambda0", "lambda2", "support_size", "objective", "train_auc",
+                           "wall_ms", "swap_evals", "cut_prunes", "error")
+    _emit([",".join(columns), *(_fit_row(e, data, columns) for e in result.entries)], args.out)
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     """Ablation matrix {cut} x {ordering} x {loss where applicable} on one
-    dataset and sparsity grid; one output row per cell and grid point."""
-    data = read_csv(args.data)
-    if args.binarize:
-        data, _ = binarize(data, direction="<=", encoding="-1/+1",
-                           max_thresholds=args.max_thresholds)
-    lam0_grid = _parse_grid(args.lambda0_grid)
-    rows = ["loss,cut,ordering,lambda0,lambda2,objective,support_size,wall_ms,swap_evals,cut_prunes,"
-            + ",".join(COUNTER_COLUMNS)]
-
-    def run_cell(loss, cut, ordering, lam2):
-        base = HyperParams(loss=loss, candidate_limit=args.candidate_limit)
-        spec = PathSpec(lambda0_grid=lam0_grid, lambda2_grid=(lam2,), loss=loss, base=base)
-        result = fit_path(data, spec, ordering=ordering, cut=cut)
-        for e in result.entries:
-            obj = "" if e.error else _fmt(e.objective)
-            rows.append(
-                f"{loss},{cut},{ordering},{_fmt(e.lambda0)},{_fmt(e.lambda2)},{obj},"
-                f"{e.support_size},{_fmt(e.wall_ms)},{e.swap_evals},{e.cut_prunes},{_counters(e)}"
-            )
-
-    cuts = ["lin", "quad"] if args.lambda2 > 0.0 else ["lin"]
-    for cut in cuts:
-        for ordering in ("sequential", "dynamic"):
-            run_cell("logistic", cut, ordering, args.lambda2)
+    dataset and sparsity grid, read as ``_training_data`` reads it; one row
+    per cell and grid point, written as ``path`` writes its rows, after the
+    cell's ``loss``, ``cut`` and ``ordering``.  The exponential cells run
+    only on -1/+1 data.  The layout lists the counters it had when
+    ``error`` joined it, so that a later ``FitStats`` counter follows
+    ``error``."""
+    data = _training_data(args)
+    columns = _fit_columns("lambda0", "lambda2", "objective", "support_size", "wall_ms",
+                           "swap_evals", "cut_prunes", "candidates", "line_searches",
+                           "cap_hits", "sweeps", "solves", "error")
+    rows = [",".join(["loss", "cut", "ordering", *columns])]
+    cells = [("logistic", cut, ordering, args.lambda2)
+             for cut in (("lin", "quad") if args.lambda2 > 0.0 else ("lin",))
+             for ordering in ("sequential", "dynamic")]
     if data.binary:
-        for ordering in ("sequential", "dynamic"):
-            run_cell("exponential", "auto", ordering, 0.0)
+        cells += [("exponential", "auto", ordering, 0.0) for ordering in ("sequential", "dynamic")]
+    for loss, cut, ordering, lam2 in cells:
+        result = fit_path(data, _path_spec(args, loss, (lam2,)), ordering=ordering, cut=cut)
+        rows += [f"{loss},{cut},{ordering},{_fit_row(e, data, columns)}" for e in result.entries]
     _emit(rows, args.out)
     return EXIT_OK
 

@@ -450,6 +450,31 @@ class TestScorecard:
             sc.Scorecard("logistic", 1.0, 0.0, 0.0,
                          (ScorecardTerm("a", "<=", 1.0, 0.0),))
 
+    @pytest.mark.parametrize("kind,loss,terms", [
+        ("scorecard", "logistic", (ScorecardTerm("a", "<", 1.0, 2.0),)),
+        ("scorecard", "logistic", (ScorecardTerm("a", None, 1.0, 2.0),)),
+        ("scorecard", "logistic", (ScorecardTerm("a", "<=", None, 2.0),)),
+        ("linear", "logistic", (ScorecardTerm("a", "<=", None, 2.0),)),
+        ("linear", "logistic", (ScorecardTerm("a", None, 1.0, 2.0),)),
+        ("scorecard", "hinge", ()),
+        ("linear", "hinge", ()),
+        ("linear", "logistic", (ScorecardTerm("a", None, None, 1.0),
+                                ScorecardTerm("a", None, None, 2.0))),
+    ], ids=["scorecard-op-<", "scorecard-op-none", "scorecard-threshold-none", "linear-op",
+            "linear-threshold", "scorecard-hinge", "linear-hinge", "linear-repeated-feature"])
+    def test_rejects_what_no_model_file_holds(self, kind, loss, terms):
+        # score_rows would read an op other than "<=" as ">=": "<" gives [0, 2, 2]
+        # for a = 0, 1, 2
+        with pytest.raises(sc.DataError):
+            sc.Scorecard(loss, 1.0, 0.0, 0.0, terms, kind=kind)
+        if loss == "hinge" or len(terms) > 1:
+            # a model file of that model: from_json itself refuses it
+            model = {"kind": kind, "loss": loss, "lambda0": 1.0, "lambda2": 0.0,
+                     "intercept": 0.0, "terms": [{"feature": t.feature, "weight": t.weight}
+                                                 for t in terms]}
+            with pytest.raises(sc.DataError):
+                sc.Scorecard.from_json(json.dumps(model))
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -461,7 +486,10 @@ def _models(draw):
         ops = st.tuples(st.none(), st.none())
     else:
         ops = st.tuples(st.sampled_from(["<=", ">="]), FINITE)
-    terms = draw(st.lists(st.tuples(st.text(max_size=6), ops, FINITE.filter(bool)), max_size=6))
+    # a linear model names each feature once
+    unique = (lambda t: t[0]) if kind == "linear" else None
+    terms = draw(st.lists(st.tuples(st.text(max_size=6), ops, FINITE.filter(bool)), max_size=6,
+                          unique_by=unique))
     return sc.Scorecard(
         loss=draw(st.sampled_from(["logistic", "exponential"])),
         lambda0=draw(FINITE),

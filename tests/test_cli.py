@@ -1,5 +1,6 @@
 """Command-line interface tests (subcommands invoked in-process)."""
 
+import dataclasses
 import errno
 import io
 import json
@@ -29,6 +30,10 @@ def _write_dataset(path, rng, n=120, p=5, idx=(1, 3), scale=1.4, binary=False,
         for i in range(n):
             fh.write(",".join(repr(float(v)) for v in x[i]) + f",{float(y[i])!r}\n")
     return x, y, names
+
+
+# every counter of a fit, as the fit JSON and the path and bench CSVs carry them
+_FIT_STATS_FIELDS = [f.name for f in dataclasses.fields(sc.FitStats)]
 
 
 def _run(capsys, argv):
@@ -80,8 +85,7 @@ class TestFitPredict:
         stats = sc.FitStats()
         sc.fit_one(read_csv(str(data_path)), sc.HyperParams(lambda0=0.3, lambda2=1e-3),
                    stats=stats)
-        for key in ("swap_evals", "cut_prunes", "candidates", "line_searches", "cap_hits",
-                    "sweeps", "solves"):
+        for key in _FIT_STATS_FIELDS:
             assert summary[key] == getattr(stats, key), key
         assert summary["candidates"] > 0
 
@@ -446,10 +450,29 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert out == ""
 
+    @pytest.mark.parametrize("command", [["fit"], ["path", "--lambda0-grid", "1"],
+                                         ["bench", "--lambda0-grid", "1"]],
+                             ids=["fit", "path", "bench"])
+    def test_max_thresholds_without_binarize_exits_3(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        # the flag would be ignored; it is refused before the data are read
+        from sparseclass import cli
+
+        def read(*args, **kwargs):
+            raise AssertionError("the data were read before the flags were checked")
+
+        monkeypatch.setattr(cli, "read_csv", read)
+        code, out, err = _run(capsys, [*command, "--data", str(tmp_path / "train.csv"),
+                                       "--max-thresholds", "20"])
+        assert code == 3
+        assert err == "error: --max-thresholds needs --binarize\n"
+        assert out == ""
+
     def test_model_unknown_loss_exits_2(self, tmp_path, capsys):
         # the loss comes from the model file, so it is an input error
         model_path = tmp_path / "model.json"
-        model_path.write_text(sc.Scorecard("hinge", 1.0, 0.0, 0.0, (), kind="linear").to_json())
+        model_path.write_text(json.dumps({"kind": "linear", "loss": "hinge", "lambda0": 1.0,
+                                          "lambda2": 0.0, "intercept": 0.0, "terms": []}))
         data_path = tmp_path / "x.csv"
         data_path.write_text("x1\n0.5\n")
         code, out, err = _run(capsys, ["predict", "--model", str(model_path),
@@ -860,13 +883,12 @@ class TestPathCommand:
         data = read_csv(str(data_path))
         spec = sc.PathSpec(lambda0_grid=(2.0, 0.5), lambda2_grid=(0.001,))
         for row, entry in zip(rows, sc.fit_path(data, spec).entries):
-            for name in ("swap_evals", "cut_prunes", "candidates", "line_searches", "cap_hits",
-                         "sweeps", "solves"):
+            for name in _FIT_STATS_FIELDS:
                 assert int(row[name]) == getattr(entry, name)
         assert sum(int(r["candidates"]) for r in rows) > 0
 
     def test_error_rows_carry_fit_counters(self, tmp_path, capsys, monkeypatch):
-        from sparseclass import cli, path
+        from sparseclass import path
 
         def failing(data, hp, stats=None, **kwargs):
             stats.cap_hits += 1
@@ -886,8 +908,9 @@ class TestPathCommand:
         assert row["error"].endswith("boom")
         assert (row["candidates"], row["line_searches"], row["cap_hits"]) == ("0", "0", "1")
         assert (row["sweeps"], row["solves"]) == ("0", "0")
-        assert cli.COUNTER_COLUMNS == ("candidates", "line_searches", "cap_hits", "sweeps",
-                                       "solves")
+        expected = dataclasses.replace(sc.FitStats(), cap_hits=1)
+        for name in _FIT_STATS_FIELDS:
+            assert row[name] == str(getattr(expected, name)), name
 
     def test_single_point_matches_fit(self, tmp_path, capsys):
         rng = np.random.default_rng(10)
@@ -950,11 +973,42 @@ class TestBenchCommand:
         header = header.split(",")
         assert header == ["loss", "cut", "ordering", "lambda0", "lambda2", "objective",
                           "support_size", "wall_ms", "swap_evals", "cut_prunes",
-                          "candidates", "line_searches", "cap_hits", "sweeps", "solves"]
+                          "candidates", "line_searches", "cap_hits", "sweeps", "solves",
+                          "error"]
         rows = [dict(zip(header, ln.split(","))) for ln in lines]
         assert len(rows) == 2 and all(len(ln.split(",")) == len(header) for ln in lines)
         assert all(int(r["candidates"]) >= int(r["line_searches"]) >= 0 for r in rows)
         assert all(int(r["cap_hits"]) >= 0 for r in rows)
+        assert all(r["error"] == "" for r in rows)
+        data = read_csv(str(data_path))
+        spec = sc.PathSpec(lambda0_grid=(1.0,))
+        for row, ordering in zip(rows, ("sequential", "dynamic")):
+            entry, = sc.fit_path(data, spec, ordering=ordering, cut="lin").entries
+            for name in _FIT_STATS_FIELDS:
+                assert int(row[name]) == getattr(entry, name), name
+
+    def test_error_rows_say_why(self, tmp_path, capsys, monkeypatch):
+        from sparseclass import path
+
+        def failing(data, hp, stats=None, **kwargs):
+            stats.cap_hits += 1
+            raise FloatingPointError("boom, twice")
+
+        monkeypatch.setattr(path, "fit_one", failing)
+        rng = np.random.default_rng(13)
+        data_path = tmp_path / "train.csv"
+        _write_dataset(data_path, rng, n=60, p=4)
+        out_path = tmp_path / "bench.csv"
+        code, _, _ = _run(capsys, ["bench", "--data", str(data_path), "--out", str(out_path),
+                                   "--lambda0-grid", "1"])
+        assert code == 0
+        header, *lines = out_path.read_text().strip().splitlines()
+        rows = [dict(zip(header.split(","), ln.split(","))) for ln in lines]
+        assert len(rows) == 2 and all(len(ln.split(",")) == len(rows[0]) for ln in lines)
+        for row in rows:
+            assert row["error"].endswith("boom; twice")
+            assert (row["support_size"], row["objective"]) == ("", "")
+            assert row["cap_hits"] == "1"
 
 
 class TestFlags:
