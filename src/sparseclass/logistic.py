@@ -179,8 +179,9 @@ class BlockProbe:
 
     def evaluate(self, t, curvature=False):
         """Values and slopes at ``t`` from one shared exponential pass, and
-        with ``curvature`` the bound mu of ``screen_block`` on f'' between
-        0 and ``t`` (else None)."""
+        with ``curvature`` (else None) sum_i u_i^2 sigma'(m_i + t u_i) and
+        sum_i |u_i|^3 sigma'(m_i + t u_i): the mu and mu rho of
+        ``screen_block``'s self-concordant bound anchored at ``t``."""
         e, c, neg = self._buffers()
         m = self._margins(t)
         np.less(m, 0.0, out=neg)
@@ -191,16 +192,19 @@ class BlockProbe:
         m += np.log1p(e)
         values = m.sum(axis=1) + self.lam2 * (t * t + self.base_sq)
         np.add(e, 1.0, out=m)
-        mu = None
         if curvature:  # sigma'(m) = e / (1 + e)^2, the same at m and -m
             np.divide(np.divide(e, m, out=c), m, out=c)
-            np.minimum(c, self._base_curvature(), out=c)
-            c *= self.u
-            mu = np.einsum("ij,ij->i", self.u, c) + 2.0 * self.lam2
         # sigmoid(-m): e / (1 + e) where m >= 0, 1 / (1 + e) where m < 0
         np.putmask(e, neg, 1.0)
         q = np.divide(e, m, out=e)
-        return values, -np.einsum("ij,ij->i", self.u, q) + 2.0 * self.lam2 * t, mu
+        slopes = -np.einsum("ij,ij->i", self.u, q) + 2.0 * self.lam2 * t
+        if not curvature:
+            return values, slopes, None
+        # the margin buffer is free again
+        a = np.abs(self.u, out=m)
+        c *= a
+        c *= a
+        return values, slopes, (c.sum(axis=1), np.einsum("ij,ij->i", a, c))
 
 
 def sigma_prime(m):
@@ -216,7 +220,8 @@ def sigma_prime(m):
 # slopes are equal), and, where f'' >= 2 lam2, the one-point minorant's
 # vertex f1 - a1^2 / (4 lam2) and the minimum of two minorants' max.  They
 # take scalars or arrays (element by element): ``screen_block`` applies
-# them to a block of candidates, the tests to single probes.
+# the tangents and the vertex to a block of candidates, the tests all three
+# to single probes.
 
 def _lin_cut_val(f1, a1, x1, f2, a2, x2):
     same = a1 == a2
@@ -416,55 +421,77 @@ def screen_block(probe, s0, lip, f0: float, threshold: float, quad: bool,
     The first is t = -s0/L; no later one is longer or passes the 1-D
     optimum, as L bounds f''.  So the search ends in [0, Kt], at a loss of
     at most f0.
+
+    Self-concordant bound at an anchor a.  phi(m) = log(1 + e^-m) has
+    |phi'''| <= phi'', so at distance tau from a, either way, f'' >=
+    sum_i u_i^2 sigma'(m_i) e^(-|u_i| tau) >= mu e^(-rho tau) (Jensen),
+    with mu = sum_i u_i^2 sigma'(m_i) and rho = sum_i |u_i|^3 sigma'(m_i)
+    / mu at the margins m of a; the ridge only adds to f''.  Integrated
+    twice, f >= g(tau) = f(a) - |f'(a)| tau + mu (e^(-rho tau) - 1 + rho
+    tau) / rho^2 on the side where f falls from a, and f >= f(a) on the
+    other.  So a search that ends within R of a ends at a loss of at least
+    the minimum of g on [0, R] (``_self_concordant_cut_val``).  The nearer
+    a lies to the 1-D optimum, the tighter that is.
+
     Cuts at zero (``quad``, which needs ``probe.lam2 > 0``), with no pass:
-    the vertex f0 - s0^2 / (4 lam2) of the one-point minorant, and a
-    self-concordant bound.  phi(m) = log(1 + e^-m) has |phi'''| <= phi'',
-    so at distance tau from zero along the descent direction f'' >=
-    sum_i u_i^2 sigma'(m_i) e^(-|u_i| tau) >= mu0 e^(-rho tau) (Jensen),
-    with mu0 = sum_i u_i^2 sigma'(m_i) and rho = sum_i |u_i|^3 sigma'(m_i)
-    / mu0 at the base margins m (``BlockProbe.zero_curvature``).
-    Integrated twice, f >= g(tau) = f0 - |s0| tau + mu0 (e^(-rho tau) - 1
-    + rho tau) / rho^2, so the search ends at a loss of at least the
-    minimum of g on [0, |Kt|].  A candidate with zero slope has no descent
-    direction and is rejected unscreened.
-    Only the survivors take one pass at Kt, with value fK and slope sK.
-    Reach bound: if sK has the sign of s0, f falls over [0, Kt] and the
-    search ends at a loss of at least fK.  Bracket-curvature cut: else the
-    optimum lies in [0, Kt], where f'' >= mu = 2 lam2 + sum_i u_i^2
-    min(sigma'(m_i), sigma'(m_i + Kt u_i)) by log-concavity of sigma';
-    ``quad`` bounds the minimum by the two minorants of curvature mu
-    anchored at 0 and Kt, else by the two tangents.  The survivors are
-    line-searched together, one pass per step.
+    the vertex f0 - s0^2 / (4 lam2) of the one-point minorant, and the
+    self-concordant bound anchored at zero with R = |Kt|, from mu0 and
+    mu0 rho0 at the base margins (``BlockProbe.zero_curvature``).  A
+    candidate with zero slope has no descent direction and is rejected
+    unscreened.  Only the survivors take one pass, at a point x:
+
+    - ``quad``: x is the Newton point from zero, -s0 / (mu0 + 2 lam2)
+      (mu0 + 2 lam2 = f''(0)), clipped to [0, Kt].  The pass gives the
+      value fx, the slope sx, and mu and mu rho at x.  If sx has the sign
+      of s0, f falls over [0, x], so the search ends at a loss of at least
+      fx or beyond x, within R = |Kt| - |x| of it: the self-concordant
+      bound anchored at x bounds its loss (at x = Kt, the reach bound fx).
+      Else the optimum lies in [0, x], and so does the end of the search,
+      which never passes it: the self-concordant bound anchored at x with
+      R = |x| bounds its loss.
+    - ``lin``: x = Kt.  Reach bound: if sx has the sign of s0, f falls
+      over [0, Kt] and the search ends at a loss of at least fx.  Else the
+      optimum lies in [0, Kt], and the two tangents at 0 and Kt bound the
+      minimum.
+
+    The survivors are line-searched together, one pass per step.
 
     A bound prunes when it clears ``threshold`` by the rounding allowance
-    gamma (3 (|f0| + |fK|) + 2 S r + mu r^2 + 4 K n) + 3 K EPS S r, with
+    gamma (3 (|f0| + |fx|) + 2 S r + mu r^2 + 4 K n) + 3 K EPS S r, with
     gamma = (n + 8) EPS, r = |Kt| and S = 2 sqrt(n L).  A sum of n terms
     is off by at most gamma times the sum of their magnitudes: |f| for a
     value, S for a slope (sum |u_i| q_i <= ||u|| sqrt(n), ||u||^2 <= 4L),
-    mu for mu.  An anchor's errors df, ds, dmu move a bound by at most
-    df + ds r + dmu r^2 / 2 on [0, Kt], where both bounds take their
-    minimum: the first three terms, with the search's final value and the
-    bound's own arithmetic.  Each of the K steps can pass Kt by
-    gamma S / L + 3 EPS r, which lowers f by at most |sK| <= S per unit:
-    the last two terms.  The self-concordant bound takes this allowance
-    with |fK| = |f0|, as the search's final loss is at most f0, and
-    mu = 2 mu0.  Its curvature term is mu0 tau^2 psi(rho tau), with
-    psi(x) = (e^-x - 1 + x) / x^2 and 0 <= x |psi'(x)| <= psi(x) <= 1/2,
-    so the relative errors of mu0 (gamma) and rho (2 gamma + EPS), with
-    the term's own arithmetic, move it by at most 2 gamma mu0 r^2.  The
+    mu for a curvature sum mu.  An anchor's errors df, ds, dmu move a
+    bound by at most df + ds r + dmu r^2 / 2 within r of it, where every
+    bound takes its minimum: the first three terms, with the search's
+    final value and the bound's own arithmetic.  The slope's term also
+    covers a slope sx within rounding of zero whose computed sign is
+    wrong: the search then ends on the other side of x, within r of it,
+    where f >= fx - ds r.  Each of the K steps can pass Kt by gamma S / L
+    + 3 EPS r, which lowers f by at most S per unit: the last two terms.
+    The Newton point needs no term of its own: any x in [0, Kt] is a
+    valid anchor, and the pass evaluates the rounded x.
+
+    The reach bound and the tangents take this allowance with mu = 0.  A
+    self-concordant bound takes it with mu = 2 mu at its anchor, and at
+    zero with |fx| = |f0|, as the search's final loss is at most f0.  Its
+    curvature term is mu tau^2 psi(rho tau), with psi(x) =
+    (e^-x - 1 + x) / x^2 and 0 <= x |psi'(x)| <= psi(x) <= 1/2, so the
+    relative errors of mu (gamma) and rho (2 gamma + EPS), with the term's
+    own arithmetic, move it by at most 2 gamma mu r^2 for tau <= r.  The
     rounding of the minimizer, and the cancellation in e^-x - 1 + x (at
-    most EPS x mu0 / rho^2, where mu0 / rho <= sum_i |u_i| sigma'(m_i)
-    <= S / 4 by Cauchy-Schwarz), cost a few EPS S r more, inside 2 gamma
-    S r beside the slope's gamma S r.  The vertex prunes when it reaches
+    most EPS x mu / rho^2, where mu / rho <= sum_i |u_i| sigma'(m_i) <=
+    S / 4 by Cauchy-Schwarz), cost a few EPS S r more, inside 2 gamma S r
+    beside the slope's gamma S r.  The vertex prunes when it reaches
     ``threshold``, with no allowance.
     """
     k = s0.shape[0]
     lam2 = probe.lam2
     n = probe.u.shape[1]
     t = np.divide(-s0, lip, out=np.zeros(k), where=s0 != 0.0)
+    r = np.abs(iterations * t)
     pruned = np.zeros(k, dtype=bool)
     if quad:
-        r = np.abs(iterations * t)
         mu0, third = probe.zero_curvature()
         bound = _self_concordant_cut_val(f0, np.abs(s0), r, mu0, third)
         pruned = ((_quad_cut_one_val(f0, s0, lam2) >= threshold)
@@ -479,15 +506,21 @@ def screen_block(probe, s0, lip, f0: float, threshold: float, quad: bool,
         return BlockResult(accepted, coefficient, pruned, live)
     probe = probe.take(rows)
 
-    # one pass at the reach point Kt
-    s, L, x = s0[rows], lip[rows], iterations * t[rows]
-    fK, sK, mu = probe.evaluate(x, curvature=quad)
+    s, L, x, r = s0[rows], lip[rows], iterations * t[rows], r[rows]
     if quad:
-        bound = _quad_cut_two_val(f0, s, 0.0, fK, sK, x, 0.5 * mu)
+        # one pass at the Newton point from zero, clipped to [0, Kt]; the
+        # bound there runs to Kt, or back to zero where the slope has turned
+        x = np.copysign(np.minimum(np.abs(s) / (mu0[rows] + 2.0 * lam2), r), x)
+        fx, sx, (mu_x, third_x) = probe.evaluate(x, curvature=True)
+        reach = np.where(s * sx <= 0.0, np.abs(x), r - np.abs(x))
+        bound = _self_concordant_cut_val(fx, np.abs(sx), reach, mu_x, third_x)
+        cut = bound >= threshold + _allowance(n, iterations, abs(f0) + np.abs(fx), L, r,
+                                              2.0 * mu_x)
     else:
-        bound, mu = _lin_cut_val(f0, s, 0.0, fK, sK, x), 0.0
-    allowance = _allowance(n, iterations, abs(f0) + np.abs(fK), L, np.abs(x), mu)
-    cut = np.where(s * sK > 0.0, fK, bound) >= threshold + allowance
+        # one pass at the reach point Kt
+        fx, sx, _ = probe.evaluate(x)
+        bound = np.where(s * sx > 0.0, fx, _lin_cut_val(f0, s, 0.0, fx, sx, x))
+        cut = bound >= threshold + _allowance(n, iterations, abs(f0) + np.abs(fx), L, r, 0.0)
     pruned[rows] = cut
     searched = live & ~pruned
 

@@ -34,9 +34,13 @@ class FitStats:
     would, up to and including the accepted one: ``candidates`` evaluated
     (all-zero columns are skipped at any ridge, not counted) and, under
     the logistic loss, ``cut_prunes`` among them dismissed without a line
-    search (by ``logistic.screen_block``'s cuts at zero, the one-point
-    vertex and the self-concordant bound, under ``quad``, or by its reach
-    bound or bracket-curvature cut) and ``line_searches`` run.
+    search by ``logistic.screen_block`` and ``line_searches`` run.  Under
+    ``quad`` its cuts at zero (the one-point vertex and the
+    self-concordant bound) prune with no pass, and after one pass at the
+    Newton point from zero the self-concordant bound anchored there, run
+    toward Kt or, where the slope there has turned, back toward zero; under
+    ``lin`` only its pass at Kt prunes, by the reach bound or the tangent
+    cut.
     ``cap_hits`` counts the warm starts and logistic intercept refits that
     ended at their sweep or iteration cap without meeting their stop test,
     the support solves of ``try_delete_or_swap`` that ended uncertified, at
@@ -44,7 +48,11 @@ class FitStats:
     searches that ended at ``SWAP_MAX_PASSES``.  ``swap_evals`` counts the
     visits of the swap search, ``sweeps`` the warm start's coordinate
     sweeps and ``solves`` its support solves, kept or undone
-    (``path.warm_start``).
+    (``path.warm_start``).  ``deletions`` and ``swaps`` count the changes
+    that the swap search accepted, by kind (``fit_swap_1opt``).  Under the
+    logistic loss each accepted swap ends one of ``line_searches``, so
+    ``line_searches - swaps`` counts the searches the cuts left that
+    failed.
     """
 
     swap_evals: int = 0
@@ -54,6 +62,8 @@ class FitStats:
     cap_hits: int = 0
     sweeps: int = 0
     solves: int = 0
+    deletions: int = 0
+    swaps: int = 0
 
 
 @dataclass
@@ -150,10 +160,13 @@ def fit_swap_1opt(initial, data: DesignMatrix, hp: HyperParams,
         for j in walk:
             outcome = try_delete_or_swap(state, data, hp, j, cut=cut, stats=stats)
             stats.swap_evals += 1
-            if outcome.kind != "no_change":
-                state = outcome.new_state
-                break
-            failures[j] += 1
+            if outcome.kind == "no_change":
+                failures[j] += 1
+                continue
+            stats.deletions += outcome.kind == "deleted"
+            stats.swaps += outcome.kind == "swapped"
+            state = outcome.new_state
+            break
         else:
             return state
     stats.cap_hits += 1

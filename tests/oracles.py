@@ -14,10 +14,10 @@ paths under test, with these exceptions:
 - The sequential swap scans.  ``reference_swap_visit`` drives the package's
   scalar ``CoordinateProbe``, which the swap search itself no longer calls,
   with ``iterate_threshold`` here, and the package's cut formulas, which the
-  grid-minimum tests check on their own; it computes the curvature bound of
-  its quadratic cuts, the self-concordant bound of its cut at zero (with
-  ``math.log1p`` and ``math.expm1`` and its own sigma') and the rounding
-  allowance of its prunes itself.
+  grid-minimum tests check on their own; it computes the Newton point of
+  its ``quad`` pass, the self-concordant bounds anchored at zero and at
+  that point (with ``math.log1p`` and ``math.expm1`` and its own sigma')
+  and the rounding allowance of its prunes itself.
   ``reference_exp_find_swap`` uses the package's closed-form exponential
   coefficient and loss, which the grid-minimum tests check too.
 """
@@ -366,17 +366,17 @@ def scalar_try_add(probe, s0, threshold, quad):
     the screening decided:
 
     - "zero": with ``quad``, the vertex of the one-point quadratic minorant
-      at zero or the self-concordant bound, or a zero slope.  The bound is
-      the minimum over [0, |Kt|] of f0 - |s0| tau + mu0 (e^(-rho tau) - 1 +
-      rho tau) / rho^2, with mu0 = sum u_i^2 sigma'(m_i) and mu0 rho =
-      sum |u_i|^3 sigma'(m_i) at the base margins; the vertex prunes
-      without an allowance;
-    - "reach": the slope at Kt (t = -s0/L, K = ``logistic.LINE_SEARCH_STEPS``)
-      still has the sign of s0, so the K-step search ends at a loss of at
-      least f(Kt);
-    - "bracket": the optimum lies in [0, Kt], bounded by the tangents at 0
-      and Kt, or by quadratic minorants there whose curvature is the least
-      f'' on [0, Kt] that the ends' sigma' allow.
+      at zero or the self-concordant bound anchored at zero over [0, |Kt|]
+      (t = -s0/L, K = ``logistic.LINE_SEARCH_STEPS``), or a zero slope.
+      The vertex prunes without an allowance;
+    - "reach": the slope at the pass point x still has the sign of s0.
+      Under ``lin``, x = Kt, and the K-step search ends at a loss of at
+      least f(Kt).  Under ``quad``, x is the Newton point from zero,
+      -s0 / f''(0) clipped to [0, Kt], and the self-concordant bound
+      anchored at x over the |Kt| - |x| that remain to Kt bounds the loss;
+    - "bracket": the optimum lies in [0, x], bounded by the tangents at 0
+      and x (``lin``), or (``quad``) by the self-concordant bound anchored
+      at x over [0, |x|] back to zero.
 
     A bound prunes when it clears ``threshold`` by the rounding allowance
     that ``logistic.screen_block`` documents; otherwise the line search
@@ -385,6 +385,7 @@ def scalar_try_add(probe, s0, threshold, quad):
 
     lam2, u, n, L = probe.lam2, probe.u, probe.u.shape[0], probe.lipschitz
     iterations = logeng.LINE_SEARCH_STEPS
+    m0 = probe.base_margins
 
     def decide(branch, prune):
         if prune:
@@ -394,59 +395,57 @@ def scalar_try_add(probe, s0, threshold, quad):
             return "searched", branch, True, w_hat
         return "searched", branch, False, 0.0
 
-    x = iterations * (-s0 / L)
+    kt = iterations * (-s0 / L)
     if quad:
-        bound, mu0 = self_concordant_bound(probe, s0, x)
+        bound, mu0 = self_concordant_bound(m0, u, probe.f0, s0, abs(kt))
         if (logeng._quad_cut_one_val(probe.f0, s0, lam2) >= threshold
                 or bound >= threshold + screen_allowance(n, iterations, probe.f0, probe.f0,
-                                                         L, x, 2.0 * mu0)):
+                                                         L, kt, 2.0 * mu0)):
             return decide("zero", True)
     if s0 == 0.0:
         return "rejected", "zero", False, 0.0
-    fk, sk = probe.eval_at(x)
-    mu = 0.0
-    if quad:
-        def sigma_prime(m):
-            return expit(m) * expit(-m)
-
-        m0 = probe.base_margins
-        mu = 2.0 * lam2 + float((u * u) @ np.minimum(sigma_prime(m0), sigma_prime(m0 + x * u)))
-        bound = logeng._quad_cut_two_val(probe.f0, s0, 0.0, fk, sk, x, 0.5 * mu)
-    else:
-        bound = logeng._lin_cut_val(probe.f0, s0, 0.0, fk, sk, x)
-    branch = "reach" if s0 * sk > 0.0 else "bracket"
-    if branch == "reach":
-        bound = fk
-    allowance = screen_allowance(n, iterations, probe.f0, fk, L, x, mu)
-    return decide(branch, float(bound) >= threshold + allowance)
+    if not quad:
+        fk, sk = probe.eval_at(kt)
+        branch = "reach" if s0 * sk > 0.0 else "bracket"
+        bound = fk if branch == "reach" else logeng._lin_cut_val(probe.f0, s0, 0.0, fk, sk, kt)
+        allowance = screen_allowance(n, iterations, probe.f0, fk, L, kt, 0.0)
+        return decide(branch, float(bound) >= threshold + allowance)
+    x = math.copysign(min(abs(s0) / (mu0 + 2.0 * lam2), abs(kt)), kt)
+    fx, sx = probe.eval_at(x)
+    branch = "reach" if s0 * sx > 0.0 else "bracket"
+    bound, mu_x = self_concordant_bound(m0 + x * u, u, fx, sx,
+                                        abs(kt) - abs(x) if branch == "reach" else abs(x))
+    return decide(branch, bound >= threshold + screen_allowance(n, iterations, probe.f0, fx, L,
+                                                                kt, 2.0 * mu_x))
 
 
-def self_concordant_bound(probe, s0, x):
-    """The least loss a search from zero that ends within |x| of it, on the
-    descent side, can reach by the self-concordant curvature bound f'' >=
-    mu0 e^(-rho tau): min over tau in [0, |x|] of f0 - |s0| tau + mu0
-    (e^(-rho tau) - 1 + rho tau) / rho^2 (f0 - |s0| |x| where mu0 = 0),
-    with mu0 = sum u_i^2 sigma'(m_i) and mu0 rho = sum |u_i|^3 sigma'(m_i)
-    at the base margins m.  Returns the bound and mu0."""
-    e = np.exp(-np.abs(probe.base_margins))
-    w = probe.u * probe.u * (e / ((1.0 + e) * (1.0 + e)))
-    mu0, r, slope = math.fsum(w), abs(x), abs(s0)
-    if mu0 == 0.0:
-        return probe.f0 - slope * r, mu0
-    rho = math.fsum(w * np.abs(probe.u)) / mu0
-    if slope * rho >= mu0:
+def self_concordant_bound(margins, u, value, slope, r):
+    """The least loss within ``r`` of an anchor, on the side where the loss
+    falls from it, by the self-concordant curvature bound f'' >= mu
+    e^(-rho tau): min over tau in [0, r] of ``value`` - |``slope``| tau +
+    mu (e^(-rho tau) - 1 + rho tau) / rho^2 (``value`` - |``slope``| r
+    where mu = 0), with mu = sum u_i^2 sigma'(m_i) and mu rho = sum
+    |u_i|^3 sigma'(m_i) at the anchor's ``margins`` m.  Returns the bound
+    and mu."""
+    e = np.exp(-np.abs(margins))
+    w = u * u * (e / ((1.0 + e) * (1.0 + e)))
+    mu, slope = math.fsum(w), abs(slope)
+    if mu == 0.0:
+        return value - slope * r, mu
+    rho = math.fsum(w * np.abs(u)) / mu
+    if slope * rho >= mu:
         tau = r
     else:
-        tau = min(r, -math.log1p(-slope * rho / mu0) / rho)
-    return (probe.f0 - slope * tau + mu0 * (math.expm1(-rho * tau) + rho * tau) / (rho * rho),
-            mu0)
+        tau = min(r, -math.log1p(-slope * rho / mu) / rho)
+    return value - slope * tau + mu * (math.expm1(-rho * tau) + rho * tau) / (rho * rho), mu
 
 
 def screen_allowance(n, iterations, f0, fk, lipschitz, x, mu):
     """The rounding allowance that ``logistic.screen_block`` documents for
-    its prunes, at the reach point ``x``: for the reach and bracket prunes
-    with the value ``fk`` there and the bracket curvature ``mu``, for the
-    self-concordant bound with ``fk = f0`` and ``mu = 2 mu0``."""
+    its prunes, with ``x`` = Kt and ``fk`` the value at the pass point: for
+    the reach bound and the tangents with ``mu`` = 0, for a self-concordant
+    bound with ``mu`` twice the mu at its anchor, and at zero with
+    ``fk = f0``."""
     from sparseclass.core import EPS
 
     r, scale = abs(x), 2.0 * math.sqrt(n * lipschitz)

@@ -866,7 +866,8 @@ class TestPathCommand:
         header = lines[0].split(",")
         assert header == ["lambda0", "lambda2", "support_size", "objective",
                           "train_auc", "wall_ms", "swap_evals", "cut_prunes", "error",
-                          "candidates", "line_searches", "cap_hits", "sweeps", "solves"]
+                          "candidates", "line_searches", "cap_hits", "sweeps", "solves",
+                          "deletions", "swaps"]
 
     def test_rows_carry_fit_counters(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
@@ -974,7 +975,7 @@ class TestBenchCommand:
         assert header == ["loss", "cut", "ordering", "lambda0", "lambda2", "objective",
                           "support_size", "wall_ms", "swap_evals", "cut_prunes",
                           "candidates", "line_searches", "cap_hits", "sweeps", "solves",
-                          "error"]
+                          "error", "deletions", "swaps"]
         rows = [dict(zip(header, ln.split(","))) for ln in lines]
         assert len(rows) == 2 and all(len(ln.split(",")) == len(header) for ln in lines)
         assert all(int(r["candidates"]) >= int(r["line_searches"]) >= 0 for r in rows)

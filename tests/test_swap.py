@@ -105,6 +105,7 @@ class TestWalkOrder:
         visits, stats = _scripted_search(monkeypatch, ordering, 20, {14, 2, 9, 5}, self._change)
         assert [j for j, _, _ in visits] == expected
         assert stats.swap_evals == len(expected) and stats.cap_hits == 0
+        assert (stats.swaps, stats.deletions) == (1, 1)
         _check_walks(visits, ordering)
 
     @pytest.mark.parametrize("ordering", swap.ORDERINGS)
@@ -126,6 +127,7 @@ class TestWalkOrder:
         support = {int(j) for j in rng.choice(p, size=9, replace=False)}
         visits, stats = _scripted_search(monkeypatch, ordering, p, support, change)
         assert sum(changed for _, _, changed in visits) == 12 - budget[0] > 0
+        assert stats.swaps + stats.deletions == 12 - budget[0]
         assert stats.swap_evals == len(visits)
         _check_walks(visits, ordering)
 
@@ -207,6 +209,12 @@ class TestSwap:
         out = sc.try_delete_or_swap(state, data, hp, 2)
         assert out.kind == "swapped"
         assert out.removed == 2 and out.added == 5
+        # the search accepts that swap and nothing else, and counts it
+        stats = sc.FitStats()
+        settled = sc.fit_swap_1opt(state, data, hp, stats=stats)
+        assert settled.support == {0, 5}
+        assert (stats.swaps, stats.deletions) == (1, 0)
+        assert stats.line_searches >= stats.swaps
 
     def test_isolated_strong_feature_unchanged(self):
         rng = np.random.default_rng(4)
@@ -677,12 +685,18 @@ def _random_probe(seed, lam2):
 
 
 def _reach_point(probe, iterations):
-    """Kt with its value, slope and curvature bound from one block pass."""
+    """Kt with its value and slope from one block pass."""
     s0 = probe.slope_at(0.0)
     x = iterations * (-s0 / probe.lipschitz)
     block = logeng.BlockProbe(probe.base_margins, probe.u[None, :], probe.lam2)
-    fk, sk, mu = block.evaluate(np.array([x]), curvature=True)
-    return s0, x, float(fk[0]), float(sk[0]), float(mu[0])
+    fk, sk, _ = block.evaluate(np.array([x]))
+    return s0, x, float(fk[0]), float(sk[0])
+
+
+def _second_derivative(probe, points):
+    """f'' of the restriction at each of ``points``."""
+    m = probe.base_margins[None, :] + np.asarray(points)[:, None] * probe.u
+    return (probe.u ** 2 * expit(m) * expit(-m)).sum(axis=1) + 2.0 * probe.lam2
 
 
 _PROBES = dict(seed=st.integers(0, 2**32 - 1), iterations=st.integers(1, 12),
@@ -690,13 +704,13 @@ _PROBES = dict(seed=st.integers(0, 2**32 - 1), iterations=st.integers(1, 12),
 
 
 class TestScreenSoundness:
-    """The two bounds of ``logistic.screen_block`` against 1-D oracles."""
+    """The bounds of ``logistic.screen_block`` against 1-D oracles."""
 
     @settings(max_examples=300, deadline=None)
     @given(**_PROBES)
     def test_reach_bound_never_exceeds_the_search_loss(self, seed, iterations, lam2):
         probe = _random_probe(seed, lam2)
-        s0, x, fk, sk, _ = _reach_point(probe, iterations)
+        s0, x, fk, sk = _reach_point(probe, iterations)
         assume(s0 * sk > 0.0)
         w = iterate_threshold(probe, 0.0, iterations)
         assert abs(w) <= abs(x) * (1.0 + 1e-12)
@@ -705,23 +719,38 @@ class TestScreenSoundness:
         assert fk <= probe.value_at(w) + allowance
 
     @settings(max_examples=300, deadline=None)
-    @given(**_PROBES)
-    def test_curvature_bound_holds_between_zero_and_the_reach_point(self, seed, iterations,
-                                                                     lam2):
+    @given(frac=st.floats(0.0, 1.0), **_PROBES)
+    def test_curvature_bound_holds_around_the_anchor(self, frac, seed, iterations, lam2):
+        """mu e^(-rho tau), from the two sums of one pass at an anchor x in
+        [0, Kt], is at most f'' at distance tau from x, either way, over
+        [0, Kt] and as far beyond."""
         probe = _random_probe(seed, lam2)
-        _, x, _, _, mu = _reach_point(probe, iterations)
-        m = probe.base_margins[None, :] + np.linspace(0.0, x, 201)[:, None] * probe.u
-        second = (probe.u ** 2 * expit(m) * expit(-m)).sum(axis=1) + 2.0 * lam2
-        assert mu <= second.min() * (1.0 + 1e-12)
+        kt = iterations * (-probe.slope_at(0.0) / probe.lipschitz)
+        x = frac * kt
+        block = logeng.BlockProbe(probe.base_margins, probe.u[None, :], lam2)
+        _, _, (mu, third) = block.evaluate(np.array([x]), curvature=True)
+        mu, third = float(mu[0]), float(third[0])
+        assert mu == pytest.approx(float(_second_derivative(probe, [x])[0]) - 2.0 * lam2,
+                                   rel=1e-12, abs=1e-300)
+        assume(mu > 0.0)
+        tau = np.linspace(-abs(kt), abs(kt), 401)
+        second = _second_derivative(probe, x + tau)
+        assert np.all(mu * np.exp(-third / mu * np.abs(tau)) <= second * (1.0 + 1e-12))
 
     @settings(max_examples=300, deadline=None)
     @given(**_PROBES)
     def test_bracket_cuts_never_exceed_the_grid_minimum(self, seed, iterations, lam2):
-        """Both cuts, the curvature cut also at lam2 = 0, where only the
-        tangent-line cut screens."""
+        """The tangent-line cut of ``lin``, and the two minorants whose
+        curvature mu = 2 lam2 + sum_i u_i^2 min(sigma'(m_i), sigma'(m_i +
+        Kt u_i)) is the least f'' on [0, Kt] by log-concavity of sigma'
+        (also at lam2 = 0)."""
         probe = _random_probe(seed, lam2)
-        s0, x, fk, sk, mu = _reach_point(probe, iterations)
+        s0, x, fk, sk = _reach_point(probe, iterations)
         assume(s0 != 0.0 and s0 * sk <= 0.0)
+        m = probe.base_margins + np.array([[0.0], [x]]) * probe.u
+        sp = expit(m) * expit(-m)
+        mu = float(probe.u ** 2 @ np.minimum(sp[0], sp[1])) + 2.0 * lam2
+        assert mu <= _second_derivative(probe, np.linspace(0.0, x, 201)).min() * (1.0 + 1e-12)
         lo, hi = sorted((0.0, x))
         step = (hi - lo) / 4000 + 1e-12
         _, fmin = grid_minimize(logistic_curve(probe.base_margins, probe.u, lam2),
@@ -784,7 +813,8 @@ class TestSelfConcordantCut:
                                                 probe.lipschitz, abs(x), 2.0 * mu0)[0])
             w_hat = iterate_threshold(probe, 0.0, iterations)
             assert bound - allowance <= probe.value_at(w_hat), seed
-            assert bound == pytest.approx(self_concordant_bound(probe, s0, x)[0], rel=0.0,
+            assert bound == pytest.approx(self_concordant_bound(base, u, probe.f0, s0, abs(x))[0],
+                                          rel=0.0,
                                           abs=1e-12 * (abs(probe.f0) + abs(s0 * x))), seed
             mu0, third = float(mu0[0]), float(third[0])
             if mu0 == 0.0:
@@ -796,6 +826,51 @@ class TestSelfConcordantCut:
             else:
                 branches["inside"] += 1
         assert len(branches) == 4 and min(branches.values()) >= 20, branches
+
+    @pytest.mark.parametrize("lam2", [1e-3, 1e-2, 0.1])
+    def test_anchored_at_the_newton_point_never_exceeds_the_search_loss(self, lam2):
+        """The bound of the ``quad`` pass, less its allowance, is never above
+        the loss that ``iterate_threshold`` reaches.  The pass runs at x, the
+        Newton point from zero clipped to [0, Kt]; the self-concordant bound
+        is anchored at x and runs to Kt, or back to zero where the slope at
+        x has turned.  The restrictions are drawn as above; the
+        cases cover x inside the bracket and clipped at Kt, slopes at x of
+        either sign, and the bound's minimizer inside its range and at the
+        bracket end."""
+        cases = Counter()
+        for seed in range(1500):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 26))
+            u = rng.choice([-1.0, 1.0], size=n) if rng.random() < 0.5 else rng.standard_normal(n)
+            if rng.random() < 0.1:
+                base = np.full(n, -800.0)
+            else:
+                base = np.clip(rng.uniform(-20.0, 20.0)
+                               + rng.uniform(0.1, 5.0) * rng.standard_normal(n), -20.0, 20.0)
+            iterations = int(rng.integers(1, 13))
+            probe = logeng.CoordinateProbe(base, u, lam2=lam2)
+            s0, f0, lip = probe.slope_at(0.0), probe.f0, probe.lipschitz
+            if s0 == 0.0:
+                continue
+            kt = iterations * (-s0 / lip)
+            block = logeng.BlockProbe(base, u[None, :], lam2)
+            mu0, _ = block.zero_curvature()
+            x = np.copysign(np.minimum(abs(s0) / (mu0 + 2.0 * lam2), abs(kt)), kt)
+            fx, sx, (mu_x, third_x) = block.evaluate(x, curvature=True)
+            turned = bool(s0 * sx[0] <= 0.0)
+            reach = abs(x) if turned else abs(kt) - abs(x)
+            loss = probe.value_at(iterate_threshold(probe, 0.0, iterations))
+            bound = logeng._self_concordant_cut_val(fx, np.abs(sx), reach, mu_x, third_x)
+            allowance = logeng._allowance(n, iterations, abs(f0) + np.abs(fx), lip, abs(kt),
+                                          2.0 * mu_x)
+            assert float(bound[0] - allowance[0]) <= loss, seed
+            a, mu_x, third_x = abs(float(sx[0])), float(mu_x[0]), float(third_x[0])
+            at_end = (mu_x == 0.0 or a * third_x >= mu_x * mu_x
+                      or -np.log1p(-a * third_x / (mu_x * mu_x)) * mu_x / third_x
+                      >= float(reach[0]))
+            cases["x = Kt" if x[0] == kt else "x inside"] += 1
+            cases["turned" if turned else "falling", "at end" if at_end else "inside"] += 1
+        assert len(cases) == 6 and min(cases.values()) >= 20, cases
 
 
 class TestFitSwap1Opt:
@@ -926,6 +1001,11 @@ class TestSearchClaims:
     def test_quad_cut_runs_fewer_line_searches(self, paths):
         quad, lin = paths["dynamic", "quad"], paths["dynamic", "lin"]
         assert self._total(quad, "line_searches") < self._total(lin, "line_searches")
+
+    def test_quad_pass_at_the_newton_point_leaves_few_line_searches(self, paths):
+        # 28 line searches for 28 accepted swaps; 1,559 with the pass at Kt
+        quad = paths["dynamic", "quad"]
+        assert self._total(quad, "line_searches") < 100
 
     def test_dynamic_ordering_makes_fewer_swap_evaluations(self, paths):
         # a search that accepts nothing visits every support feature once in
